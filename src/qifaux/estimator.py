@@ -12,9 +12,18 @@ the exact objective gradient
 
     dQ/dbeta = (2/n) sum_i (1 - g_i' Sigma^{-1} g_n) * (dg_i/dbeta)' Sigma^{-1} g_n,
 
-whose second factor inside the sum carries the derivative-of-weight term
-(closed form under the identity link; by central differences of Q_n for
-other links, where the closed-form contribution Jacobians are truncated).
+whose second factor inside the sum carries the derivative-of-weight term.
+
+Under the identity link every contribution is affine in beta,
+g_i(beta) = g_i(beta0) + T_i (beta - beta0), so with Z_i = [g_i(beta0) | T_i]
+and w = (1, beta - beta0) the solver needs only the mean and the Gram
+matrix of the Z_i: g_n = mean(Z) w, Sigma_n = (1/n) sum_i Z_i w w' Z_i',
+G_n = mean(T), and the gradient above in closed form (Hansen, Heaton and
+Yaron 1996). One O(n) pass at the start value builds them; every
+Gauss-Newton iteration after it is free of n. Other links recompute the
+per-subject contributions at each evaluation and difference Q_n centrally,
+because their closed-form contribution Jacobians are truncated.
+
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
 (moment count)/n driven by correlation between the empirical Jacobian and
@@ -148,7 +157,6 @@ class _Assembler:
             self.spec.link is Link.IDENTITY
             and self.spec.variance is Variance.CONSTANT
         )
-        self._cached_tensor = None
 
     # -- moment machinery ------------------------------------------------
 
@@ -171,9 +179,9 @@ class _Assembler:
         a, deriv = self._weights_and_derivative(beta)
         t = a * resid
         # (n, L, q): M_l applied within each subject
-        mixed = np.einsum("ljk,nk->nlj", self.basis_stack, t)
+        mixed = (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
         mixed *= a[:, None, :]
-        qif = np.einsum("nqp,nlq->nlp", deriv, mixed).reshape(self.n, -1)
+        qif = (mixed @ deriv).reshape(self.n, -1)
         if self.n_groups == 0:
             out = qif
         else:
@@ -197,20 +205,18 @@ class _Assembler:
         weights are dropped (they are exactly zero under the identity link
         and vanish asymptotically otherwise). Auxiliary blocks are exact.
         """
-        if self._identity and self._cached_tensor is not None:
-            tensor = self._cached_tensor
-        else:
-            a, deriv = self._weights_and_derivative(beta)
-            scaled = a[:, :, None] * deriv
-            qif = -np.einsum("nja,ljk,nkb->nlab", scaled, self.basis_stack, scaled)
-            parts = [qif.reshape(self.n, -1, self.p)]
-            if self.n_groups > 0:
-                aux = np.zeros((self.n, self.n_groups, self.q, self.p))
-                aux[np.arange(self.n), self.group_idx] = deriv
-                parts.append(aux.reshape(self.n, -1, self.p))
-            tensor = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-            if self._identity:
-                self._cached_tensor = tensor
+        a, deriv = self._weights_and_derivative(beta)
+        scaled = a[:, :, None] * deriv
+        # (n, p, L, q): scaled' M_l, then times scaled within each subject
+        left = np.tensordot(scaled, self.basis_stack, axes=(1, 1))
+        qif = -(left.reshape(self.n, -1, self.q) @ scaled)
+        qif = qif.reshape(self.n, self.p, -1, self.p).transpose(0, 2, 1, 3)
+        parts = [qif.reshape(self.n, -1, self.p)]
+        if self.n_groups > 0:
+            aux = np.zeros((self.n, self.n_groups, self.q, self.p))
+            aux[np.arange(self.n), self.group_idx] = deriv
+            parts.append(aux.reshape(self.n, -1, self.p))
+        tensor = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         if self.row_mask is not None:
             tensor = tensor[:, self.row_mask, :]
         return tensor
@@ -219,29 +225,29 @@ class _Assembler:
         """(d, p) derivative matrix G_n of the mean moment vector."""
         return self.contribution_jacobians(beta).mean(axis=0)
 
-    def weight_inverse(self, contribs):
-        """Pseudo-inverse of the empirical second-moment weight matrix.
-
-        Returns (inverse, rank); raises SingularWeightMatrix when the rank
-        falls below the parameter dimension.
-        """
-        sigma = contribs.T @ contribs / self.n
-        u, s, vt = np.linalg.svd(sigma, hermitian=True)
-        top = s[0] if s.size else 0.0
-        cutoff = top * WEIGHT_RCOND
-        rank = int((s > cutoff).sum())
-        if rank < self.p:
-            raise SingularWeightMatrix(
-                f"weight matrix rank {rank} < parameter dimension {self.p}"
-            )
-        inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        return (vt.T * inv_s) @ vt, rank
-
     def quadratic(self, beta):
         """Q_n at beta: (value, g, weight_inverse, rank_deficient_flag)."""
         g, contribs = self.moments(beta)
-        inv, rank = self.weight_inverse(contribs)
+        inv, rank = _weight_inverse(weight_matrix(contribs), self.p)
         return float(g @ inv @ g), g, inv, rank < g.shape[0]
+
+
+def _weight_inverse(sigma, p):
+    """Pseudo-inverse of the second-moment weight matrix Sigma_n.
+
+    Returns (inverse, rank); raises SingularWeightMatrix when the rank
+    falls below the parameter dimension p.
+    """
+    u, s, vt = np.linalg.svd(sigma, hermitian=True)
+    top = s[0] if s.size else 0.0
+    cutoff = top * WEIGHT_RCOND
+    rank = int((s > cutoff).sum())
+    if rank < p:
+        raise SingularWeightMatrix(
+            f"weight matrix rank {rank} < parameter dimension {p}"
+        )
+    inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return (vt.T * inv_s) @ vt, rank
 
 
 def _build_assembler(config, dataset, options):
@@ -331,58 +337,127 @@ def initial_estimate(
         raise RankDeficient(f"design matrix is rank deficient: {err}") from err
 
 
-def _half_gradient(tensor, n, g, contribs, w_inv, frozen):
-    """Closed-form half-gradient of the searched objective.
+class _AffineMoments:
+    """Identity-link moments from one Gram pass at the expansion point beta0.
 
-    With a frozen weight the objective is g' W g and the half-gradient is
-    G' W g. Under continuous updating the weight's own beta-dependence
-    contributes, giving (1/n) sum_i (1 - g_i' W g) (dg_i/dbeta)' W g.
-    Exact whenever the contribution Jacobians are (identity link).
+    Z_i = [g_i(beta0) | T_i] is the (d, p+1) block of subject i, and the
+    contribution at beta is Z_i w with w = (1, beta - beta0). The mean and
+    Gram matrix of the Z_i give g_n, Sigma_n, G_n and the exact gradient
+    without touching the subjects again. Expanding around the start value
+    rather than zero keeps the cancellation in Sigma_n small.
     """
-    u = w_inv @ g
-    per_subject = np.einsum("ndp,d->np", tensor, u)
-    if frozen:
-        return per_subject.mean(axis=0)
-    c = contribs @ u
-    return per_subject.T @ (1.0 - c) / n
+
+    def __init__(self, assembler, beta0):
+        n = assembler.n
+        z = np.concatenate(
+            [
+                assembler.contributions(beta0)[:, :, None],
+                assembler.contribution_jacobians(beta0),
+            ],
+            axis=2,
+        )
+        d, k = z.shape[1:]
+        z = z.reshape(n, -1)
+        self.z_gram = (z.T @ z / n).reshape(-1, k)
+        self.cross_shape = (d, k, d)
+        self.z_mean = z.mean(axis=0).reshape(d, k)
+        self.jacobian = self.z_mean[:, 1:]
+        self.beta0 = beta0
+        self.p = assembler.p
+
+    def _offset(self, beta):
+        return np.concatenate(([1.0], beta - self.beta0))
+
+    def _cross(self, beta):
+        """cross[a, j, b] = (1/n) sum_i Z_i[a, j] g_i(beta)[b]."""
+        return (self.z_gram @ self._offset(beta)).reshape(self.cross_shape)
+
+    def moment(self, beta):
+        """g_n at beta."""
+        return self.z_mean @ self._offset(beta)
+
+    def weight(self, beta):
+        """Sigma_n at beta."""
+        return self._offset(beta) @ self._cross(beta)
+
+    def evaluate(self, beta, frozen_inv=None):
+        """(g_n, weight inverse, rank) at beta; rank is None for a frozen weight."""
+        g = self.moment(beta)
+        if frozen_inv is not None:
+            return g, frozen_inv, None
+        return (g, *_weight_inverse(self.weight(beta), self.p))
+
+    def derivatives(self, beta, g, w_inv, frozen_inv):
+        """(G_n, half-gradient of the searched objective) at beta.
+
+        With a frozen weight the half-gradient is G' W g. Under continuous
+        updating the weight's own beta-dependence subtracts
+        (1/n) sum_i (g_i' u) T_i' u with u = W g.
+        """
+        u = w_inv @ g
+        half_grad = self.jacobian.T @ u
+        if frozen_inv is None:
+            half_grad -= (u @ (self._cross(beta) @ u))[1:]
+        return self.jacobian, half_grad
 
 
-def _searched_objective(assembler, beta, frozen_inv):
-    g, contribs = assembler.moments(beta)
-    if frozen_inv is not None:
-        return float(g @ frozen_inv @ g)
-    w_inv, _ = assembler.weight_inverse(contribs)
-    return float(g @ w_inv @ g)
+class _SubjectMoments:
+    """Per-subject contributions at every evaluation, for non-identity links."""
+
+    def __init__(self, assembler):
+        self.assembler = assembler
+
+    def evaluate(self, beta, frozen_inv=None):
+        """(g_n, weight inverse, rank) at beta; rank is None for a frozen weight."""
+        g, contribs = self.assembler.moments(beta)
+        if frozen_inv is not None:
+            return g, frozen_inv, None
+        return (g, *_weight_inverse(weight_matrix(contribs), self.assembler.p))
+
+    def derivatives(self, beta, g, w_inv, frozen_inv, h=1e-6):
+        """(G_n, central-difference half-gradient of the searched objective).
+
+        The closed-form contribution Jacobians deliberately drop the
+        second-derivative and weight-derivative terms here, so they do not
+        differentiate the objective exactly.
+        """
+        grad = np.zeros(beta.size)
+        for j in range(beta.size):
+            e = np.zeros(beta.size)
+            e[j] = h
+            gp, wp, _ = self.evaluate(beta + e, frozen_inv)
+            gm, wm, _ = self.evaluate(beta - e, frozen_inv)
+            grad[j] = (float(gp @ wp @ gp) - float(gm @ wm @ gm)) / (2.0 * h)
+        return self.assembler.jacobian(beta), grad / 2.0
 
 
-def _fd_half_gradient(assembler, beta, frozen_inv, h=1e-6):
-    """Central-difference half-gradient of the searched objective.
+@dataclass(frozen=True)
+class _Solution:
+    """Where the solver stopped, with the weight and Jacobian held there."""
 
-    Used for non-identity links, where the closed-form contribution
-    Jacobians deliberately drop the second-derivative and weight-derivative
-    terms and so do not differentiate the objective exactly.
-    """
-    grad = np.zeros(beta.size)
-    for j in range(beta.size):
-        e = np.zeros(beta.size)
-        e[j] = h
-        qp = _searched_objective(assembler, beta + e, frozen_inv)
-        qm = _searched_objective(assembler, beta - e, frozen_inv)
-        grad[j] = (qp - qm) / (2.0 * h)
-    return grad / 2.0
+    beta: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+    iterates: np.ndarray
+    degraded: bool
+    gradient_norm: float
+    weight_inverse: np.ndarray
+    jacobian: np.ndarray
 
 
-def _direction(tensor, half_grad, w_inv, free):
-    """Gauss-Newton step for the free coordinates and its gradient norm."""
-    jac = tensor.mean(axis=0)[:, free]
-    normal = jac.T @ w_inv @ jac
+def _direction(model, beta, g, w_inv, frozen_inv, free):
+    """(G_n, Gauss-Newton step for the free coordinates, gradient norm)."""
+    jac, half_grad = model.derivatives(beta, g, w_inv, frozen_inv)
+    free_jac = jac[:, free]
+    normal = free_jac.T @ w_inv @ free_jac
     score = half_grad[free]
     svals = np.linalg.svd(normal, compute_uv=False)
     if svals.size == 0 or svals[0] == 0 or svals[-1] <= svals[0] * 1e-13:
         raise RankDeficient(
             "moment Jacobian is rank deficient for the free coordinates"
         )
-    return -np.linalg.solve(normal, score), float(np.abs(score).max())
+    return jac, -np.linalg.solve(normal, score), float(np.abs(score).max())
 
 
 def _minimize(assembler, beta0, free, options):
@@ -392,29 +467,24 @@ def _minimize(assembler, beta0, free, options):
     (G' Sigma^{-1} G)^{-1} metric, so it is always a descent direction and
     the fixed point is a stationary point of the minimized objective
     (continuously-updating Q_n, or the frozen-weight form in two-step
-    mode).
-
-    Returns (beta, q_value, iterations, converged, iterates, degraded,
-    gradient_norm, weight_inv_final).
+    mode). The link decides only how the moments, weight and derivatives
+    are produced: from sufficient statistics under the identity link,
+    from per-subject contributions otherwise.
     """
     beta = np.asarray(beta0, dtype=float).copy()
-    g, contribs = assembler.moments(beta)
-    w_inv, rank = assembler.weight_inverse(contribs)
-    any_degraded = rank < g.shape[0]
+    if assembler._identity:
+        model = _AffineMoments(assembler, beta)
+    else:
+        model = _SubjectMoments(assembler)
+    g, w_inv, rank = model.evaluate(beta)
+    degraded = rank < g.shape[0]
     q_cur = float(g @ w_inv @ g)
+    frozen_inv = w_inv if options.two_step else None
+    jac, step, grad_norm = _direction(model, beta, g, w_inv, frozen_inv, free)
     iterates = [beta.copy()]
     converged = False
     iterations = 0
-    frozen_inv = w_inv if options.two_step else None
     for _ in range(options.max_iter):
-        tensor = assembler.contribution_jacobians(beta)
-        if assembler._identity:
-            half_grad = _half_gradient(
-                tensor, assembler.n, g, contribs, w_inv, options.two_step
-            )
-        else:
-            half_grad = _fd_half_gradient(assembler, beta, frozen_inv)
-        step, _ = _direction(tensor, half_grad, w_inv, free)
         if np.abs(step).max() < options.step_tol:
             converged = True
             break
@@ -425,11 +495,7 @@ def _minimize(assembler, beta0, free, options):
         for _ in range(options.max_halvings + 1):
             candidate = beta.copy()
             candidate[free] += alpha * step
-            trial_g, trial_contribs = assembler.moments(candidate)
-            if options.two_step:
-                trial_w, trial_rank = w_inv, None
-            else:
-                trial_w, trial_rank = assembler.weight_inverse(trial_contribs)
+            trial_g, trial_w, trial_rank = model.evaluate(candidate, frozen_inv)
             trial_q = float(trial_g @ trial_w @ trial_g)
             if trial_q < q_cur:
                 accepted = True
@@ -441,23 +507,26 @@ def _minimize(assembler, beta0, free, options):
             converged = smallest_gap < options.objective_tol
             break
         delta_q = q_cur - trial_q
-        beta = candidate
-        g, contribs, w_inv, q_cur = trial_g, trial_contribs, trial_w, trial_q
+        taken = np.abs(alpha * step).max()
+        beta, g, w_inv, q_cur = candidate, trial_g, trial_w, trial_q
         if trial_rank is not None:
-            any_degraded = any_degraded or trial_rank < g.shape[0]
+            degraded = degraded or trial_rank < g.shape[0]
         iterates.append(beta.copy())
-        if np.abs(alpha * step).max() < options.step_tol or delta_q < options.objective_tol:
+        jac, step, grad_norm = _direction(model, beta, g, w_inv, frozen_inv, free)
+        if taken < options.step_tol or delta_q < options.objective_tol:
             converged = True
             break
-    tensor = assembler.contribution_jacobians(beta)
-    if assembler._identity:
-        half_grad = _half_gradient(
-            tensor, assembler.n, g, contribs, w_inv, options.two_step
-        )
-    else:
-        half_grad = _fd_half_gradient(assembler, beta, frozen_inv)
-    _, grad_norm = _direction(tensor, half_grad, w_inv, free)
-    return beta, q_cur, iterations, converged, iterates, any_degraded, grad_norm, w_inv
+    return _Solution(
+        beta=beta,
+        objective=q_cur,
+        iterations=iterations,
+        converged=converged,
+        iterates=np.asarray(iterates),
+        degraded=degraded,
+        gradient_norm=grad_norm,
+        weight_inverse=w_inv,
+        jacobian=jac,
+    )
 
 
 def fit(
@@ -480,26 +549,21 @@ def fit(
         beta0 = np.asarray(init, dtype=float)
         if beta0.shape != (dataset.p,):
             raise ValueError(f"init must have shape ({dataset.p},)")
-    free = np.arange(dataset.p)
-    beta, q_value, iterations, converged, iterates, degraded, grad_norm, w_inv = (
-        _minimize(assembler, beta0, free, options)
-    )
-    jac = assembler.jacobian(beta)
-    normal = jac.T @ w_inv @ jac
-    svals = np.linalg.svd(normal, compute_uv=False)
-    if svals[-1] <= svals[0] * 1e-13:
-        raise RankDeficient("normal matrix singular at the solution")
+    # With every coordinate free, the solver has already checked that
+    # this normal matrix is nonsingular at the solution.
+    sol = _minimize(assembler, beta0, np.arange(dataset.p), options)
+    normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
     covariance = np.linalg.inv(normal) / dataset.n
     covariance = (covariance + covariance.T) / 2.0
     return FitResult(
-        beta_hat=beta,
+        beta_hat=sol.beta,
         covariance=covariance,
-        objective=q_value,
-        iterations=iterations,
-        converged=converged,
-        gradient_norm=grad_norm,
-        iterates=np.asarray(iterates),
-        weight_rank_deficient=degraded,
+        objective=sol.objective,
+        iterations=sol.iterations,
+        converged=sol.converged,
+        gradient_norm=sol.gradient_norm,
+        iterates=sol.iterates,
+        weight_rank_deficient=sol.degraded,
         dropped_groups=dropped,
     )
 
@@ -539,9 +603,8 @@ def profile_test(
         q_restricted, _, _, _ = assembler.quadratic(beta_start)
         beta_restricted = beta_start
     else:
-        beta_restricted, q_restricted, _, _, _, _, _, _ = _minimize(
-            assembler, beta_start, free, options
-        )
+        restricted = _minimize(assembler, beta_start, free, options)
+        beta_restricted, q_restricted = restricted.beta, restricted.objective
     statistic = dataset.n * (q_restricted - unrestricted.objective)
     clamped = statistic < 0
     statistic = max(statistic, 0.0)

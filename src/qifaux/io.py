@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
 from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
@@ -65,7 +66,7 @@ def _parse_cell(token, line_number, column):
         value = float(token)
     except ValueError:
         raise MalformedRow(line_number, f"non-numeric value {token!r} in {column!r}")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return None
     return value
 
@@ -242,6 +243,9 @@ def _fit_record(name: str, result: FitResult) -> dict:
         "n_iter": int(result.iterations),
         "converged": bool(result.converged),
         "gradient_norm": float(result.gradient_norm),
+        "weight_rank_deficient": bool(result.weight_rank_deficient),
+        "dropped_groups": [int(k) for k in result.dropped_groups],
+        "iterates": None if result.iterates is None else result.iterates.tolist(),
     }
 
 
@@ -336,6 +340,7 @@ def parse_structured_report(text: str) -> dict:
         if not line:
             continue
         record = json.loads(line)
+        iterates = record.get("iterates")
         results[record["method"]] = FitResult(
             beta_hat=np.asarray(record["beta"], dtype=float),
             covariance=np.asarray(record["cov"], dtype=float),
@@ -343,6 +348,9 @@ def parse_structured_report(text: str) -> dict:
             iterations=int(record["n_iter"]),
             converged=bool(record["converged"]),
             gradient_norm=float(record["gradient_norm"]),
+            iterates=iterates if iterates is None else np.asarray(iterates, dtype=float),
+            weight_rank_deficient=bool(record.get("weight_rank_deficient", False)),
+            dropped_groups=tuple(int(k) for k in record.get("dropped_groups", ())),
         )
     return results
 

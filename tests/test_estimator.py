@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from qifaux import (
@@ -396,6 +397,94 @@ class TestFit:
                 q1 = objective(cfg, ds, beta)
                 q2 = objective(cfg_scaled, ds, beta)
                 assert abs(q1 - q2) < 1e-8
+
+
+def per_subject_half_gradient(assembler, beta, w_inv, frozen):
+    """Half-gradient of the searched objective summed subject by subject.
+
+    Frozen weight: G' W g. Continuous updating adds the weight's own
+    derivative: (1/n) sum_i (1 - g_i' W g) T_i' W g.
+    """
+    g, contribs = assembler.moments(beta)
+    tensor = assembler.contribution_jacobians(beta)
+    u = w_inv @ g
+    per_subject = np.einsum("ndp,d->np", tensor, u)
+    if frozen:
+        return per_subject.mean(axis=0)
+    return per_subject.T @ (1.0 - contribs @ u) / assembler.n
+
+
+def assert_relative(actual, expected, rtol=1e-10):
+    expected = np.asarray(expected)
+    scale = max(np.abs(expected).max(), np.finfo(float).tiny)
+    assert np.abs(np.asarray(actual) - expected).max() <= rtol * scale
+
+
+class TestSufficientStatistics:
+    """The identity-link solver works from one Gram matrix; every quantity
+    it uses must agree with the direct per-subject computation."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("two_step", [False, True])
+    def test_gram_path_matches_contributions(self, q, p, two_step):
+        from qifaux.estimator import _AffineMoments, _build_assembler, _weight_inverse
+
+        rng = np.random.default_rng(100 * q + 10 * p + two_step)
+        n = int(rng.integers(60, 150))
+        ds = random_dataset(rng, n=n, q=q, p=p)
+        # group 1 of three is empty, so its rows go through row_mask
+        part = SubgroupPartition(
+            3, lambda c: 0, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2)
+        )
+        aux = AuxiliaryInfo(part, tuple(rng.standard_normal(q) for _ in range(3)))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
+        assembler, dropped = _build_assembler(
+            cfg, ds, FitOptions(allow_empty_subgroups=True)
+        )
+        assert dropped == (1,)
+        model = _AffineMoments(assembler, rng.standard_normal(p))
+        frozen_inv = None
+        if two_step:
+            start = assembler.contributions(rng.standard_normal(p))
+            frozen_inv, _ = _weight_inverse(weight_matrix(start), p)
+        for _ in range(4):
+            beta = rng.standard_normal(p)
+            g, contribs = assembler.moments(beta)
+            sigma = weight_matrix(contribs)
+            assert_relative(model.moment(beta), g)
+            assert_relative(model.weight(beta), sigma)
+            assert_relative(model.jacobian, assembler.jacobian(beta))
+            w_direct = frozen_inv if two_step else _weight_inverse(sigma, p)[0]
+            g_gram, w_gram, _ = model.evaluate(beta, frozen_inv)
+            assert_relative(g_gram @ w_gram @ g_gram, g @ w_direct @ g)
+            _, half_grad = model.derivatives(beta, g_gram, w_gram, frozen_inv)
+            assert_relative(
+                half_grad, per_subject_half_gradient(assembler, beta, w_direct, two_step)
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 4),
+        p=st.integers(1, 3),
+        structure=st.sampled_from([IND, CS, CorrelationStructure.AR1]),
+        with_aux=st.booleans(),
+    )
+    def test_fitted_objective_lies_in_unit_interval(self, seed, q, p, structure, with_aux):
+        """n Q_n is the squared norm of the projection of the ones vector
+        onto the span of the contributions, so 0 <= Q_n <= 1."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3 * q * p + 10, 120))
+        x = rng.standard_normal((n, q, p))
+        y = x @ rng.standard_normal(p) + rng.standard_normal((n, q))
+        ds = LongitudinalDataset(y, x)
+        aux = None
+        if with_aux:
+            aux = AuxiliaryInfo(sign_partition(), tuple(rng.standard_normal(q) for _ in range(2)))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(structure, q), aux)
+        res = fit(cfg, ds, options=FitOptions(allow_empty_subgroups=True))
+        assert 0.0 <= res.objective <= 1.0
 
 
 class TestProfileTest:

@@ -1,18 +1,23 @@
 """File ingestion, standardization, splitting and report round-trips."""
 
+import dataclasses
 import io as stdio
 
 import numpy as np
 import pytest
 
 from qifaux import (
+    AuxiliaryInfo,
     ColumnSchema,
     CorrelationStructure,
     EmptyDataset,
+    FitOptions,
+    FitResult,
     InvalidSize,
     LongitudinalDataset,
     MalformedRow,
     SimulationDesign,
+    SubgroupPartition,
     UnbalancedSubject,
     ZeroVariance,
     emit_qq,
@@ -61,6 +66,13 @@ class TestLoadDataset:
 
     def test_missing_cell_drops_subject(self):
         text = CLEAN.replace("a,2,0.2,1.5,0.0", "a,2,,1.5,0.0")
+        out = load_dataset(stdio.StringIO(text), SCHEMA)
+        assert out.dropped == ("a",)
+        assert out.dataset.subject_ids == ("b",)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "NaN", "na", "null", "."])
+    def test_non_finite_or_missing_token_drops_subject(self, token):
+        text = CLEAN.replace("a,2,0.2,1.5,0.0", f"a,2,0.2,{token},0.0")
         out = load_dataset(stdio.StringIO(text), SCHEMA)
         assert out.dropped == ("a",)
         assert out.dataset.subject_ids == ("b",)
@@ -178,17 +190,32 @@ class TestReports:
 
     def test_structured_round_trip_is_lossless(self):
         results = self._fit_results()
+        # a time-constant covariate under the CS basis makes the weight rank
+        # deficient, and a subgroup nobody falls into has its rows dropped
+        design = SimulationDesign(n=80, seed=37, replications=1)
+        ds = generate_dataset(design, replication_rng(37, 0, 0))
+        part = SubgroupPartition(2, lambda c: 0, lambda xs: np.zeros(len(xs), dtype=int))
+        cfg = ExtendedScoreConfig(
+            MarginalModelSpec.gaussian(),
+            build_basis(CorrelationStructure.COMPOUND_SYMMETRY, 3),
+            AuxiliaryInfo(part, (np.zeros(3), np.zeros(3))),
+        )
+        results["dropped"] = fit(cfg, ds, options=FitOptions(allow_empty_subgroups=True))
+        assert results["dropped"].dropped_groups == (1,)
+        assert results["dropped"].weight_rank_deficient
         text = emit_report(results, "structured")
         back = parse_structured_report(text)
-        orig = results["qif"]
-        got = back["qif"]
-        np.testing.assert_array_equal(got.beta_hat, orig.beta_hat)
-        np.testing.assert_array_equal(got.covariance, orig.covariance)
-        np.testing.assert_array_equal(got.se, orig.se)
-        assert got.objective == orig.objective
-        assert got.iterations == orig.iterations
-        assert got.converged == orig.converged
-        assert got.gradient_norm == orig.gradient_norm
+        assert set(back) == set(results)
+        for name, orig in results.items():
+            got = back[name]
+            for field in dataclasses.fields(FitResult):
+                want, have = getattr(orig, field.name), getattr(got, field.name)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(have, np.ndarray) and have.shape == want.shape
+                    np.testing.assert_array_equal(have, want)
+                else:
+                    assert type(have) is type(want) and have == want, field.name
+            np.testing.assert_array_equal(got.se, orig.se)
 
     def test_monte_carlo_table(self):
         design = SimulationDesign(n=60, seed=36, replications=8)
