@@ -19,10 +19,12 @@ g_i(beta) = g_i(beta0) + T_i (beta - beta0), so with Z_i = [g_i(beta0) | T_i]
 and w = (1, beta - beta0) the solver needs only the mean and the Gram
 matrix of the Z_i: g_n = mean(Z) w, Sigma_n = (1/n) sum_i Z_i w w' Z_i',
 G_n = mean(T), and the gradient above in closed form (Hansen, Heaton and
-Yaron 1996). One O(n) pass at the start value builds them; every
-Gauss-Newton iteration after it is free of n. Other links recompute the
-per-subject contributions at each evaluation and difference Q_n centrally,
-because their closed-form contribution Jacobians are truncated.
+Yaron 1996). One pass at the start value builds them at a cost of
+O(n d^2 (p+1)^2); every Gauss-Newton iteration after it is free of n. That
+pass replaces an O(n d^2) weight update per objective evaluation, so its
+advantage narrows as p grows. Other links recompute the per-subject
+contributions at each evaluation and difference Q_n centrally, because
+their closed-form contribution Jacobians are truncated.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -344,7 +346,8 @@ class _AffineMoments:
     contribution at beta is Z_i w with w = (1, beta - beta0). The mean and
     Gram matrix of the Z_i give g_n, Sigma_n, G_n and the exact gradient
     without touching the subjects again. Expanding around the start value
-    rather than zero keeps the cancellation in Sigma_n small.
+    rather than zero keeps the cancellation in Sigma_n small. The README
+    gives the p at which the Gram product stops paying for itself.
     """
 
     def __init__(self, assembler, beta0):
