@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubgroup, PartitionViolation
-from .model import LongitudinalDataset, MarginalModelSpec, Subject, mean_vector
+from .model import LongitudinalDataset
 
 _ATOM_RE = re.compile(
     r"^\s*col\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*(>=|<|==)\s*([-+0-9.eE]+)\s*$"
@@ -31,15 +31,17 @@ class Predicate:
     op: str
     value: float
 
-    def holds(self, covariates: np.ndarray) -> bool:
-        x = covariates[self.time - 1, self.column - 1]
-        if self.op == ">=":
-            return bool(x >= self.value)
-        if self.op == "<":
-            return bool(x < self.value)
-        return bool(x == self.value)
+    def __post_init__(self):
+        if self.time < 1 or self.column < 1:
+            raise ValueError(f"cell indices in {self} are 1-based")
 
     def holds_batch(self, covariates: np.ndarray) -> np.ndarray:
+        """(n,) truth values on an (n, q, p) covariate stack."""
+        q, p = covariates.shape[1:]
+        if self.time > q or self.column > p:
+            raise PartitionViolation(
+                f"predicate {self} reads a cell outside data with q={q}, p={p}"
+            )
         x = covariates[:, self.time - 1, self.column - 1]
         if self.op == ">=":
             return x >= self.value
@@ -68,28 +70,19 @@ def parse_group(line: str) -> tuple[Predicate, ...]:
 class SubgroupPartition:
     """Disjoint, exhaustive split of covariate space into K groups.
 
-    ``assign`` maps a subject's q x p covariate matrix to a group index in
-    0..K-1. ``assign_batch``, when given, does the same for an (n, q, p)
-    stack; otherwise the scalar function is applied per subject.
+    ``assign`` maps the (n, q, p) covariate stack to n group indices in
+    0..K-1, one per subject.
     """
 
     n_groups: int
     assign: callable
-    assign_batch: callable = None
     labels: tuple = ()
 
     def group_indices(self, dataset: LongitudinalDataset) -> np.ndarray:
         """(n,) int array of group memberships; checks index range."""
         if self.n_groups == 0:
             return np.zeros(dataset.n, dtype=int)
-        if self.assign_batch is not None:
-            idx = np.asarray(self.assign_batch(dataset.covariates), dtype=int)
-        else:
-            idx = np.fromiter(
-                (self.assign(x) for x in dataset.covariates),
-                dtype=int,
-                count=dataset.n,
-            )
+        idx = np.asarray(self.assign(dataset.covariates), dtype=int)
         if idx.shape != (dataset.n,):
             raise PartitionViolation("membership must yield one index per subject")
         if ((idx < 0) | (idx >= self.n_groups)).any():
@@ -109,18 +102,6 @@ class SubgroupPartition:
         groups = [tuple(g) for g in groups]
 
         def assign(covariates):
-            hits = [
-                k
-                for k, atoms in enumerate(groups)
-                if all(a.holds(covariates) for a in atoms)
-            ]
-            if len(hits) != 1:
-                raise PartitionViolation(
-                    f"subject matched {len(hits)} groups; predicates do not partition"
-                )
-            return hits[0]
-
-        def assign_batch(covariates):
             n = covariates.shape[0]
             match = np.zeros((len(groups), n), dtype=bool)
             for k, atoms in enumerate(groups):
@@ -138,7 +119,7 @@ class SubgroupPartition:
             return np.argmax(match, axis=0)
 
         labels = tuple(" & ".join(str(a) for a in atoms) for atoms in groups)
-        return cls(len(groups), assign, assign_batch, labels)
+        return cls(len(groups), assign, labels)
 
 
 def parse_subgroup_file(text: str) -> SubgroupPartition:
@@ -179,29 +160,6 @@ class AuxiliaryInfo:
         if not self.phi:
             return np.zeros((0, 0))
         return np.stack(self.phi)
-
-
-def psi(
-    aux: AuxiliaryInfo,
-    spec: MarginalModelSpec,
-    subject: Subject,
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Stacked auxiliary estimating functions, K*q entries in group order.
-
-    Block k is mu_i(beta) - phi_k when the subject falls in Omega_k and a
-    zero vector otherwise; at most one block is nonzero.
-    """
-    if aux.n_groups == 0:
-        return np.zeros(0)
-    mu = mean_vector(spec, subject, beta)
-    k = aux.partition.assign(subject.covariates)
-    if not 0 <= k < aux.n_groups:
-        raise PartitionViolation(f"group index {k} outside 0..{aux.n_groups - 1}")
-    q = mu.shape[0]
-    out = np.zeros(aux.n_groups * q)
-    out[k * q : (k + 1) * q] = mu - aux.phi[k]
-    return out
 
 
 def estimate_phi(

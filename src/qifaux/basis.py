@@ -104,22 +104,3 @@ def correlation_matrix(structure: CorrelationStructure, q: int, rho: float) -> n
         return rho ** np.abs(idx[:, None] - idx[None, :])
     raise ValueError(f"unknown structure {structure!r}")
 
-
-def cs_inverse_coefficients(alpha: float) -> tuple[float, float]:
-    """Coefficients (a0, a1) with R(alpha)^-1 = a0*I + a1*(J - I) for q = 3.
-
-    Not used in estimation (the quadratic objective eliminates them); kept
-    for verification of the decomposition against a direct matrix inverse.
-    """
-    denom = 2.0 * alpha**2 - alpha - 1.0
-    return -(alpha + 1.0) / denom, alpha / denom
-
-
-def ar1_inverse_coefficients(alpha: float) -> tuple[float, float]:
-    """Coefficients (b0, b1) with R(alpha)^-1 ~ b0*I + b1*T for AR(1), q = 3.
-
-    Exact only after adding back the end-point correction matrix
-    alpha^2/(1-alpha^2) * diag(1, 0, 1) that the basis omits.
-    """
-    denom = 1.0 - alpha**2
-    return (1.0 + alpha**2) / denom, -alpha / denom

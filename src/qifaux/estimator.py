@@ -52,8 +52,8 @@ from .model import (
     Link,
     LongitudinalDataset,
     MarginalModelSpec,
-    Variance,
     mean_curve,
+    mean_derivative,
     variance_function,
 )
 
@@ -155,30 +155,22 @@ class _Assembler:
             self.group_counts = np.zeros(0, dtype=int)
         self.dim_full = self.p * self.n_basis + self.n_groups * self.q
         self.row_mask = row_mask
-        self._identity = (
-            self.spec.link is Link.IDENTITY
-            and self.spec.variance is Variance.CONSTANT
-        )
 
     # -- moment machinery ------------------------------------------------
 
     def _mu(self, beta):
         return mean_curve(self.spec, self.x @ beta)
 
-    def _weights_and_derivative(self, beta):
+    def _weights_and_derivative(self, mu):
         """(a, d) with a = (dispersion*v(mu))^(-1/2) and d = dmu/dbeta'."""
-        if self._identity:
-            a = np.full((self.n, self.q), self.spec.dispersion**-0.5)
-            return a, self.x
-        mu = self._mu(beta)
         a = (self.spec.dispersion * variance_function(self.spec, mu)) ** -0.5
-        return a, (mu * (1.0 - mu))[:, :, None] * self.x
+        return a, mean_derivative(self.spec, mu)[:, :, None] * self.x
 
     def contributions(self, beta):
         """(n, d) per-subject moment contributions at beta."""
         mu = self._mu(beta)
         resid = self.y - mu
-        a, deriv = self._weights_and_derivative(beta)
+        a, deriv = self._weights_and_derivative(mu)
         t = a * resid
         # (n, L, q): M_l applied within each subject
         mixed = (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
@@ -207,7 +199,7 @@ class _Assembler:
         weights are dropped (they are exactly zero under the identity link
         and vanish asymptotically otherwise). Auxiliary blocks are exact.
         """
-        a, deriv = self._weights_and_derivative(beta)
+        a, deriv = self._weights_and_derivative(self._mu(beta))
         scaled = a[:, :, None] * deriv
         # (n, p, L, q): scaled' M_l, then times scaled within each subject
         left = np.tensordot(scaled, self.basis_stack, axes=(1, 1))
@@ -226,12 +218,6 @@ class _Assembler:
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
         return self.contribution_jacobians(beta).mean(axis=0)
-
-    def quadratic(self, beta):
-        """Q_n at beta: (value, g, weight_inverse, rank_deficient_flag)."""
-        g, contribs = self.moments(beta)
-        inv, rank = _weight_inverse(weight_matrix(contribs), self.p)
-        return float(g @ inv @ g), g, inv, rank < g.shape[0]
 
 
 def _weight_inverse(sigma, p):
@@ -292,14 +278,14 @@ def objective(
 ) -> float:
     """Quadratic form g_n' Sigma_n^+ g_n; warns when Sigma_n lost rank."""
     beta = np.asarray(beta, dtype=float)
-    value, _, _, degraded = _Assembler(config, dataset).quadratic(beta)
-    if degraded:
+    g, w_inv, rank = _SubjectMoments(_Assembler(config, dataset)).evaluate(beta)
+    if rank < g.shape[0]:
         warnings.warn(
             "weight matrix is rank deficient; using pseudo-inverse",
             WeightRankWarning,
             stacklevel=2,
         )
-    return value
+    return float(g @ w_inv @ g)
 
 
 def score_jacobian(
@@ -475,7 +461,7 @@ def _minimize(assembler, beta0, free, options):
     from per-subject contributions otherwise.
     """
     beta = np.asarray(beta0, dtype=float).copy()
-    if assembler._identity:
+    if assembler.spec.link is Link.IDENTITY:
         model = _AffineMoments(assembler, beta)
     else:
         model = _SubjectMoments(assembler)
@@ -603,7 +589,8 @@ def profile_test(
     beta_start[indices] = values
     free = np.setdiff1d(np.arange(p), indices)
     if free.size == 0:
-        q_restricted, _, _, _ = assembler.quadratic(beta_start)
+        g, w_inv, _ = _SubjectMoments(assembler).evaluate(beta_start)
+        q_restricted = float(g @ w_inv @ g)
         beta_restricted = beta_start
     else:
         restricted = _minimize(assembler, beta_start, free, options)

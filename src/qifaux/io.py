@@ -75,29 +75,41 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     """Assemble a balanced panel from a long-format CSV file.
 
     Subjects missing any of the q time points, or with any missing cell,
-    are dropped and reported. Duplicate time indices within a subject and
-    unparseable values are errors.
+    are dropped and reported. Duplicate time indices within a subject,
+    unparseable values and rows whose field count differs from the
+    header's are errors.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
-    reader = csv.DictReader(_stdio.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(_stdio.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise EmptyDataset("file has no header")
+    # a repeated header name refers to its last column
+    position = {name: j for j, name in enumerate(header)}
     needed = [schema.subject, schema.time, schema.response, *schema.covariates]
     for column in needed:
-        if column not in reader.fieldnames:
+        if column not in position:
             raise MalformedRow(1, f"missing column {column!r} in header")
+    at_sid, at_time, at_response, *at_covs = (position[c] for c in needed)
 
     rows = {}
     order = []
-    for line_number, row in enumerate(reader, start=2):
-        sid = (row[schema.subject] or "").strip()
+    for fields in reader:
+        if not fields:
+            continue
+        line_number = reader.line_num
+        if len(fields) != len(header):
+            raise MalformedRow(
+                line_number, f"row has {len(fields)} fields, header has {len(header)}"
+            )
+        sid = fields[at_sid].strip()
         if not sid:
             raise MalformedRow(line_number, "empty subject id")
-        time_token = (row[schema.time] or "").strip()
+        time_token = fields[at_time].strip()
         try:
             t = int(time_token)
         except ValueError:
@@ -106,8 +118,11 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
             raise MalformedRow(line_number, f"time index {t} must be >= 1")
         if schema.q is not None and t > schema.q:
             raise MalformedRow(line_number, f"time index {t} exceeds q={schema.q}")
-        response = _parse_cell(row[schema.response], line_number, schema.response)
-        covs = [_parse_cell(row[c], line_number, c) for c in schema.covariates]
+        response = _parse_cell(fields[at_response], line_number, schema.response)
+        covs = [
+            _parse_cell(fields[j], line_number, c)
+            for j, c in zip(at_covs, schema.covariates)
+        ]
         if sid not in rows:
             rows[sid] = {}
             order.append(sid)

@@ -5,7 +5,9 @@ component given the covariates:
 
     h(mu_ij) = x_ij' beta,    Var(Y_ij | x_ij) = dispersion * v(mu_ij),
 
-with the within-subject correlation left unmodeled.
+with the within-subject correlation left unmodeled. The inverse link, its
+derivative and the variance function are defined here and nowhere else;
+each acts elementwise on stacked arrays such as the (n, q) means.
 """
 
 from __future__ import annotations
@@ -71,28 +73,12 @@ class MarginalModelSpec:
 
 
 @dataclass(frozen=True)
-class Subject:
-    """One subject: response vector of length q and q x p covariate matrix."""
-
-    response: np.ndarray
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.response, dtype=float)
-        x = np.asarray(self.covariates, dtype=float)
-        if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise ValueError("response must be (q,) and covariates (q, p)")
-        object.__setattr__(self, "response", y)
-        object.__setattr__(self, "covariates", x)
-
-
-@dataclass(frozen=True)
 class LongitudinalDataset:
     """Balanced panel of n independent subjects.
 
     Stored as stacked arrays for vectorized estimation: ``responses`` is
-    (n, q) and ``covariates`` is (n, q, p). Use :meth:`from_subjects` to
-    build from per-subject records and :attr:`subjects` to view them.
+    (n, q) and ``covariates`` is (n, q, p); row i of each is subject i.
+    Every model quantity is computed on the whole stack at once.
     """
 
     responses: np.ndarray
@@ -131,31 +117,12 @@ class LongitudinalDataset:
     def p(self) -> int:
         return self.covariates.shape[2]
 
-    @property
-    def subjects(self) -> list[Subject]:
-        return [
-            Subject(self.responses[i], self.covariates[i]) for i in range(self.n)
-        ]
-
-    @classmethod
-    def from_subjects(cls, subjects, subject_ids=()) -> "LongitudinalDataset":
-        subjects = list(subjects)
-        if not subjects:
-            raise ValueError("dataset needs at least one subject")
-        y = np.stack([np.asarray(s.response, dtype=float) for s in subjects])
-        x = np.stack([np.asarray(s.covariates, dtype=float) for s in subjects])
-        return cls(y, x, subject_ids)
-
     def subset(self, indices) -> "LongitudinalDataset":
         indices = np.asarray(indices, dtype=int)
         ids = tuple(self.subject_ids[i] for i in indices)
         return LongitudinalDataset(
             self.responses[indices], self.covariates[indices], ids
         )
-
-
-def _linear_predictor(covariates: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return covariates @ beta
 
 
 def mean_curve(spec: MarginalModelSpec, eta: np.ndarray) -> np.ndarray:
@@ -166,23 +133,11 @@ def mean_curve(spec: MarginalModelSpec, eta: np.ndarray) -> np.ndarray:
     return expit(eta)
 
 
-def mean_vector(
-    spec: MarginalModelSpec, subject: Subject, beta: np.ndarray
-) -> np.ndarray:
-    """Conditional mean vector mu_i, one entry per observation."""
-    beta = np.asarray(beta, dtype=float)
-    return mean_curve(spec, _linear_predictor(subject.covariates, beta))
-
-
-def mean_derivative(
-    spec: MarginalModelSpec, subject: Subject, beta: np.ndarray
-) -> np.ndarray:
-    """q x p matrix of partial derivatives of mu_i with respect to beta."""
-    beta = np.asarray(beta, dtype=float)
+def mean_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
+    """d mu / d eta at the means mu, elementwise."""
     if spec.link is Link.IDENTITY:
-        return subject.covariates.copy()
-    mu = mean_vector(spec, subject, beta)
-    return (mu * (1.0 - mu))[:, None] * subject.covariates
+        return np.ones_like(mu)
+    return mu * (1.0 - mu)
 
 
 def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
@@ -191,11 +146,3 @@ def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
         return np.ones_like(mu)
     mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     return mu * (1.0 - mu)
-
-
-def variance_inv_sqrt(
-    spec: MarginalModelSpec, subject: Subject, beta: np.ndarray
-) -> np.ndarray:
-    """Diagonal matrix with entries (dispersion * v(mu_ij))^(-1/2)."""
-    mu = mean_vector(spec, subject, beta)
-    return np.diag((spec.dispersion * variance_function(spec, mu)) ** -0.5)

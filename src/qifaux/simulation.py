@@ -144,29 +144,21 @@ def two_group_partition() -> SubgroupPartition:
     """Split on the time-constant second covariate: x_2 = 1 vs x_2 = 0."""
 
     def assign(covariates):
-        return 0 if covariates[0, 1] == 1.0 else 1
-
-    def assign_batch(covariates):
         return np.where(covariates[:, 0, 1] == 1.0, 0, 1)
 
-    return SubgroupPartition(2, assign, assign_batch, ("x2=1", "x2=0"))
+    return SubgroupPartition(2, assign, ("x2=1", "x2=0"))
 
 
 def four_group_partition() -> SubgroupPartition:
     """Cross the sign of the first baseline covariate with x_2."""
 
     def assign(covariates):
-        positive = covariates[0, 0] >= 0.0
-        first = covariates[0, 1] == 1.0
-        return (0 if positive else 1) if first else (2 if positive else 3)
-
-    def assign_batch(covariates):
         negative = (covariates[:, 0, 0] < 0.0).astype(int)
         second = (covariates[:, 0, 1] != 1.0).astype(int)
         return negative + 2 * second
 
     labels = ("x11>=0,x2=1", "x11<0,x2=1", "x11>=0,x2=0", "x11<0,x2=0")
-    return SubgroupPartition(4, assign, assign_batch, labels)
+    return SubgroupPartition(4, assign, labels)
 
 
 def build_two_group_aux(beta2: float = -0.5) -> AuxiliaryInfo:

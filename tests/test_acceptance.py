@@ -38,8 +38,9 @@ from qifaux import (
     standardize_columns,
     write_dataset,
 )
-from qifaux.basis import cs_inverse_coefficients
 from qifaux.simulation import Hypothesis, four_group_partition, two_group_partition
+
+from inverse_coefficients import cs_inverse_coefficients
 
 GAUSS = MarginalModelSpec.gaussian()
 BERN = MarginalModelSpec.bernoulli()
@@ -115,7 +116,8 @@ def test_criterion_02_zero_auxiliary_reduction_is_bitwise():
         )
         basis = build_basis(CS, q)
         r_plain = fit(ExtendedScoreConfig(GAUSS, basis, None), ds)
-        aux0 = AuxiliaryInfo(SubgroupPartition(0, lambda c: 0), ())
+        none = SubgroupPartition(0, lambda xs: np.zeros(len(xs), dtype=int))
+        aux0 = AuxiliaryInfo(none, ())
         r_aux0 = fit(ExtendedScoreConfig(GAUSS, basis, aux0), ds)
         assert np.array_equal(r_plain.iterates, r_aux0.iterates)
         assert r_plain.objective == r_aux0.objective
@@ -149,11 +151,7 @@ def test_criterion_03_jacobian_matches_finite_differences():
         p = int(rng.integers(1, 4))
         x = rng.standard_normal((n, q, p))
         beta = 0.5 * rng.standard_normal(p)
-        part = SubgroupPartition(
-            2,
-            lambda c: 0 if c[0, 0] >= 0 else 1,
-            lambda xs: (xs[:, 0, 0] < 0).astype(int),
-        )
+        part = SubgroupPartition(2, lambda xs: (xs[:, 0, 0] < 0).astype(int))
         aux = AuxiliaryInfo(part, (rng.standard_normal(q), rng.standard_normal(q)))
         basis = build_basis(CS, q)
 

@@ -7,14 +7,16 @@ import pytest
 
 from qifaux import (
     AuxiliaryInfo,
+    CorrelationStructure,
     EmptySubgroup,
+    ExtendedScoreConfig,
     MarginalModelSpec,
     PartitionViolation,
-    Subject,
     SubgroupPartition,
+    build_basis,
     estimate_phi,
+    moment_vector,
     parse_subgroup_file,
-    psi,
 )
 from qifaux.auxiliary import parse_group, parse_predicate
 from qifaux.model import LongitudinalDataset
@@ -31,57 +33,73 @@ from qifaux.simulation import (
 GAUSS = MarginalModelSpec.gaussian()
 
 
-def _design_subject(x1_value, x2_value):
-    covs = np.column_stack([np.full(3, x1_value), np.full(3, x2_value)])
-    return Subject(np.zeros(3), covs)
+def _design_dataset(*cells):
+    """One subject per (x1, x2) pair, each covariate constant over q = 3."""
+    covs = np.array([np.column_stack([np.full(3, a), np.full(3, b)]) for a, b in cells])
+    return LongitudinalDataset(np.zeros((len(cells), 3)), covs)
+
+
+def _single_group():
+    return SubgroupPartition(1, lambda xs: np.zeros(len(xs), dtype=int))
+
+
+def _four_group_oracle(covariates):
+    """Per-subject reference for four_group_partition on one q x p matrix."""
+    positive = covariates[0, 0] >= 0.0
+    first = covariates[0, 1] == 1.0
+    return (0 if positive else 1) if first else (2 if positive else 3)
+
+
+def _aux_rows(aux, dataset, beta):
+    """(n, K*q) auxiliary rows of the per-subject moment contributions."""
+    cfg = ExtendedScoreConfig(
+        GAUSS, build_basis(CorrelationStructure.INDEPENDENCE, dataset.q), aux
+    )
+    _, contribs = moment_vector(cfg, dataset, beta)
+    # one basis matrix, so the score rows are the first p columns
+    return contribs[:, dataset.p :]
 
 
 class TestPsi:
     def test_exact_match_gives_zero(self):
         aux = build_two_group_aux()
         # x_j1 = 0, x_2 = 1: mean is (-0.5,)*3 which equals phi_1 exactly
-        s = _design_subject(0.0, 1.0)
-        out = psi(aux, GAUSS, s, np.array([0.5, -0.5]))
+        out = _aux_rows(aux, _design_dataset((0.0, 1.0)), np.array([0.5, -0.5]))
+        assert out.shape == (1, 6)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_two_group_nonzero_block(self):
         # x_j1 = 1 and x_2 = 1 gives mean 0, so block 1 is 0 - (-0.5) = 0.5
         aux = build_two_group_aux()
-        s = _design_subject(1.0, 1.0)
-        out = psi(aux, GAUSS, s, np.array([0.5, -0.5]))
-        np.testing.assert_allclose(out[:3], 0.5)
-        np.testing.assert_allclose(out[3:], 0.0)
+        out = _aux_rows(aux, _design_dataset((1.0, 1.0)), np.array([0.5, -0.5]))
+        np.testing.assert_allclose(out[0, :3], 0.5)
+        np.testing.assert_allclose(out[0, 3:], 0.0)
 
     def test_degenerate_whole_space_partition(self):
-        part = SubgroupPartition(1, lambda x: 0)
         phi = np.array([0.1, 0.2, 0.3])
-        aux = AuxiliaryInfo(part, (phi,))
+        aux = AuxiliaryInfo(_single_group(), (phi,))
         rng = np.random.default_rng(0)
-        s = Subject(rng.standard_normal(3), rng.standard_normal((3, 2)))
+        ds = LongitudinalDataset(rng.standard_normal((4, 3)), rng.standard_normal((4, 3, 2)))
         beta = np.array([1.0, -1.0])
-        expected = s.covariates @ beta - phi
-        np.testing.assert_allclose(psi(aux, GAUSS, s, beta), expected)
+        expected = ds.covariates @ beta - phi
+        np.testing.assert_allclose(_aux_rows(aux, ds, beta), expected)
 
     def test_single_nonzero_block_and_k_major_order(self):
         rng = np.random.default_rng(1)
-        part = four_group_partition()
         phis = tuple(rng.standard_normal(3) for _ in range(4))
-        aux = AuxiliaryInfo(part, phis)
+        aux = AuxiliaryInfo(four_group_partition(), phis)
         beta = np.array([0.4, -0.3])
-        for _ in range(20):
-            s = Subject(rng.standard_normal(3), rng.standard_normal((3, 2)))
-            s = Subject(s.response, np.column_stack([s.covariates[:, 0],
-                                                     np.full(3, float(rng.integers(0, 2)))]))
-            out = psi(aux, GAUSS, s, beta)
-            k = part.assign(s.covariates)
-            blocks = out.reshape(4, 3)
+        x = rng.standard_normal((20, 3, 2))
+        x[:, :, 1] = rng.integers(0, 2, size=(20, 1)).astype(float)
+        ds = LongitudinalDataset(rng.standard_normal((20, 3)), x)
+        blocks = _aux_rows(aux, ds, beta).reshape(20, 4, 3)
+        for i in range(20):
+            k = _four_group_oracle(x[i])
             for j in range(4):
                 if j == k:
-                    np.testing.assert_allclose(
-                        blocks[j], s.covariates @ beta - phis[j]
-                    )
+                    np.testing.assert_allclose(blocks[i, j], x[i] @ beta - phis[j])
                 else:
-                    np.testing.assert_array_equal(blocks[j], 0.0)
+                    np.testing.assert_array_equal(blocks[i, j], 0.0)
 
 
 class TestEstimatePhi:
@@ -89,7 +107,7 @@ class TestEstimatePhi:
         y = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
         x = np.zeros((2, 3, 1))
         ds = LongitudinalDataset(y, x)
-        part = SubgroupPartition(1, lambda c: 0)
+        part = _single_group()
         phis, counts = estimate_phi(ds, part)
         np.testing.assert_allclose(phis[0], [2.0, 2.0, 2.0])
         assert counts.tolist() == [2]
@@ -97,12 +115,12 @@ class TestEstimatePhi:
     def test_grand_mean_single_group(self):
         rng = np.random.default_rng(2)
         ds = LongitudinalDataset(rng.standard_normal((10, 3)), rng.standard_normal((10, 3, 2)))
-        phis, _ = estimate_phi(ds, SubgroupPartition(1, lambda c: 0))
+        phis, _ = estimate_phi(ds, _single_group())
         np.testing.assert_allclose(phis[0], ds.responses.mean(axis=0))
 
     def test_empty_subgroup_raises(self):
         ds = LongitudinalDataset(np.zeros((3, 2)), np.ones((3, 2, 1)))
-        part = SubgroupPartition(2, lambda c: 0, lambda xs: np.zeros(len(xs), dtype=int))
+        part = SubgroupPartition(2, lambda xs: np.zeros(len(xs), dtype=int))
         with pytest.raises(EmptySubgroup):
             estimate_phi(ds, part)
 
@@ -155,13 +173,14 @@ class TestPartitions:
         ds = generate_dataset(design, replication_rng(8, 0, 0))
         part = four_group_partition()
         batch = part.group_indices(ds)
-        scalar = np.array([part.assign(x) for x in ds.covariates])
+        scalar = np.array([_four_group_oracle(x) for x in ds.covariates])
+        assert set(scalar.tolist()) == {0, 1, 2, 3}
         np.testing.assert_array_equal(batch, scalar)
 
     def test_out_of_range_index_rejected(self):
         ds = LongitudinalDataset(np.zeros((2, 2)), np.ones((2, 2, 1)))
-        part = SubgroupPartition(2, lambda c: 5)
-        with pytest.raises(PartitionViolation):
+        part = SubgroupPartition(2, lambda xs: np.full(len(xs), 5))
+        with pytest.raises(PartitionViolation, match="outside 0..1"):
             part.group_indices(ds)
 
 
@@ -204,14 +223,23 @@ class TestPredicateGrammar:
         with pytest.raises(PartitionViolation):
             part.group_indices(ds)
 
+    @pytest.mark.parametrize("text", ["col[0,1] >= 0", "col[1,0] < 2"])
+    def test_zero_cell_index_rejected(self, text):
+        with pytest.raises(ValueError, match="1-based"):
+            parse_predicate(text)
+
+    @pytest.mark.parametrize("cell", ["5,1", "1,3"])
+    def test_cell_outside_data_rejected(self, cell):
+        part = parse_subgroup_file(f"col[{cell}] >= 0\ncol[{cell}] < 0\n")
+        ds = _design_dataset((1.0, 1.0), (-1.0, 0.0))
+        with pytest.raises(PartitionViolation, match=rf"col\[{cell}\].*q=3, p=2"):
+            part.group_indices(ds)
+
 
 class TestFourGroupStructure:
     def test_membership_examples(self):
-        part = four_group_partition()
-        assert part.assign(_design_subject(0.3, 1.0).covariates) == 0
-        assert part.assign(_design_subject(-0.3, 1.0).covariates) == 1
-        assert part.assign(_design_subject(0.3, 0.0).covariates) == 2
-        assert part.assign(_design_subject(-0.3, 0.0).covariates) == 3
+        ds = _design_dataset((0.3, 1.0), (-0.3, 1.0), (0.3, 0.0), (-0.3, 0.0))
+        assert four_group_partition().group_indices(ds).tolist() == [0, 1, 2, 3]
 
     def test_merging_reproduces_two_group_partition(self):
         design = SimulationDesign(n=1000, seed=6, replications=1)
@@ -224,5 +252,5 @@ class TestFourGroupStructure:
         aux = build_two_group_aux()
         np.testing.assert_array_equal(aux.phi[0], [-0.5, -0.5, -0.5])
         np.testing.assert_array_equal(aux.phi[1], [0.0, 0.0, 0.0])
-        assert aux.partition.assign(_design_subject(2.0, 1.0).covariates) == 0
-        assert aux.partition.assign(_design_subject(2.0, 0.0).covariates) == 1
+        ds = _design_dataset((2.0, 1.0), (2.0, 0.0))
+        assert aux.partition.group_indices(ds).tolist() == [0, 1]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qifaux import CorrelationStructure, DimensionTooSmall, build_basis, correlation_matrix
-from qifaux.basis import ar1_inverse_coefficients, cs_inverse_coefficients
+
+from inverse_coefficients import ar1_inverse_coefficients, cs_inverse_coefficients
 
 CS = CorrelationStructure.COMPOUND_SYMMETRY
 AR1 = CorrelationStructure.AR1

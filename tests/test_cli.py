@@ -156,6 +156,27 @@ def test_missing_file_exits_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_short_csv_row_exits_nonzero(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("id,time,y,x1,x2\n1,1,0.5,1.0,0\n1,2,0.1,0.3\n")
+    code = main(["fit", "--data", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: line 3: row has 4 fields" in err
+    assert "Traceback" not in err
+
+
+def test_predicate_outside_data_exits_nonzero(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[5,1] >= 0\ncol[5,1] < 0\n")
+    code = main([
+        "fit", "--data", str(data_file), "--working", "cs",
+        "--aux", str(groups), "--phi", "holdout", "--analysis-size", "120",
+    ])
+    assert code == 1
+    assert "error: predicate col[5,1] >= 0" in capsys.readouterr().err
+
+
 def test_bad_working_structure_exits_nonzero(data_file, capsys):
     code = main(["fit", "--data", str(data_file), "--working", "toeplitz"])
     assert code == 1

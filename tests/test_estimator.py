@@ -53,11 +53,7 @@ def stacked_ols(dataset):
 
 
 def sign_partition():
-    return SubgroupPartition(
-        2,
-        lambda c: 0 if c[0, 0] >= 0 else 1,
-        lambda xs: (xs[:, 0, 0] < 0).astype(int),
-    )
+    return SubgroupPartition(2, lambda xs: (xs[:, 0, 0] < 0).astype(int))
 
 
 class TestMomentVector:
@@ -170,7 +166,7 @@ class TestScoreJacobian:
     def test_empty_subgroup_rows_are_zero(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng)
-        part = SubgroupPartition(2, lambda c: 0, lambda xs: np.zeros(len(xs), dtype=int))
+        part = SubgroupPartition(2, lambda xs: np.zeros(len(xs), dtype=int))
         aux = AuxiliaryInfo(part, (np.zeros(3), np.zeros(3)))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(IND, 3), aux)
         jac = score_jacobian(cfg, ds, np.zeros(2))
@@ -226,7 +222,8 @@ class TestFit:
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, n=60)
         cfg_plain = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
-        aux0 = AuxiliaryInfo(SubgroupPartition(0, lambda c: 0), ())
+        none = SubgroupPartition(0, lambda xs: np.zeros(len(xs), dtype=int))
+        aux0 = AuxiliaryInfo(none, ())
         cfg_aux = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), aux0)
         r1 = fit(cfg_plain, ds)
         r2 = fit(cfg_aux, ds)
@@ -289,7 +286,7 @@ class TestFit:
     def test_empty_subgroup_policy(self):
         rng = np.random.default_rng(18)
         ds = random_dataset(rng, n=50)
-        part = SubgroupPartition(2, lambda c: 0, lambda xs: np.zeros(len(xs), dtype=int))
+        part = SubgroupPartition(2, lambda xs: np.zeros(len(xs), dtype=int))
         aux = AuxiliaryInfo(part, (np.zeros(3), np.zeros(3)))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), aux)
         with pytest.raises(EmptySubgroup):
@@ -304,7 +301,7 @@ class TestFit:
         same quadratic form, started from several points."""
         from scipy import optimize
 
-        from qifaux.estimator import _Assembler
+        from qifaux.estimator import _Assembler, _SubjectMoments
 
         rng = np.random.default_rng(2024)
         for _ in range(8):
@@ -324,10 +321,11 @@ class TestFit:
             cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
             res = fit(cfg, ds)
             assert res.converged
-            assembler = _Assembler(cfg, ds)
+            model = _SubjectMoments(_Assembler(cfg, ds))
 
             def q_fun(b):
-                return assembler.quadratic(b)[0]
+                g, w_inv, _ = model.evaluate(b)
+                return float(g @ w_inv @ g)
 
             best = np.inf
             for start in (res.beta_hat, beta_true, np.zeros(p)):
@@ -434,9 +432,7 @@ class TestSufficientStatistics:
         n = int(rng.integers(60, 150))
         ds = random_dataset(rng, n=n, q=q, p=p)
         # group 1 of three is empty, so its rows go through row_mask
-        part = SubgroupPartition(
-            3, lambda c: 0, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2)
-        )
+        part = SubgroupPartition(3, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2))
         aux = AuxiliaryInfo(part, tuple(rng.standard_normal(q) for _ in range(3)))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
         assembler, dropped = _build_assembler(

@@ -83,6 +83,24 @@ class TestLoadDataset:
             load_dataset(stdio.StringIO(text), SCHEMA)
         assert err.value.line_number == 6
 
+    def test_short_row_is_malformed(self):
+        text = "id,time,y,x1,x2\n1,1,0.5,1.0,0\n1,2,0.1,0.3\n"
+        with pytest.raises(MalformedRow, match="4 fields, header has 5") as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert err.value.line_number == 3
+
+    def test_long_row_is_malformed(self):
+        text = CLEAN.replace("b,2,-0.2,0.0,1.0", "b,2,-0.2,0.0,1.0,7.0")
+        with pytest.raises(MalformedRow, match="6 fields, header has 5") as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert err.value.line_number == 6
+
+    def test_line_number_counts_blank_lines(self):
+        text = CLEAN.replace("b,1,", "\nb,1,").replace("b,2,-0.2,", "b,2,oops,")
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert err.value.line_number == 7
+
     def test_duplicate_time_is_unbalanced(self):
         text = CLEAN.replace("a,2,0.2,1.5,0.0", "a,1,0.2,1.5,0.0")
         with pytest.raises(UnbalancedSubject):
@@ -194,7 +212,7 @@ class TestReports:
         # deficient, and a subgroup nobody falls into has its rows dropped
         design = SimulationDesign(n=80, seed=37, replications=1)
         ds = generate_dataset(design, replication_rng(37, 0, 0))
-        part = SubgroupPartition(2, lambda c: 0, lambda xs: np.zeros(len(xs), dtype=int))
+        part = SubgroupPartition(2, lambda xs: np.zeros(len(xs), dtype=int))
         cfg = ExtendedScoreConfig(
             MarginalModelSpec.gaussian(),
             build_basis(CorrelationStructure.COMPOUND_SYMMETRY, 3),
