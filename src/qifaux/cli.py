@@ -16,12 +16,11 @@ from .io import (
     emit_qq,
     emit_report,
     load_dataset,
-    parse_design_config,
     split_sample,
     standardize_columns,
 )
 from .model import MarginalModelSpec
-from .simulation import AuxMode, Hypothesis, qq_data, run_monte_carlo
+from .simulation import AuxMode, Hypothesis, parse_design_config, qq_data, run_monte_carlo
 
 
 def _add_data_arguments(parser):
@@ -91,6 +90,12 @@ def _prepare(args):
             columns = list(range(dataset.p))
         else:
             names = [c.strip() for c in args.standardize.split(",") if c.strip()]
+            unknown = [c for c in names if c not in schema.covariates]
+            if unknown:
+                raise ValueError(
+                    f"--standardize: unknown column(s) {', '.join(unknown)}; "
+                    f"covariates are {', '.join(schema.covariates)}"
+                )
             columns = [schema.covariates.index(c) for c in names]
         dataset, info = standardize_columns(
             dataset, columns, include_response=args.standardize_response
@@ -150,13 +155,17 @@ def _write_output(text, args, notes=()):
         sys.stdout.write(text)
 
 
-def _parse_constraints(pairs):
+def _parse_constraints(pairs, p):
+    """0-based indices and values from 1-based INDEX=VALUE flags."""
     indices, values = [], []
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"constraint must look like INDEX=VALUE, got {pair!r}")
         idx, _, val = pair.partition("=")
-        indices.append(int(idx) - 1)
+        index = int(idx)
+        if not 1 <= index <= p:
+            raise ValueError(f"--constrain index {index} must lie in 1..{p}")
+        indices.append(index - 1)
         values.append(float(val))
     return tuple(indices), tuple(values)
 
@@ -171,7 +180,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_test(args) -> int:
     dataset, config, options, notes = _prepare(args)
-    indices, values = _parse_constraints(args.constrain)
+    indices, values = _parse_constraints(args.constrain, dataset.p)
     outcome = profile_test(config, dataset, indices, values, options=options)
     lines = [
         f"statistic {outcome.statistic!r}",
@@ -223,7 +232,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_qq(args) -> int:
     design = _load_design(args)
-    indices, values = _parse_constraints(args.constrain)
+    indices, values = _parse_constraints(args.constrain, design.p)
     label = ",".join(f"beta{i + 1}={v:g}" for i, v in zip(indices, values))
     hypothesis = Hypothesis(label, indices, values)
     pairs = qq_data(design, hypothesis, args.method)

@@ -59,6 +59,14 @@ from .model import (
 
 # Relative singular-value cutoff for the pseudo-inverse of Sigma_n.
 WEIGHT_RCOND = 1e-10
+# Gauss-Newton budget and stopping rules: stop when the largest step
+# coordinate or the objective decrease falls below its tolerance.
+MAX_ITER = 100
+STEP_TOL = 1e-8
+OBJECTIVE_TOL = 1e-12
+MAX_HALVINGS = 20
+# Fisher-scoring steps for the logit-link starting value.
+FISHER_STEPS = 25
 
 
 @dataclass(frozen=True)
@@ -76,13 +84,10 @@ class ExtendedScoreConfig:
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_iter: int = 100
-    step_tol: float = 1e-8
-    objective_tol: float = 1e-12
-    max_halvings: int = 20
+    """Freeze the weight at the start value; drop empty subgroups' rows."""
+
     two_step: bool = False
     allow_empty_subgroups: bool = False
-    init_fisher_steps: int = 25
 
 
 @dataclass(frozen=True)
@@ -158,20 +163,18 @@ class _Assembler:
 
     # -- moment machinery ------------------------------------------------
 
-    def _mu(self, beta):
-        return mean_curve(self.spec, self.x @ beta)
-
-    def _weights_and_derivative(self, mu):
-        """(a, d) with a = (dispersion*v(mu))^(-1/2) and d = dmu/dbeta'."""
+    def _link_terms(self, beta):
+        """(mu, a, d) with a = (dispersion*v(mu))^(-1/2) and d = dmu/dbeta'."""
+        mu = mean_curve(self.spec, self.x @ beta)
         a = (self.spec.dispersion * variance_function(self.spec, mu)) ** -0.5
-        return a, mean_derivative(self.spec, mu)[:, :, None] * self.x
+        return mu, a, mean_derivative(self.spec, mu)[:, :, None] * self.x
 
     def contributions(self, beta):
         """(n, d) per-subject moment contributions at beta."""
-        mu = self._mu(beta)
-        resid = self.y - mu
-        a, deriv = self._weights_and_derivative(mu)
-        t = a * resid
+        return self._contributions(*self._link_terms(beta))
+
+    def _contributions(self, mu, a, deriv):
+        t = a * (self.y - mu)
         # (n, L, q): M_l applied within each subject
         mixed = (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
         mixed *= a[:, None, :]
@@ -199,7 +202,10 @@ class _Assembler:
         weights are dropped (they are exactly zero under the identity link
         and vanish asymptotically otherwise). Auxiliary blocks are exact.
         """
-        a, deriv = self._weights_and_derivative(self._mu(beta))
+        _, a, deriv = self._link_terms(beta)
+        return self._jacobians(a, deriv)
+
+    def _jacobians(self, a, deriv):
         scaled = a[:, :, None] * deriv
         # (n, p, L, q): scaled' M_l, then times scaled within each subject
         left = np.tensordot(scaled, self.basis_stack, axes=(1, 1))
@@ -214,6 +220,14 @@ class _Assembler:
         if self.row_mask is not None:
             tensor = tensor[:, self.row_mask, :]
         return tensor
+
+    def blocks(self, beta):
+        """(n, d, p+1) blocks [g_i | dg_i/dbeta] at beta from one (mu, a, d)."""
+        mu, a, deriv = self._link_terms(beta)
+        return np.concatenate(
+            [self._contributions(mu, a, deriv)[:, :, None], self._jacobians(a, deriv)],
+            axis=2,
+        )
 
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
@@ -297,14 +311,12 @@ def score_jacobian(
 
 
 def initial_estimate(
-    config: ExtendedScoreConfig,
-    dataset: LongitudinalDataset,
-    fisher_steps: int = 25,
+    config: ExtendedScoreConfig, dataset: LongitudinalDataset
 ) -> np.ndarray:
     """Independence-working GEE starting value.
 
-    Closed-form stacked least squares under the identity link; a fixed
-    number of Fisher-scoring steps under the logit link.
+    Closed-form stacked least squares under the identity link;
+    FISHER_STEPS Fisher-scoring steps under the logit link.
     """
     x = dataset.covariates
     y = dataset.responses
@@ -314,7 +326,7 @@ def initial_estimate(
             xty = np.einsum("nqa,nq->a", x, y)
             return np.linalg.solve(xtx, xty)
         beta = np.zeros(dataset.p)
-        for _ in range(fisher_steps):
+        for _ in range(FISHER_STEPS):
             mu = mean_curve(config.spec, x @ beta)
             v = variance_function(config.spec, mu)
             xtwx = np.einsum("nqa,nq,nqb->ab", x, v, x)
@@ -338,13 +350,7 @@ class _AffineMoments:
 
     def __init__(self, assembler, beta0):
         n = assembler.n
-        z = np.concatenate(
-            [
-                assembler.contributions(beta0)[:, :, None],
-                assembler.contribution_jacobians(beta0),
-            ],
-            axis=2,
-        )
+        z = assembler.blocks(beta0)
         d, k = z.shape[1:]
         z = z.reshape(n, -1)
         self.z_gram = (z.T @ z / n).reshape(-1, k)
@@ -473,15 +479,15 @@ def _minimize(assembler, beta0, free, options):
     iterates = [beta.copy()]
     converged = False
     iterations = 0
-    for _ in range(options.max_iter):
-        if np.abs(step).max() < options.step_tol:
+    for _ in range(MAX_ITER):
+        if np.abs(step).max() < STEP_TOL:
             converged = True
             break
         iterations += 1
         accepted = False
         alpha = 1.0
         smallest_gap = np.inf
-        for _ in range(options.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = beta.copy()
             candidate[free] += alpha * step
             trial_g, trial_w, trial_rank = model.evaluate(candidate, frozen_inv)
@@ -493,7 +499,7 @@ def _minimize(assembler, beta0, free, options):
             alpha *= 0.5
         if not accepted:
             # No achievable decrease: objective flat along the direction.
-            converged = smallest_gap < options.objective_tol
+            converged = smallest_gap < OBJECTIVE_TOL
             break
         delta_q = q_cur - trial_q
         taken = np.abs(alpha * step).max()
@@ -502,7 +508,7 @@ def _minimize(assembler, beta0, free, options):
             degraded = degraded or trial_rank < g.shape[0]
         iterates.append(beta.copy())
         jac, step, grad_norm = _direction(model, beta, g, w_inv, frozen_inv, free)
-        if taken < options.step_tol or delta_q < options.objective_tol:
+        if taken < STEP_TOL or delta_q < OBJECTIVE_TOL:
             converged = True
             break
     return _Solution(
@@ -533,7 +539,7 @@ def fit(
     options = options or FitOptions()
     assembler, dropped = _build_assembler(config, dataset, options)
     if init is None:
-        beta0 = initial_estimate(config, dataset, options.init_fisher_steps)
+        beta0 = initial_estimate(config, dataset)
     else:
         beta0 = np.asarray(init, dtype=float)
         if beta0.shape != (dataset.p,):

@@ -12,7 +12,7 @@ import csv
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -26,13 +26,7 @@ from .errors import (
 )
 from .estimator import FitResult
 from .model import LongitudinalDataset
-from .simulation import (
-    AuxMode,
-    PhiSource,
-    SimulationDesign,
-    MonteCarloSummary,
-)
-from .basis import CorrelationStructure
+from .simulation import MonteCarloSummary
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "."}
 
@@ -376,52 +370,3 @@ def emit_qq(pairs: np.ndarray) -> str:
     for theo, samp in np.asarray(pairs):
         lines.append(f"{float(theo)!r},{float(samp)!r}")
     return "\n".join(lines) + "\n"
-
-
-# -- design config files -----------------------------------------------------
-
-_CONFIG_KEYS = {
-    "n", "rho_x", "rho_y", "structure_x", "structure_y", "working",
-    "aux_mode", "phi_source", "held_out_m", "seed", "reps",
-}
-
-
-def parse_design_config(text: str) -> SimulationDesign:
-    """Parse a key=value design file (# starts a comment)."""
-    values = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise MalformedRow(line_number, f"expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
-            raise MalformedRow(line_number, f"unknown design key {key!r}")
-        values[key] = value.strip()
-    if "n" not in values:
-        raise ValueError("design config must set n")
-    design = SimulationDesign(n=int(values["n"]))
-    updates = {}
-    if "rho_x" in values:
-        updates["rho_x"] = float(values["rho_x"])
-    if "rho_y" in values:
-        updates["rho_y"] = float(values["rho_y"])
-    if "structure_x" in values:
-        updates["sigma_x_structure"] = CorrelationStructure.from_name(values["structure_x"])
-    if "structure_y" in values:
-        updates["sigma_y_structure"] = CorrelationStructure.from_name(values["structure_y"])
-    if "working" in values:
-        updates["working"] = CorrelationStructure.from_name(values["working"])
-    if "aux_mode" in values:
-        updates["aux_mode"] = AuxMode.from_name(values["aux_mode"])
-    if "phi_source" in values:
-        updates["phi_source"] = PhiSource.from_name(values["phi_source"])
-    if "held_out_m" in values:
-        updates["held_out_m"] = int(values["held_out_m"])
-    if "seed" in values:
-        updates["seed"] = int(values["seed"])
-    if "reps" in values:
-        updates["replications"] = int(values["reps"])
-    return _dc_replace(design, **updates)

@@ -23,7 +23,7 @@ from scipy import stats
 
 from .auxiliary import AuxiliaryInfo, SubgroupPartition, estimate_phi
 from .basis import CorrelationStructure, build_basis, correlation_matrix
-from .errors import QifauxError, TooManyFailures
+from .errors import MalformedRow, QifauxError, TooManyFailures
 from .estimator import (
     ExtendedScoreConfig,
     FitOptions,
@@ -37,6 +37,12 @@ _ROLE_DATA = 0
 _ROLE_HOLDOUT = 1
 
 METHODS = ("qif", "gmmai2", "gmmai4")
+
+# The paper's tables: 95% Wald intervals, 5% profile tests, and a study
+# stops when a method loses more than 5% of its replications.
+INTERVAL_LEVEL = 0.95
+TEST_LEVEL = 0.05
+MAX_FAILURE_SHARE = 0.05
 
 
 class AuxMode(Enum):
@@ -107,6 +113,45 @@ class SimulationDesign:
     @property
     def p(self) -> int:
         return 2
+
+
+# design-file key -> (SimulationDesign field, value parser)
+_DESIGN_KEYS = {
+    "n": ("n", int),
+    "rho_x": ("rho_x", float),
+    "rho_y": ("rho_y", float),
+    "structure_x": ("sigma_x_structure", CorrelationStructure.from_name),
+    "structure_y": ("sigma_y_structure", CorrelationStructure.from_name),
+    "working": ("working", CorrelationStructure.from_name),
+    "aux_mode": ("aux_mode", AuxMode.from_name),
+    "phi_source": ("phi_source", PhiSource.from_name),
+    "held_out_m": ("held_out_m", int),
+    "seed": ("seed", int),
+    "reps": ("replications", int),
+}
+
+
+def parse_design_config(text: str) -> SimulationDesign:
+    """Parse a key=value design file (# starts a comment)."""
+    values = {}
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise MalformedRow(line_number, f"expected key=value, got {line!r}")
+        key = key.strip().lower()
+        if key not in _DESIGN_KEYS:
+            raise MalformedRow(line_number, f"unknown design key {key!r}")
+        name, parse = _DESIGN_KEYS[key]
+        try:
+            values[name] = parse(value.strip())
+        except ValueError as err:
+            raise MalformedRow(line_number, f"bad value for {key!r}: {err}") from err
+    if "n" not in values:
+        raise ValueError("design config must set n")
+    return SimulationDesign(**values)
 
 
 def replication_rng(seed: int, replication: int, role: int) -> np.random.Generator:
@@ -192,19 +237,16 @@ def analytic_four_group_phi(design: SimulationDesign) -> list[np.ndarray]:
 
 
 def build_four_group_aux(
-    design: SimulationDesign,
-    rng: np.random.Generator | None = None,
-    phi_source: PhiSource | None = None,
+    design: SimulationDesign, rng: np.random.Generator | None = None
 ) -> AuxiliaryInfo:
-    """Four-group auxiliary information with analytic or estimated targets.
+    """Four-group auxiliary information with the design's ``phi_source`` targets.
 
     Held-out estimation simulates an independent panel of ``held_out_m``
     subjects at the true coefficients (m >= 400 keeps roughly 100 subjects
     per cell) and averages the responses within each subgroup.
     """
-    source = phi_source if phi_source is not None else design.phi_source
     partition = four_group_partition()
-    if source is PhiSource.TRUE_VALUES:
+    if design.phi_source is PhiSource.TRUE_VALUES:
         return AuxiliaryInfo(partition, tuple(analytic_four_group_phi(design)))
     if design.held_out_m < 400:
         raise ValueError("held-out estimation needs m >= 400")
@@ -217,12 +259,12 @@ def build_four_group_aux(
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Point null on a subset of coefficients, tested by the profile statistic."""
+    """Point null on a subset of coefficients, tested by the profile statistic
+    at level TEST_LEVEL."""
 
     label: str
     indices: tuple
     values: tuple
-    level: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -261,7 +303,7 @@ def _method_aux_factory(method: str, design: SimulationDesign):
     raise ValueError(f"unknown method {name!r}; expected one of {METHODS}")
 
 
-def _one_replication(r, design, methods, aux_factories, basis, spec, hypotheses, options, level):
+def _one_replication(r, design, methods, aux_factories, basis, spec, hypotheses, options):
     dataset = generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
     beta0 = np.asarray(design.beta_true, dtype=float)
     record = {}
@@ -277,7 +319,7 @@ def _one_replication(r, design, methods, aux_factories, basis, spec, hypotheses,
             continue
         covered = np.zeros(dataset.p, dtype=bool)
         for j in range(dataset.p):
-            lo, hi = wald_interval(result, j, level)
+            lo, hi = wald_interval(result, j, INTERVAL_LEVEL)
             covered[j] = lo <= beta0[j] <= hi
         tests = {}
         for hyp in hypotheses:
@@ -293,7 +335,7 @@ def _one_replication(r, design, methods, aux_factories, basis, spec, hypotheses,
             except QifauxError:
                 tests[hyp.label] = None
                 continue
-            tests[hyp.label] = (outcome.statistic, outcome.p_value < hyp.level)
+            tests[hyp.label] = (outcome.statistic, outcome.p_value < TEST_LEVEL)
         record[method] = (result.beta_hat, result.se, covered, tests)
     return record
 
@@ -303,18 +345,16 @@ def run_monte_carlo(
     methods=("qif",),
     hypotheses=(),
     options: FitOptions | None = None,
-    interval_level: float = 0.95,
     n_jobs: int = 1,
-    max_failure_share: float = 0.05,
 ) -> dict:
     """Replicate the design and aggregate Bias/SD/SE/CP/RE and test power.
 
     Each replication draws a fresh panel from its own counter-based stream,
-    fits every requested method, records 95% interval coverage and any
-    profile tests, and failed replications (non-convergence or estimation
-    errors) are excluded with their count reported on the summary. Raises
-    TooManyFailures when a method loses more than ``max_failure_share`` of
-    its replications.
+    fits every requested method, records INTERVAL_LEVEL Wald-interval
+    coverage and the rejection rate of each profile test at TEST_LEVEL.
+    Failed replications (non-convergence or estimation errors) are excluded
+    with their count reported on the summary. Raises TooManyFailures when a
+    method loses more than MAX_FAILURE_SHARE of its replications.
     """
     methods = [m.strip().lower() for m in methods]
     if not methods:
@@ -328,8 +368,7 @@ def run_monte_carlo(
 
     def work(r):
         return _one_replication(
-            r, design, methods, aux_factories, basis, spec, hypotheses,
-            options, interval_level,
+            r, design, methods, aux_factories, basis, spec, hypotheses, options
         )
 
     if n_jobs > 1:
@@ -344,7 +383,7 @@ def run_monte_carlo(
         rows = [records[r][method] for r in range(reps)]
         ok = [row for row in rows if row is not None]
         failures = reps - len(ok)
-        if failures > max_failure_share * reps:
+        if failures > MAX_FAILURE_SHARE * reps:
             raise TooManyFailures(
                 f"{method}: {failures}/{reps} replications failed"
             )

@@ -201,3 +201,30 @@ def test_aux_without_phi_exits_nonzero(data_file, tmp_path, capsys):
     ])
     assert code == 1
     assert "requires --phi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["0=0.5", "3=0.5"])
+def test_test_constrain_index_out_of_range(data_file, pair, capsys):
+    code = main([
+        "test", "--data", str(data_file), "--working", "cs", "--constrain", pair,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --constrain index {pair[0]} must lie in 1..2" in err
+
+
+def test_qq_constrain_index_out_of_range(tmp_path, capsys):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    code = main(["qq", "--config", str(cfg), "--constrain", "3=0.5", "--reps", "2"])
+    assert code == 1
+    assert "error: --constrain index 3 must lie in 1..2" in capsys.readouterr().err
+
+
+def test_standardize_unknown_column_exits_nonzero(data_file, capsys):
+    code = main([
+        "fit", "--data", str(data_file), "--standardize", "x1,x9",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown column(s) x9; covariates are x1, x2" in err

@@ -31,6 +31,7 @@ from qifaux import (
     wald_interval,
     weight_matrix,
 )
+import qifaux.estimator
 from qifaux.simulation import SimulationDesign
 
 GAUSS = MarginalModelSpec.gaussian()
@@ -336,14 +337,15 @@ class TestFit:
                 best = min(best, out.fun)
             assert res.objective <= best + 1e-10
 
-    def test_non_convergence_returns_last_iterate(self):
+    def test_non_convergence_returns_last_iterate(self, monkeypatch):
         # iteration budget of zero: the fit must hand back the starting
         # point flagged as non-converged instead of raising
+        monkeypatch.setattr(qifaux.estimator, "MAX_ITER", 0)
         design = SimulationDesign(n=100, seed=27, replications=1)
         ds = generate_dataset(design, replication_rng(27, 0, 0))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), build_two_group_aux())
         start = np.array([0.0, 0.0])
-        res = fit(cfg, ds, init=start, options=FitOptions(max_iter=0))
+        res = fit(cfg, ds, init=start)
         assert not res.converged
         np.testing.assert_array_equal(res.beta_hat, start)
         assert res.iterations == 0

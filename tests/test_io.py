@@ -287,3 +287,18 @@ class TestDesignConfig:
     def test_missing_n_rejected(self):
         with pytest.raises(ValueError):
             parse_design_config("rho_x = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n = abc\n", 1),
+            ("n = 10\nrho_x = x\n", 2),
+            ("n = 10\n# note\nstructure_x = toeplitz\n", 3),
+            ("n = 10\naux_mode = three_group\n", 2),
+        ],
+        ids=["int", "float", "structure", "aux_mode"],
+    )
+    def test_bad_value_reports_its_line(self, text, line):
+        with pytest.raises(MalformedRow, match=f"^line {line}: bad value") as err:
+            parse_design_config(text)
+        assert err.value.line_number == line
