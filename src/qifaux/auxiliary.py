@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubgroup, PartitionViolation
+from .errors import EmptySubgroup, MalformedRow, PartitionViolation
 from .model import LongitudinalDataset
 
 _ATOM_RE = re.compile(
@@ -123,12 +123,18 @@ class SubgroupPartition:
 
 
 def parse_subgroup_file(text: str) -> SubgroupPartition:
-    """Parse subgroup definitions, one conjunction per non-comment line."""
+    """Parse subgroup definitions, one conjunction per non-comment line.
+
+    A line that does not parse raises MalformedRow with its 1-based number.
+    """
     groups = []
-    for raw in text.splitlines():
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            groups.append(parse_group(line))
+            try:
+                groups.append(parse_group(line))
+            except ValueError as err:
+                raise MalformedRow(line_number, str(err)) from err
     if not groups:
         raise ValueError("subgroup file defines no groups")
     return SubgroupPartition.from_predicates(groups)
@@ -154,12 +160,6 @@ class AuxiliaryInfo:
     @property
     def n_groups(self) -> int:
         return self.partition.n_groups
-
-    def phi_matrix(self) -> np.ndarray:
-        """(K, q) array of targets, empty (0, 0) when K = 0."""
-        if not self.phi:
-            return np.zeros((0, 0))
-        return np.stack(self.phi)
 
 
 def estimate_phi(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .auxiliary import AuxiliaryInfo, estimate_phi, parse_subgroup_file
 from .basis import CorrelationStructure, build_basis
-from .errors import QifauxError
+from .errors import MalformedRow, QifauxError
 from .estimator import ExtendedScoreConfig, FitOptions, fit, profile_test
 from .io import (
     ColumnSchema,
@@ -65,16 +65,32 @@ def _schema_from_args(args) -> ColumnSchema:
 def _parse_phi_file(path, n_groups, q):
     phis = []
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for line_number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
-            if line:
-                phis.append(np.array([float(v) for v in line.split(",")]))
+            if not line:
+                continue
+            try:
+                phi = np.array([float(v) for v in line.split(",")])
+            except ValueError as err:
+                raise ValueError(f"--phi {path}: line {line_number}: {err}") from err
+            if phi.shape != (q,):
+                raise ValueError(
+                    f"--phi {path}: line {line_number}: phi vector has "
+                    f"{phi.size} entries, need q={q}"
+                )
+            phis.append(phi)
     if len(phis) != n_groups:
         raise ValueError(f"phi file defines {len(phis)} vectors for {n_groups} subgroups")
-    for v in phis:
-        if v.shape != (q,):
-            raise ValueError(f"phi vectors must have length q={q}")
     return tuple(phis)
+
+
+def _parse_aux_file(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        return parse_subgroup_file(text)
+    except MalformedRow as err:
+        raise ValueError(f"--aux {path}: {err}") from err
 
 
 def _prepare(args):
@@ -121,8 +137,7 @@ def _prepare(args):
     if args.phi and not args.aux:
         raise ValueError("--phi requires --aux (a subgroup definition file)")
     if args.aux:
-        with open(args.aux, "r", encoding="utf-8") as handle:
-            partition = parse_subgroup_file(handle.read())
+        partition = _parse_aux_file(args.aux)
         if args.phi is None:
             raise ValueError("--aux requires --phi (a file or 'holdout')")
         if args.phi.strip().lower() == "holdout":
@@ -162,11 +177,17 @@ def _parse_constraints(pairs, p):
         if "=" not in pair:
             raise ValueError(f"constraint must look like INDEX=VALUE, got {pair!r}")
         idx, _, val = pair.partition("=")
-        index = int(idx)
+        try:
+            index = int(idx)
+        except ValueError as err:
+            raise ValueError(f"--constrain {pair}: index {idx!r} is not an integer") from err
         if not 1 <= index <= p:
             raise ValueError(f"--constrain index {index} must lie in 1..{p}")
+        try:
+            values.append(float(val))
+        except ValueError as err:
+            raise ValueError(f"--constrain {pair}: value {val!r} is not a number") from err
         indices.append(index - 1)
-        values.append(float(val))
     return tuple(indices), tuple(values)
 
 

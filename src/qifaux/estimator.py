@@ -127,15 +127,17 @@ class ProfileTestResult:
 
 
 class _Assembler:
-    """Precomputed arrays and cached algebra for one (config, dataset).
+    """Precomputed arrays for one (config, dataset).
 
-    ``row_mask`` selects active moment rows; dropping auxiliary blocks for
-    empty subgroups happens here so that every downstream quantity (moments,
-    weight, Jacobian) stays mutually consistent.
+    ``member`` is the (n, K) subgroup-membership matrix 1{X_i in Omega_k}
+    and ``phi`` the (K, q) targets; auxiliary block k of subject i is
+    member[i, k] * (mu_i - phi_k), and its Jacobian member[i, k] * dmu_i,
+    with K = 0 when there is no auxiliary information. ``_build_assembler``
+    drops an empty subgroup by deleting its membership column and target
+    row, so moments, weight and Jacobian all lose the same block.
     """
 
-    def __init__(self, config, dataset, row_mask=None):
-        self.config = config
+    def __init__(self, config, dataset):
         self.spec = config.spec
         self.x = dataset.covariates
         self.y = dataset.responses
@@ -145,28 +147,23 @@ class _Assembler:
             raise ValueError(
                 f"basis dimension {config.basis.q} does not match data q={self.q}"
             )
-        self.n_basis = self.basis_stack.shape[0]
         aux = config.aux
-        self.n_groups = aux.n_groups if aux is not None else 0
-        if self.n_groups > 0:
-            self.phi = aux.phi_matrix()
+        if aux is None or aux.n_groups == 0:
+            self.phi = np.zeros((0, self.q))
+            self.member = np.zeros((self.n, 0))
+        else:
+            self.phi = np.stack(aux.phi)
             if self.phi.shape[1] != self.q:
                 raise ValueError("phi vectors must have length q")
-            self.group_idx = aux.partition.group_indices(dataset)
-            self.group_counts = np.bincount(self.group_idx, minlength=self.n_groups)
-        else:
-            self.phi = None
-            self.group_idx = None
-            self.group_counts = np.zeros(0, dtype=int)
-        self.dim_full = self.p * self.n_basis + self.n_groups * self.q
-        self.row_mask = row_mask
+            idx = aux.partition.group_indices(dataset)
+            self.member = (idx[:, None] == np.arange(aux.n_groups)).astype(float)
 
     # -- moment machinery ------------------------------------------------
 
     def _link_terms(self, beta):
-        """(mu, a, d) with a = (dispersion*v(mu))^(-1/2) and d = dmu/dbeta'."""
+        """(mu, a, d) with a = v(mu)^(-1/2) and d = dmu/dbeta'."""
         mu = mean_curve(self.spec, self.x @ beta)
-        a = (self.spec.dispersion * variance_function(self.spec, mu)) ** -0.5
+        a = variance_function(self.spec, mu) ** -0.5
         return mu, a, mean_derivative(self.spec, mu)[:, :, None] * self.x
 
     def contributions(self, beta):
@@ -179,16 +176,9 @@ class _Assembler:
         mixed = (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
         mixed *= a[:, None, :]
         qif = (mixed @ deriv).reshape(self.n, -1)
-        if self.n_groups == 0:
-            out = qif
-        else:
-            diff = mu - self.phi[self.group_idx]
-            aux = np.zeros((self.n, self.n_groups, self.q))
-            aux[np.arange(self.n), self.group_idx] = diff
-            out = np.concatenate([qif, aux.reshape(self.n, -1)], axis=1)
-        if self.row_mask is not None:
-            out = out[:, self.row_mask]
-        return out
+        # member @ phi is each subject's own target, picked exactly
+        aux = np.einsum("nk,nq->nkq", self.member, mu - self.member @ self.phi)
+        return np.concatenate([qif, aux.reshape(self.n, -1)], axis=1)
 
     def moments(self, beta):
         contribs = self.contributions(beta)
@@ -211,15 +201,10 @@ class _Assembler:
         left = np.tensordot(scaled, self.basis_stack, axes=(1, 1))
         qif = -(left.reshape(self.n, -1, self.q) @ scaled)
         qif = qif.reshape(self.n, self.p, -1, self.p).transpose(0, 2, 1, 3)
-        parts = [qif.reshape(self.n, -1, self.p)]
-        if self.n_groups > 0:
-            aux = np.zeros((self.n, self.n_groups, self.q, self.p))
-            aux[np.arange(self.n), self.group_idx] = deriv
-            parts.append(aux.reshape(self.n, -1, self.p))
-        tensor = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        if self.row_mask is not None:
-            tensor = tensor[:, self.row_mask, :]
-        return tensor
+        aux = np.einsum("nk,nj->nkj", self.member, deriv.reshape(self.n, -1))
+        return np.concatenate(
+            [qif.reshape(self.n, -1, self.p), aux.reshape(self.n, -1, self.p)], axis=1
+        )
 
     def blocks(self, beta):
         """(n, d, p+1) blocks [g_i | dg_i/dbeta] at beta from one (mu, a, d)."""
@@ -254,20 +239,14 @@ def _weight_inverse(sigma, p):
 
 def _build_assembler(config, dataset, options):
     """Assembler with the empty-subgroup policy applied."""
-    probe = _Assembler(config, dataset)
-    dropped = ()
-    if probe.n_groups > 0:
-        empty = np.flatnonzero(probe.group_counts == 0)
-        if empty.size > 0:
-            if not options.allow_empty_subgroups:
-                raise EmptySubgroup(int(empty[0]))
-            mask = np.ones(probe.dim_full, dtype=bool)
-            for k in empty:
-                start = probe.p * probe.n_basis + k * probe.q
-                mask[start : start + probe.q] = False
-            probe.row_mask = mask
-            dropped = tuple(int(k) for k in empty)
-    return probe, dropped
+    assembler = _Assembler(config, dataset)
+    kept = assembler.member.any(axis=0)
+    empty = tuple(int(k) for k in np.flatnonzero(~kept))
+    if empty and not options.allow_empty_subgroups:
+        raise EmptySubgroup(empty[0])
+    assembler.member = assembler.member[:, kept]
+    assembler.phi = assembler.phi[kept]
+    return assembler, empty
 
 
 # -- public operations ----------------------------------------------------

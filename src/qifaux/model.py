@@ -5,9 +5,12 @@ component given the covariates:
 
     h(mu_ij) = x_ij' beta,    Var(Y_ij | x_ij) = dispersion * v(mu_ij),
 
-with the within-subject correlation left unmodeled. The inverse link, its
-derivative and the variance function are defined here and nowhere else;
-each acts elementwise on stacked arrays such as the (n, q) means.
+with the within-subject correlation left unmodeled. The dispersion never
+enters estimation: it would only rescale the score blocks, and the
+continuously-updating objective is invariant to rescaling a moment block.
+The inverse link, its derivative and the variance function are defined
+here and nowhere else; each acts elementwise on stacked arrays such as the
+(n, q) means.
 """
 
 from __future__ import annotations
@@ -44,32 +47,24 @@ _VALID_PAIRS = {
 
 @dataclass(frozen=True)
 class MarginalModelSpec:
-    """Link and variance functions defining the marginal model.
-
-    The dispersion factor rescales every block of the estimating function
-    identically, and the quadratic objective is invariant to invertible
-    rescalings of the moment vector, so estimation fixes it at 1.
-    """
+    """Link and variance functions defining the marginal model."""
 
     link: Link = Link.IDENTITY
     variance: Variance = Variance.CONSTANT
-    dispersion: float = 1.0
 
     def __post_init__(self):
         if (self.link, self.variance) not in _VALID_PAIRS:
             raise ValueError(
                 f"unsupported link/variance pair: {self.link}, {self.variance}"
             )
-        if not self.dispersion > 0:
-            raise ValueError("dispersion must be positive")
 
     @classmethod
-    def gaussian(cls, dispersion: float = 1.0) -> "MarginalModelSpec":
-        return cls(Link.IDENTITY, Variance.CONSTANT, dispersion)
+    def gaussian(cls) -> "MarginalModelSpec":
+        return cls(Link.IDENTITY, Variance.CONSTANT)
 
     @classmethod
-    def bernoulli(cls, dispersion: float = 1.0) -> "MarginalModelSpec":
-        return cls(Link.LOGIT, Variance.BERNOULLI, dispersion)
+    def bernoulli(cls) -> "MarginalModelSpec":
+        return cls(Link.LOGIT, Variance.BERNOULLI)
 
 
 @dataclass(frozen=True)

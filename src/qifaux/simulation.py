@@ -285,30 +285,21 @@ class MonteCarloSummary:
     estimates: np.ndarray | None = None
 
 
-def _method_aux_factory(method: str, design: SimulationDesign):
-    """Returns a callable (replication -> AuxiliaryInfo | None)."""
-    name = method.strip().lower()
-    if name == "qif":
-        return lambda r: None
-    if name == "gmmai2":
-        aux = build_two_group_aux(design.beta_true[1])
-        return lambda r: aux
-    if name == "gmmai4":
-        if design.phi_source is PhiSource.TRUE_VALUES:
-            aux = build_four_group_aux(design)
-            return lambda r: aux
-        return lambda r: build_four_group_aux(
-            design, replication_rng(design.seed, r, _ROLE_HOLDOUT)
-        )
-    raise ValueError(f"unknown method {name!r}; expected one of {METHODS}")
+def _method_aux(method: str, design: SimulationDesign, r: int) -> AuxiliaryInfo | None:
+    """Auxiliary information one method uses in replication r."""
+    if method == "qif":
+        return None
+    if method == "gmmai2":
+        return build_two_group_aux(design.beta_true[1])
+    return build_four_group_aux(design, replication_rng(design.seed, r, _ROLE_HOLDOUT))
 
 
-def _one_replication(r, design, methods, aux_factories, basis, spec, hypotheses, options):
+def _one_replication(r, design, methods, basis, spec, hypotheses, options):
     dataset = generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
     beta0 = np.asarray(design.beta_true, dtype=float)
     record = {}
     for method in methods:
-        config = ExtendedScoreConfig(spec, basis, aux_factories[method](r))
+        config = ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
         try:
             result = fit(config, dataset, options=options)
             if not result.converged:
@@ -359,17 +350,17 @@ def run_monte_carlo(
     methods = [m.strip().lower() for m in methods]
     if not methods:
         raise ValueError("need at least one method")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     options = options or FitOptions()
     hypotheses = tuple(hypotheses)
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
-    aux_factories = {m: _method_aux_factory(m, design) for m in methods}
     reps = design.replications
 
     def work(r):
-        return _one_replication(
-            r, design, methods, aux_factories, basis, spec, hypotheses, options
-        )
+        return _one_replication(r, design, methods, basis, spec, hypotheses, options)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -429,22 +420,16 @@ def run_monte_carlo(
 
 
 def qq_data(
-    design: SimulationDesign,
-    hypothesis: Hypothesis,
-    method: str,
-    replications: int | None = None,
-    options: FitOptions | None = None,
+    design: SimulationDesign, hypothesis: Hypothesis, method: str
 ) -> np.ndarray:
-    """(R, 2) array pairing chi-square(1) quantiles with sorted statistics.
+    """(R, 2) array pairing chi-square quantiles with sorted statistics.
 
-    Theoretical quantiles are taken at (i - 0.5) / R. The hypothesis must
-    be true under the design for the pairs to be comparable.
+    Runs the design's R replications of one method with default fit
+    options and takes the theoretical quantiles, with one degree of
+    freedom per pinned coordinate, at (i - 0.5) / R. The hypothesis must be
+    true under the design for the pairs to be comparable.
     """
-    if replications is not None:
-        design = replace(design, replications=replications)
-    summaries = run_monte_carlo(
-        design, [method], hypotheses=[hypothesis], options=options
-    )
+    summaries = run_monte_carlo(design, [method], hypotheses=[hypothesis])
     sample = np.sort(summaries[method.strip().lower()].statistics[hypothesis.label])
     r = sample.shape[0]
     grid = (np.arange(1, r + 1) - 0.5) / r

@@ -228,3 +228,44 @@ def test_standardize_unknown_column_exits_nonzero(data_file, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown column(s) x9; covariates are x1, x2" in err
+
+
+def test_bad_phi_entry_names_file_and_line(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,2] == 1\ncol[1,2] == 0\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text("# targets\n-0.5,x,-0.5\n0,0,0\n")
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", str(phi),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --phi {phi}: line 2: could not convert string to float: 'x'" in err
+
+
+def test_bad_predicate_names_file_and_line(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,2] == 1\n\ncol[1,2] > 0\n")
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", "holdout",
+        "--analysis-size", "120",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --aux {groups}: line 3: cannot parse predicate 'col[1,2] > 0'" in err
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("a=0.5", "--constrain a=0.5: index 'a' is not an integer"),
+        ("1=abc", "--constrain 1=abc: value 'abc' is not a number"),
+    ],
+    ids=["index", "value"],
+)
+def test_bad_constraint_token_names_flag(data_file, pair, message, capsys):
+    code = main([
+        "test", "--data", str(data_file), "--working", "cs", "--constrain", pair,
+    ])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err

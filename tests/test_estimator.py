@@ -92,6 +92,22 @@ class TestMomentVector:
         assert g.shape == (2 * 2 + 2 * 3,)
         assert cfg.moment_dimension(ds.p) == g.shape[0]
 
+    def test_empty_group_keeps_zero_block(self):
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng)
+        part = SubgroupPartition(3, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2))
+        phi = tuple(rng.standard_normal(3) for _ in range(3))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), AuxiliaryInfo(part, phi))
+        beta = rng.standard_normal(2)
+        g, contribs = moment_vector(cfg, ds, beta)
+        assert g.shape == (cfg.moment_dimension(ds.p),)
+        aux = contribs[:, 2 * 2:].reshape(ds.n, 3, 3)
+        np.testing.assert_array_equal(aux[:, 1], 0.0)
+        np.testing.assert_array_equal(g[2 * 2 + 3 : 2 * 2 + 6], 0.0)
+        first = ds.covariates[:, 0, 0] >= 0
+        np.testing.assert_array_equal(aux[first, 0], (ds.covariates @ beta - phi[0])[first])
+        np.testing.assert_array_equal(aux[~first, 2], (ds.covariates @ beta - phi[2])[~first])
+
 
 class TestWeightMatrix:
     def test_rank_one_outer_product(self):
@@ -296,6 +312,41 @@ class TestFit:
         assert res.dropped_groups == (1,)
         assert res.converged
 
+    @pytest.mark.parametrize("spec", [GAUSS, BERN], ids=["identity", "logit"])
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    def test_dropped_empty_subgroup_matches_config_without_it(self, spec, two_step):
+        """Dropping an empty subgroup gives bitwise the fit of the config
+        that never had it: the same moments in the same summation order."""
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((150, 3, 2))
+        eta = x @ np.array([0.6, -0.4])
+        if spec is GAUSS:
+            y = eta + rng.standard_normal((150, 3))
+        else:
+            y = (rng.random((150, 3)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ds = LongitudinalDataset(y, x)
+        first = x[:, 0, 0] >= 0
+        phi = (y[first].mean(axis=0), np.zeros(3), y[~first].mean(axis=0))
+        three = SubgroupPartition(3, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2))
+        two = SubgroupPartition(2, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 1))
+        basis = build_basis(CS, 3)
+        with_empty = ExtendedScoreConfig(spec, basis, AuxiliaryInfo(three, phi))
+        without = ExtendedScoreConfig(spec, basis, AuxiliaryInfo(two, phi[::2]))
+        options = FitOptions(two_step=two_step, allow_empty_subgroups=True)
+        dropped = fit(with_empty, ds, options=options)
+        plain = fit(without, ds, options=options)
+        assert dropped.dropped_groups == (1,)
+        assert plain.dropped_groups == ()
+        np.testing.assert_array_equal(dropped.iterates, plain.iterates)
+        np.testing.assert_array_equal(dropped.covariance, plain.covariance)
+        assert dropped.objective == plain.objective
+        tests = [
+            profile_test(cfg, ds, [1], [-0.4], options=options, unrestricted=res)
+            for cfg, res in ((with_empty, dropped), (without, plain))
+        ]
+        np.testing.assert_array_equal(tests[0].beta_restricted, tests[1].beta_restricted)
+        assert tests[0].statistic == tests[1].statistic
+
     def test_matches_independent_simplex_minimizer(self):
         """Dual route: the Gauss-Newton solution must reach the same
         objective value as derivative-free Nelder-Mead minimization of the
@@ -433,7 +484,8 @@ class TestSufficientStatistics:
         rng = np.random.default_rng(100 * q + 10 * p + two_step)
         n = int(rng.integers(60, 150))
         ds = random_dataset(rng, n=n, q=q, p=p)
-        # group 1 of three is empty, so its rows go through row_mask
+        # group 1 of three is empty, so its membership column and target
+        # are deleted before the Gram pass
         part = SubgroupPartition(3, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2))
         aux = AuxiliaryInfo(part, tuple(rng.standard_normal(q) for _ in range(3)))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)

@@ -3,19 +3,8 @@
 import numpy as np
 import pytest
 
-from qifaux import (
-    AuxiliaryInfo,
-    CorrelationStructure,
-    ExtendedScoreConfig,
-    Link,
-    LongitudinalDataset,
-    MarginalModelSpec,
-    Variance,
-    build_basis,
-    moment_vector,
-)
+from qifaux import Link, LongitudinalDataset, MarginalModelSpec, Variance
 from qifaux.model import mean_curve, mean_derivative, variance_function
-from qifaux.simulation import two_group_partition
 
 GAUSS = MarginalModelSpec.gaussian()
 BERN = MarginalModelSpec.bernoulli()
@@ -109,34 +98,6 @@ class TestVarianceInvSqrt:
         np.testing.assert_allclose(a[0, 0], (0.9 * 0.1) ** -0.5, rtol=1e-12)
         np.testing.assert_allclose(a[0, 0], 10.0 / 3.0, rtol=1e-12)
 
-    def test_dispersion_scaling(self):
-        """Each score block carries the weight (dispersion * v)^(-1/2) twice,
-        so doubling the dispersion halves it; auxiliary blocks carry none."""
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((6, 3, 2))
-        x[:, :, 1] = rng.integers(0, 2, size=(6, 1))
-        ds = LongitudinalDataset(rng.integers(0, 2, size=(6, 3)).astype(float), x)
-        aux = AuxiliaryInfo(two_group_partition(), (np.full(3, 0.4), np.full(3, 0.6)))
-        basis = build_basis(CorrelationStructure.COMPOUND_SYMMETRY, 3)
-        beta = np.array([0.3, -0.2])
-        base, doubled = (
-            moment_vector(
-                ExtendedScoreConfig(
-                    MarginalModelSpec(Link.LOGIT, Variance.BERNOULLI, dispersion),
-                    basis,
-                    aux,
-                ),
-                ds,
-                beta,
-            )[1]
-            for dispersion in (1.0, 2.0)
-        )
-        scores = 2 * len(basis)
-        np.testing.assert_allclose(
-            doubled[:, :scores], base[:, :scores] / 2.0, rtol=1e-12
-        )
-        np.testing.assert_array_equal(doubled[:, scores:], base[:, scores:])
-
 
 class TestSpecValidation:
     def test_mismatched_pair_rejected(self):
@@ -144,10 +105,6 @@ class TestSpecValidation:
             MarginalModelSpec(Link.IDENTITY, Variance.BERNOULLI)
         with pytest.raises(ValueError):
             MarginalModelSpec(Link.LOGIT, Variance.CONSTANT)
-
-    def test_dispersion_positive(self):
-        with pytest.raises(ValueError):
-            MarginalModelSpec(dispersion=0.0)
 
 
 class TestDataset:
