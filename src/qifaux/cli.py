@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -225,8 +226,6 @@ def _default_methods(design):
 def _load_design(args):
     with open(args.config, "r", encoding="utf-8") as handle:
         design = parse_design_config(handle.read())
-    from dataclasses import replace
-
     if args.reps is not None:
         design = replace(design, replications=args.reps)
     if args.seed is not None:

@@ -13,6 +13,7 @@ import io as _stdio
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy import stats
@@ -53,25 +54,26 @@ class LoadResult:
 
 
 def _parse_cell(token, line_number, column):
-    token = token.strip()
-    if token.lower() in _MISSING_TOKENS:
-        return None
     try:
         value = float(token)
     except ValueError:
+        token = token.strip()
+        if token.lower() in _MISSING_TOKENS:
+            return math.nan
         raise MalformedRow(line_number, f"non-numeric value {token!r} in {column!r}")
-    if not math.isfinite(value):
-        return None
-    return value
+    return value if math.isfinite(value) else math.nan
 
 
 def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     """Assemble a balanced panel from a long-format CSV file.
 
+    Rows may come in any order; subjects keep the order in which their
+    first row appears. A cell that is empty, ``na``, ``nan``, ``null`` or
+    ``.`` (in any case), or that parses to a non-finite value, is missing.
     Subjects missing any of the q time points, or with any missing cell,
     are dropped and reported. Duplicate time indices within a subject,
     unparseable values and rows whose field count differs from the
-    header's are errors.
+    header's are errors; with several, the earliest line's is raised.
     """
     if hasattr(path, "read"):
         text = path.read()
@@ -88,10 +90,12 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     for column in needed:
         if column not in position:
             raise MalformedRow(1, f"missing column {column!r} in header")
-    at_sid, at_time, at_response, *at_covs = (position[c] for c in needed)
+    at_sid, at_time = position[schema.subject], position[schema.time]
+    cell_columns = [(position[c], c) for c in needed[2:]]
 
-    rows = {}
-    order = []
+    # one entry per row: the subject's slot in first-appearance order, the
+    # 0-based time, and the response followed by the covariates
+    slots, seen, row_slot, row_time, row_cells = {}, set(), [], [], []
     for fields in reader:
         if not fields:
             continue
@@ -112,44 +116,29 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
             raise MalformedRow(line_number, f"time index {t} must be >= 1")
         if schema.q is not None and t > schema.q:
             raise MalformedRow(line_number, f"time index {t} exceeds q={schema.q}")
-        response = _parse_cell(fields[at_response], line_number, schema.response)
-        covs = [
-            _parse_cell(fields[j], line_number, c)
-            for j, c in zip(at_covs, schema.covariates)
-        ]
-        if sid not in rows:
-            rows[sid] = {}
-            order.append(sid)
-        if t in rows[sid]:
+        cells = [_parse_cell(fields[j], line_number, c) for j, c in cell_columns]
+        slot = slots.setdefault(sid, len(slots))
+        if (slot, t) in seen:
             raise UnbalancedSubject(sid)
-        rows[sid][t] = (response, covs)
+        seen.add((slot, t))
+        row_slot.append(slot)
+        row_time.append(t - 1)
+        row_cells.append(cells)
 
-    if not rows:
+    if not slots:
         raise EmptyDataset("file contains no data rows")
-    q = schema.q if schema.q is not None else max(max(r) for r in rows.values())
-    p = len(schema.covariates)
-
-    kept_y, kept_x, kept_ids, dropped = [], [], [], []
-    for sid in order:
-        cells = rows[sid]
-        complete = set(cells) == set(range(1, q + 1)) and all(
-            cells[t][0] is not None and all(v is not None for v in cells[t][1])
-            for t in cells
-        )
-        if not complete:
-            dropped.append(sid)
-            continue
-        kept_y.append([cells[t][0] for t in range(1, q + 1)])
-        kept_x.append([cells[t][1] for t in range(1, q + 1)])
-        kept_ids.append(sid)
-    if not kept_ids:
+    q = schema.q if schema.q is not None else max(row_time) + 1
+    # a time point nobody filled stays NaN, so it marks its subject
+    # incomplete just like a missing cell does
+    grid = np.full((len(slots), q, len(cell_columns)), np.nan)
+    grid[row_slot, row_time] = row_cells
+    complete = ~np.isnan(grid).any(axis=(1, 2))
+    if not complete.any():
         raise EmptyDataset("no subject has complete data")
     dataset = LongitudinalDataset(
-        np.asarray(kept_y, dtype=float),
-        np.asarray(kept_x, dtype=float).reshape(len(kept_ids), q, p),
-        tuple(kept_ids),
+        grid[complete, :, 0], grid[complete, :, 1:], tuple(compress(slots, complete))
     )
-    return LoadResult(dataset, tuple(dropped))
+    return LoadResult(dataset, tuple(compress(slots, ~complete)))
 
 
 def write_dataset(dataset: LongitudinalDataset, path, schema: ColumnSchema | None = None):
@@ -161,16 +150,13 @@ def write_dataset(dataset: LongitudinalDataset, path, schema: ColumnSchema | Non
     def _write(handle):
         writer = csv.writer(handle)
         writer.writerow([schema.subject, schema.time, schema.response, *schema.covariates])
-        for i, sid in enumerate(dataset.subject_ids):
-            for t in range(dataset.q):
-                writer.writerow(
-                    [
-                        sid,
-                        t + 1,
-                        repr(float(dataset.responses[i, t])),
-                        *[repr(float(v)) for v in dataset.covariates[i, t]],
-                    ]
-                )
+        ids = [sid for sid in dataset.subject_ids for _ in range(dataset.q)]
+        times = list(range(1, dataset.q + 1)) * dataset.n
+        columns = [
+            dataset.responses.ravel().tolist(),
+            *dataset.covariates.reshape(-1, dataset.p).T.tolist(),
+        ]
+        writer.writerows(zip(ids, times, *(map(repr, c) for c in columns)))
 
     if hasattr(path, "write"):
         _write(path)

@@ -45,6 +45,15 @@ TEST_LEVEL = 0.05
 MAX_FAILURE_SHARE = 0.05
 
 
+def _member_by_name(enum, name: str, kind: str):
+    """The member whose value or lower-cased name matches ``name``."""
+    key = name.strip().lower()
+    for member in enum:
+        if key == member.value or key == member.name.lower():
+            return member
+    raise ValueError(f"unknown {kind} {name!r}")
+
+
 class AuxMode(Enum):
     NONE = "none"
     TWO_GROUP = "two_group"
@@ -52,11 +61,7 @@ class AuxMode(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "AuxMode":
-        key = name.strip().lower()
-        for mode in cls:
-            if key == mode.value or key == mode.name.lower():
-                return mode
-        raise ValueError(f"unknown aux mode {name!r}")
+        return _member_by_name(cls, name, "aux mode")
 
 
 class PhiSource(Enum):
@@ -65,11 +70,7 @@ class PhiSource(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "PhiSource":
-        key = name.strip().lower()
-        for src in cls:
-            if key == src.value or key == src.name.lower():
-                return src
-        raise ValueError(f"unknown phi source {name!r}")
+        return _member_by_name(cls, name, "phi source")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import io as stdio
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qifaux import (
     AuxiliaryInfo,
@@ -118,6 +121,74 @@ class TestLoadDataset:
     def test_missing_header_column(self):
         with pytest.raises(MalformedRow):
             load_dataset(stdio.StringIO("id,time,y,x1\n"), SCHEMA)
+
+    @pytest.mark.parametrize(
+        "edits, error, attribute, value",
+        [
+            (
+                [("a,3,0.3,", "a,1,0.3,"), ("b,2,-0.2,", "b,2,oops,")],
+                UnbalancedSubject,
+                "subject_id",
+                "a",
+            ),
+            (
+                [("a,2,0.2,", "a,2,oops,"), ("b,1,", "b,x,")],
+                MalformedRow,
+                "line_number",
+                3,
+            ),
+        ],
+        ids=["duplicate-line4-before-cell-line6", "cell-line3-before-time-line5"],
+    )
+    def test_earliest_error_line_wins(self, edits, error, attribute, value):
+        text = CLEAN
+        for old, new in edits:
+            text = text.replace(old, new)
+        with pytest.raises(error) as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert getattr(err.value, attribute) == value
+
+    def test_interleaved_rows_assemble_in_first_appearance_order(self):
+        lines = CLEAN.splitlines()
+        header, rows = lines[0], lines[1:]
+        shuffled = [rows[4], rows[2], rows[3], rows[0], rows[5], rows[1]]
+        text = "\n".join([header, *shuffled]) + "\n"
+        out = load_dataset(stdio.StringIO(text), SCHEMA)
+        ref = load_dataset(stdio.StringIO(CLEAN), SCHEMA).dataset
+        assert out.dataset.subject_ids == ("b", "a")
+        np.testing.assert_array_equal(out.dataset.responses, ref.responses[::-1])
+        np.testing.assert_array_equal(out.dataset.covariates, ref.covariates[::-1])
+
+    def test_missing_middle_time_drops_subject_with_inferred_q(self):
+        text = CLEAN + "c,1,9.0,1.0,1.0\nc,3,9.0,1.0,1.0\n"
+        out = load_dataset(stdio.StringIO(text), SCHEMA)
+        assert out.dataset.q == 3
+        assert out.dropped == ("c",)
+        assert out.dataset.subject_ids == ("a", "b")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_write_then_load_is_exact(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        q = data.draw(st.integers(1, 4), label="q")
+        p = data.draw(st.integers(1, 3), label="p")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        y = data.draw(hnp.arrays(float, (n, q), elements=finite), label="y")
+        x = data.draw(hnp.arrays(float, (n, q, p), elements=finite), label="x")
+        # ids pass through csv quoting; load_dataset strips surrounding blanks
+        id_text = st.text(string.ascii_letters + string.digits + ',"._-', min_size=1, max_size=4)
+        ids = data.draw(
+            st.none() | st.lists(id_text, min_size=n, max_size=n, unique=True), label="ids"
+        )
+        ds = LongitudinalDataset(y, x, ids)
+        schema = ColumnSchema(covariates=tuple(f"x{j + 1}" for j in range(p)))
+        buf = stdio.StringIO()
+        write_dataset(ds, buf, schema)
+        out = load_dataset(stdio.StringIO(buf.getvalue()), schema)
+        assert out.dropped == ()
+        assert out.dataset.subject_ids == tuple(str(s) for s in ds.subject_ids)
+        assert np.array_equal(out.dataset.responses, ds.responses)
+        assert np.array_equal(out.dataset.covariates, ds.covariates)
 
     def test_write_then_load_round_trip(self):
         design = SimulationDesign(n=25, seed=30, replications=1)
