@@ -23,8 +23,10 @@ Yaron 1996). One pass at the start value builds them at a cost of
 O(n d^2 (p+1)^2); every Gauss-Newton iteration after it is free of n. That
 pass replaces an O(n d^2) weight update per objective evaluation, so its
 advantage narrows as p grows. Other links recompute the per-subject
-contributions at each evaluation and difference Q_n centrally, because
-their closed-form contribution Jacobians are truncated.
+contributions at each evaluation and take the same gradient with the exact
+contribution Jacobian, contracted with Sigma^{-1} g_n before the sum over
+subjects. The Gauss-Newton metric and the plug-in covariance use the
+truncated mean Jacobian G_n under both links.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -54,7 +56,9 @@ from .model import (
     MarginalModelSpec,
     mean_curve,
     mean_derivative,
+    mean_second_derivative,
     variance_function,
+    variance_weight_derivative,
 )
 
 # Relative singular-value cutoff for the pseudo-inverse of Sigma_n.
@@ -162,18 +166,22 @@ class _Assembler:
 
     def _link_terms(self, beta):
         """(mu, a, d) with a = v(mu)^(-1/2) and d = dmu/dbeta'."""
-        mu = mean_curve(self.spec, self.x @ beta)
+        eta = (self.x.reshape(-1, self.p) @ beta).reshape(self.n, self.q)
+        mu = mean_curve(self.spec, eta)
         a = variance_function(self.spec, mu) ** -0.5
         return mu, a, mean_derivative(self.spec, mu)[:, :, None] * self.x
+
+    def _mixed(self, mu, a):
+        """(n, L, q) M_l A^(-1/2) (Y - mu), M_l applied within each subject."""
+        t = a * (self.y - mu)
+        return (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
 
     def contributions(self, beta):
         """(n, d) per-subject moment contributions at beta."""
         return self._contributions(*self._link_terms(beta))
 
     def _contributions(self, mu, a, deriv):
-        t = a * (self.y - mu)
-        # (n, L, q): M_l applied within each subject
-        mixed = (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
+        mixed = self._mixed(mu, a)
         mixed *= a[:, None, :]
         qif = (mixed @ deriv).reshape(self.n, -1)
         # member @ phi is each subject's own target, picked exactly
@@ -191,6 +199,8 @@ class _Assembler:
         involving second derivatives of mu and derivatives of the variance
         weights are dropped (they are exactly zero under the identity link
         and vanish asymptotically otherwise). Auxiliary blocks are exact.
+        Under other links the solver's gradient adds the dropped terms
+        (``derivatives``); its metric and covariance keep this Jacobian.
         """
         _, a, deriv = self._link_terms(beta)
         return self._jacobians(a, deriv)
@@ -216,7 +226,57 @@ class _Assembler:
 
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
-        return self.contribution_jacobians(beta).mean(axis=0)
+        _, a, deriv = self._link_terms(beta)
+        return self._mean_jacobian(a, deriv)
+
+    def _mean_jacobian(self, a, deriv):
+        """Mean of ``_jacobians`` over subjects from one Gram matrix of the
+        A^(-1/2) D_i, without the (n, d, p) tensor."""
+        scaled = (a[:, :, None] * deriv).reshape(self.n, -1)
+        gram = (scaled.T @ scaled / self.n).reshape(self.q, self.p, self.q, self.p)
+        qif = -np.tensordot(self.basis_stack, gram, axes=([1, 2], [0, 2]))
+        aux = self.member.T @ deriv.reshape(self.n, -1) / self.n
+        return np.concatenate([qif.reshape(-1, self.p), aux.reshape(-1, self.p)])
+
+    def derivatives(self, beta, u, continuous):
+        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) at beta from one (mu, a, d).
+
+        dg_i/dbeta is the exact contribution Jacobian, and c_i = 1 - g_i' u
+        under continuous updating, 1 with a frozen weight. Each factor of
+        g_i' u at time j (mudot_j, a_j and r_j = y_ij - mu_ij) moves with
+        beta only through x_ij' beta, so (dg_i/dbeta)' u = x_i' omega_i with
+
+            omega_j = along_j (mu''_j a_j + a'_j mudot_j^2)
+                      + mudot_j ((a'_j r_j - a_j) back_j + aux_j),
+
+        where mu'' = d2mu/deta2, a' = d v^(-1/2) / dmu,
+        along_j = sum_l (x_ij' u_l) (M_l A^(-1/2) r)_j,
+        back = sum_l M_l' A^(-1/2) D_i u_l and aux = sum_k member_ik u_k
+        over the score and auxiliary blocks u_l and u_k of u. Without the
+        mu'' and a' terms this is the truncated Jacobian, which gives G_n.
+        The cost is O(n q (L + p + K)); no per-subject Jacobian is formed.
+        """
+        mu, a, deriv = self._link_terms(beta)
+        n_score = self.p * self.basis_stack.shape[0]
+        u_aux = u[n_score:].reshape(-1, self.q)
+        # xi[i, l, j] = x_ij' u_l
+        xi = self.x.reshape(-1, self.p) @ u[:n_score].reshape(-1, self.p).T
+        xi = xi.reshape(self.n, self.q, -1).swapaxes(1, 2)
+        dmu = mean_derivative(self.spec, mu)
+        da = variance_weight_derivative(self.spec, mu)
+        along = np.einsum("nlq,nlq->nq", xi, self._mixed(mu, a))
+        back = ((a * dmu)[:, None, :] * xi).reshape(self.n, -1)
+        back = back @ self.basis_stack.reshape(-1, self.q)
+        aux = self.member @ u_aux
+        omega = along * (mean_second_derivative(self.spec, mu) * a + da * dmu**2)
+        omega += dmu * ((da * (self.y - mu) - a) * back + aux)
+        if continuous:
+            # g_i' u from the same pieces: score blocks, then auxiliary blocks
+            gu = (a * dmu * along + mu * aux).sum(axis=1)
+            gu -= self.member @ (self.phi * u_aux).sum(axis=1)
+            omega *= (1.0 - gu)[:, None]
+        half_grad = omega.reshape(-1) @ self.x.reshape(-1, self.p) / self.n
+        return self._mean_jacobian(a, deriv), half_grad
 
 
 def _weight_inverse(sigma, p):
@@ -304,13 +364,13 @@ def initial_estimate(
             xtx = np.einsum("nqa,nqb->ab", x, x)
             xty = np.einsum("nqa,nq->a", x, y)
             return np.linalg.solve(xtx, xty)
+        x = x.reshape(-1, dataset.p)
+        y = y.ravel()
         beta = np.zeros(dataset.p)
         for _ in range(FISHER_STEPS):
             mu = mean_curve(config.spec, x @ beta)
             v = variance_function(config.spec, mu)
-            xtwx = np.einsum("nqa,nq,nqb->ab", x, v, x)
-            xtr = np.einsum("nqa,nq->a", x, y - mu)
-            beta = beta + np.linalg.solve(xtwx, xtr)
+            beta = beta + np.linalg.solve(x.T @ (v[:, None] * x), x.T @ (y - mu))
         return beta
     except np.linalg.LinAlgError as err:
         raise RankDeficient(f"design matrix is rank deficient: {err}") from err
@@ -376,7 +436,11 @@ class _AffineMoments:
 
 
 class _SubjectMoments:
-    """Per-subject contributions at every evaluation, for non-identity links."""
+    """Per-subject contributions at every evaluation, for non-identity links.
+
+    The half-gradient is exact (``_Assembler.derivatives``); G_n is the
+    truncated mean Jacobian.
+    """
 
     def __init__(self, assembler):
         self.assembler = assembler
@@ -388,21 +452,13 @@ class _SubjectMoments:
             return g, frozen_inv, None
         return (g, *_weight_inverse(weight_matrix(contribs), self.assembler.p))
 
-    def derivatives(self, beta, g, w_inv, frozen_inv, h=1e-6):
-        """(G_n, central-difference half-gradient of the searched objective).
+    def derivatives(self, beta, g, w_inv, frozen_inv):
+        """(G_n, exact half-gradient of the searched objective) at beta.
 
-        The closed-form contribution Jacobians deliberately drop the
-        second-derivative and weight-derivative terms here, so they do not
-        differentiate the objective exactly.
+        The half-gradient is (1/n) sum_i c_i (dg_i/dbeta)' u with u = W g;
+        see ``_Assembler.derivatives``.
         """
-        grad = np.zeros(beta.size)
-        for j in range(beta.size):
-            e = np.zeros(beta.size)
-            e[j] = h
-            gp, wp, _ = self.evaluate(beta + e, frozen_inv)
-            gm, wm, _ = self.evaluate(beta - e, frozen_inv)
-            grad[j] = (float(gp @ wp @ gp) - float(gm @ wm @ gm)) / (2.0 * h)
-        return self.assembler.jacobian(beta), grad / 2.0
+        return self.assembler.derivatives(beta, w_inv @ g, frozen_inv is None)
 
 
 @dataclass(frozen=True)

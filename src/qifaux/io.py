@@ -142,10 +142,28 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
 
 
 def write_dataset(dataset: LongitudinalDataset, path, schema: ColumnSchema | None = None):
-    """Emit a dataset back to long-format CSV (inverse of load_dataset)."""
+    """Emit a dataset back to long-format CSV (inverse of load_dataset).
+
+    ``load_dataset`` reads ids back as stripped, non-empty text, so an id
+    whose ``str`` form is empty, has leading or trailing whitespace, or
+    equals another id's raises ValueError before anything is written.
+    """
     schema = schema or ColumnSchema(covariates=tuple(f"x{j+1}" for j in range(dataset.p)))
     if len(schema.covariates) != dataset.p:
         raise ValueError("schema covariate count must match dataset")
+    texts = set()
+    for sid in dataset.subject_ids:
+        text = str(sid)
+        if not text:
+            problem = "is empty"
+        elif text != text.strip():
+            problem = "has leading or trailing whitespace"
+        elif text in texts:
+            problem = "repeats another id's text"
+        else:
+            texts.add(text)
+            continue
+        raise ValueError(f"subject id {sid!r} {problem}, so it would not load back")
 
     def _write(handle):
         writer = csv.writer(handle)

@@ -135,9 +135,25 @@ def mean_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     return mu * (1.0 - mu)
 
 
+def mean_second_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
+    """d^2 mu / d eta^2 at the means mu, elementwise."""
+    if spec.link is Link.IDENTITY:
+        return np.zeros_like(mu)
+    return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
+
+
 def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     """v(mu) without the dispersion factor, clamped away from zero."""
     if spec.variance is Variance.CONSTANT:
         return np.ones_like(mu)
     mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     return mu * (1.0 - mu)
+
+
+def variance_weight_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
+    """d v(mu)^(-1/2) / d mu elementwise; 0 where the clamp on mu binds."""
+    if spec.variance is Variance.CONSTANT:
+        return np.zeros_like(mu)
+    inside = (mu > MEAN_CLAMP) & (mu < 1.0 - MEAN_CLAMP)
+    slope = -0.5 * variance_function(spec, mu) ** -1.5 * (1.0 - 2.0 * mu)
+    return np.where(inside, slope, 0.0)

@@ -21,6 +21,7 @@ from qifaux import (
     build_two_group_aux,
     build_four_group_aux,
     fit,
+    four_group_partition,
     generate_dataset,
     moment_vector,
     objective,
@@ -28,6 +29,7 @@ from qifaux import (
     relative_efficiency,
     replication_rng,
     score_jacobian,
+    two_group_partition,
     wald_interval,
     weight_matrix,
 )
@@ -535,6 +537,90 @@ class TestSufficientStatistics:
         cfg = ExtendedScoreConfig(GAUSS, build_basis(structure, q), aux)
         res = fit(cfg, ds, options=FitOptions(allow_empty_subgroups=True))
         assert 0.0 <= res.objective <= 1.0
+
+
+def logistic_panel(rng, n=300, q=3):
+    """Binary panel with a normal x_1 and a time-constant binary x_2, the
+    covariates the two- and four-group partitions split on."""
+    x2 = rng.integers(0, 2, size=n).astype(float)
+    x = np.stack([rng.standard_normal((n, q)), np.repeat(x2[:, None], q, axis=1)], axis=2)
+    mu = 1.0 / (1.0 + np.exp(-(x @ np.array([0.5, -0.5]))))
+    return LongitudinalDataset((rng.random((n, q)) < mu).astype(float), x)
+
+
+class TestExactGradient:
+    """The solver's closed-form half-gradient of the searched objective,
+    against central differences of Q_n and against the Gram path."""
+
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4", "empty_dropped"])
+    def test_logit_half_gradient_matches_central_differences(self, method, two_step):
+        from qifaux.estimator import _SubjectMoments, _build_assembler
+
+        rng = np.random.default_rng(["qif", "gmmai2", "gmmai4", "empty_dropped"].index(method))
+        ds = logistic_panel(rng)
+        partition = {
+            "qif": None,
+            "gmmai2": two_group_partition(),
+            "gmmai4": four_group_partition(),
+            # group 1 of three is empty and dropped
+            "empty_dropped": SubgroupPartition(
+                3, lambda xs: np.where(xs[:, 0, 1] == 1.0, 0, 2)
+            ),
+        }[method]
+        aux = None
+        if partition is not None:
+            # targets near the subgroup means keep Sigma_n well conditioned
+            phi = tuple(rng.uniform(0.35, 0.65, 3) for _ in range(partition.n_groups))
+            aux = AuxiliaryInfo(partition, phi)
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
+        assembler, dropped = _build_assembler(
+            cfg, ds, FitOptions(allow_empty_subgroups=True)
+        )
+        assert dropped == ((1,) if method == "empty_dropped" else ())
+        model = _SubjectMoments(assembler)
+        truth = np.array([0.5, -0.5])
+        frozen_inv = None
+        if two_step:
+            frozen_inv = model.evaluate(truth + 0.2 * rng.standard_normal(2))[1]
+
+        def searched(beta):
+            g, w_inv, _ = model.evaluate(beta, frozen_inv)
+            return g @ w_inv @ g
+
+        h = 1e-5
+        for _ in range(3):
+            # beta_1 = 0 makes mu constant within subjects, where the x_2
+            # score rows are proportional and Sigma_n singular; stay clear
+            beta = truth + 0.15 * rng.standard_normal(2)
+            g, w_inv, _ = model.evaluate(beta, frozen_inv)
+            _, half_grad = model.derivatives(beta, g, w_inv, frozen_inv)
+            fd = [(searched(beta + e) - searched(beta - e)) / (4 * h) for e in h * np.eye(2)]
+            assert_relative(half_grad, fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    def test_identity_half_gradient_equals_gram_path(self, p, two_step):
+        """One closed form serves both links: under the identity link the
+        per-subject half-gradient is the Gram path's."""
+        from qifaux.estimator import _AffineMoments, _SubjectMoments, _build_assembler
+
+        rng = np.random.default_rng(40 + 2 * p + two_step)
+        ds = random_dataset(rng, n=120, q=3, p=p)
+        part = SubgroupPartition(3, lambda xs: np.where(xs[:, 0, 0] >= 0, 0, 2))
+        aux = AuxiliaryInfo(part, tuple(rng.standard_normal(3) for _ in range(3)))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), aux)
+        assembler, _ = _build_assembler(cfg, ds, FitOptions(allow_empty_subgroups=True))
+        subject = _SubjectMoments(assembler)
+        gram = _AffineMoments(assembler, rng.standard_normal(p))
+        frozen_inv = subject.evaluate(rng.standard_normal(p))[1] if two_step else None
+        for _ in range(4):
+            beta = rng.standard_normal(p)
+            g, w_inv, _ = subject.evaluate(beta, frozen_inv)
+            jac, half_grad = subject.derivatives(beta, g, w_inv, frozen_inv)
+            jac_gram, half_grad_gram = gram.derivatives(beta, g, w_inv, frozen_inv)
+            assert_relative(jac, jac_gram, rtol=1e-12)
+            assert_relative(half_grad, half_grad_gram, rtol=1e-12)
 
 
 class TestProfileTest:

@@ -199,6 +199,24 @@ class TestLoadDataset:
         np.testing.assert_allclose(out.dataset.responses, ds.responses, atol=1e-12)
         np.testing.assert_allclose(out.dataset.covariates, ds.covariates, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "ids, bad, reason",
+        [
+            (("a", "", "b"), "''", "is empty"),
+            (("a", " b", "c"), "' b'", "leading or trailing whitespace"),
+            (("a", "b\t"), "'b\\\\t'", "leading or trailing whitespace"),
+            ((1, "2", "1"), "'1'", "repeats another id"),
+        ],
+        ids=["empty", "leading-blank", "trailing-tab", "same-text"],
+    )
+    def test_write_rejects_id_that_would_not_load_back(self, ids, bad, reason):
+        n = len(ids)
+        ds = LongitudinalDataset(np.zeros((n, 2)), np.ones((n, 2, 2)), ids)
+        buf = stdio.StringIO()
+        with pytest.raises(ValueError, match=f"subject id {bad} .*{reason}"):
+            write_dataset(ds, buf, SCHEMA)
+        assert buf.getvalue() == ""
+
 
 class TestStandardize:
     def test_constant_column_rejected(self):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qifaux import Link, LongitudinalDataset, MarginalModelSpec, Variance
-from qifaux.model import mean_curve, mean_derivative, variance_function
+from qifaux.model import (
+    MEAN_CLAMP,
+    mean_curve,
+    mean_derivative,
+    mean_second_derivative,
+    variance_function,
+    variance_weight_derivative,
+)
 
 GAUSS = MarginalModelSpec.gaussian()
 BERN = MarginalModelSpec.bernoulli()
@@ -97,6 +104,40 @@ class TestVarianceInvSqrt:
         a = variance_function(BERN, mu) ** -0.5
         np.testing.assert_allclose(a[0, 0], (0.9 * 0.1) ** -0.5, rtol=1e-12)
         np.testing.assert_allclose(a[0, 0], 10.0 / 3.0, rtol=1e-12)
+
+
+class TestSecondOrderTerms:
+    """The two derivatives the exact logit gradient adds to the Jacobian."""
+
+    @pytest.mark.parametrize("spec", [GAUSS, BERN])
+    def test_mean_second_derivative_matches_central_differences(self, spec):
+        eta = 2.0 * np.random.default_rng(6).standard_normal((4, 3))
+        h = 1e-6
+        fd = (
+            mean_derivative(spec, mean_curve(spec, eta + h))
+            - mean_derivative(spec, mean_curve(spec, eta - h))
+        ) / (2 * h)
+        analytic = mean_second_derivative(spec, mean_curve(spec, eta))
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", [GAUSS, BERN])
+    def test_variance_weight_derivative_matches_central_differences(self, spec):
+        mu = np.random.default_rng(7).uniform(0.05, 0.95, (4, 3))
+        h = 1e-5
+        fd = (
+            variance_function(spec, mu + h) ** -0.5 - variance_function(spec, mu - h) ** -0.5
+        ) / (2 * h)
+        np.testing.assert_allclose(
+            variance_weight_derivative(spec, mu), fd, rtol=1e-6, atol=1e-8
+        )
+
+    def test_variance_weight_derivative_is_zero_beyond_mean_clamp(self):
+        mu = np.array([0.0, MEAN_CLAMP / 2, 1.0 - MEAN_CLAMP / 2, 1.0])
+        assert np.array_equal(variance_weight_derivative(BERN, mu), np.zeros(4))
+        # the clamped weight is flat there, so central differences agree
+        h = MEAN_CLAMP / 4
+        fd = (variance_function(BERN, mu + h) ** -0.5 - variance_function(BERN, mu - h) ** -0.5)
+        assert np.array_equal(fd, np.zeros(4))
 
 
 class TestSpecValidation:
