@@ -28,6 +28,11 @@ contribution Jacobian, contracted with Sigma^{-1} g_n before the sum over
 subjects. The Gauss-Newton metric and the plug-in covariance use the
 truncated mean Jacobian G_n under both links.
 
+Each evaluation factors Sigma_n with one symmetric eigendecomposition and
+returns a record of the terms the gradient needs (the Gram cross product
+under the identity link, the link terms otherwise), so the gradient at an
+accepted point recomputes none of them.
+
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
 (moment count)/n driven by correlation between the empirical Jacobian and
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -61,7 +67,8 @@ from .model import (
     variance_weight_derivative,
 )
 
-# Relative singular-value cutoff for the pseudo-inverse of Sigma_n.
+# Pseudo-inverse cutoff for Sigma_n: eigenvalues of magnitude at most
+# WEIGHT_RCOND times the largest magnitude are treated as zero.
 WEIGHT_RCOND = 1e-10
 # Gauss-Newton budget and stopping rules: stop when the largest step
 # coordinate or the objective decrease falls below its tolerance.
@@ -69,7 +76,8 @@ MAX_ITER = 100
 STEP_TOL = 1e-8
 OBJECTIVE_TOL = 1e-12
 MAX_HALVINGS = 20
-# Fisher-scoring steps for the logit-link starting value.
+# Cap on Fisher-scoring steps for the logit-link starting value; scoring
+# stops earlier once the largest step coordinate falls below STEP_TOL.
 FISHER_STEPS = 25
 
 
@@ -238,8 +246,8 @@ class _Assembler:
         aux = self.member.T @ deriv.reshape(self.n, -1) / self.n
         return np.concatenate([qif.reshape(-1, self.p), aux.reshape(-1, self.p)])
 
-    def derivatives(self, beta, u, continuous):
-        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) at beta from one (mu, a, d).
+    def derivatives(self, terms, u, continuous):
+        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, d) at beta.
 
         dg_i/dbeta is the exact contribution Jacobian, and c_i = 1 - g_i' u
         under continuous updating, 1 with a frozen weight. Each factor of
@@ -256,7 +264,7 @@ class _Assembler:
         mu'' and a' terms this is the truncated Jacobian, which gives G_n.
         The cost is O(n q (L + p + K)); no per-subject Jacobian is formed.
         """
-        mu, a, deriv = self._link_terms(beta)
+        mu, a, deriv = terms
         n_score = self.p * self.basis_stack.shape[0]
         u_aux = u[n_score:].reshape(-1, self.q)
         # xi[i, l, j] = x_ij' u_l
@@ -280,21 +288,25 @@ class _Assembler:
 
 
 def _weight_inverse(sigma, p):
-    """Pseudo-inverse of the second-moment weight matrix Sigma_n.
+    """Pseudo-inverse of the symmetric second-moment weight matrix Sigma_n.
 
-    Returns (inverse, rank); raises SingularWeightMatrix when the rank
-    falls below the parameter dimension p.
+    One eigendecomposition; eigenvalues of magnitude at most WEIGHT_RCOND
+    times the largest magnitude count as zero. Returns (inverse, rank);
+    raises SingularWeightMatrix when the rank falls below the parameter
+    dimension p.
     """
-    u, s, vt = np.linalg.svd(sigma, hermitian=True)
-    top = s[0] if s.size else 0.0
-    cutoff = top * WEIGHT_RCOND
-    rank = int((s > cutoff).sum())
+    lam, vec = np.linalg.eigh(sigma)
+    # largest first, the order of the singular values, which fixes the
+    # summation order of the product below
+    lam, vec = lam[::-1], vec[:, ::-1]
+    keep = np.abs(lam) > WEIGHT_RCOND * np.abs(lam).max(initial=0.0)
+    rank = int(keep.sum())
     if rank < p:
         raise SingularWeightMatrix(
             f"weight matrix rank {rank} < parameter dimension {p}"
         )
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ vt, rank
+    vec = vec[:, keep]
+    return (vec * (1.0 / lam[keep])) @ vec.T, rank
 
 
 def _build_assembler(config, dataset, options):
@@ -331,14 +343,14 @@ def objective(
 ) -> float:
     """Quadratic form g_n' Sigma_n^+ g_n; warns when Sigma_n lost rank."""
     beta = np.asarray(beta, dtype=float)
-    g, w_inv, rank = _SubjectMoments(_Assembler(config, dataset)).evaluate(beta)
-    if rank < g.shape[0]:
+    point = _SubjectMoments(_Assembler(config, dataset)).evaluate(beta)
+    if point.rank < point.g.shape[0]:
         warnings.warn(
             "weight matrix is rank deficient; using pseudo-inverse",
             WeightRankWarning,
             stacklevel=2,
         )
-    return float(g @ w_inv @ g)
+    return point.objective()
 
 
 def score_jacobian(
@@ -354,8 +366,9 @@ def initial_estimate(
 ) -> np.ndarray:
     """Independence-working GEE starting value.
 
-    Closed-form stacked least squares under the identity link;
-    FISHER_STEPS Fisher-scoring steps under the logit link.
+    Closed-form stacked least squares under the identity link; under the
+    logit link, Fisher scoring until the largest step coordinate falls
+    below STEP_TOL, at most FISHER_STEPS steps.
     """
     x = dataset.covariates
     y = dataset.responses
@@ -370,10 +383,27 @@ def initial_estimate(
         for _ in range(FISHER_STEPS):
             mu = mean_curve(config.spec, x @ beta)
             v = variance_function(config.spec, mu)
-            beta = beta + np.linalg.solve(x.T @ (v[:, None] * x), x.T @ (y - mu))
+            step = np.linalg.solve(x.T @ (v[:, None] * x), x.T @ (y - mu))
+            beta = beta + step
+            if np.abs(step).max() < STEP_TOL:
+                break
         return beta
     except np.linalg.LinAlgError as err:
         raise RankDeficient(f"design matrix is rank deficient: {err}") from err
+
+
+class _Point(NamedTuple):
+    """One objective evaluation: g_n, the weight inverse W and its rank
+    (None for a frozen weight), and the model's terms that the gradient
+    at this point reuses."""
+
+    g: np.ndarray
+    w_inv: np.ndarray
+    rank: int | None
+    terms: object
+
+    def objective(self):
+        return float(self.g @ self.w_inv @ self.g)
 
 
 class _AffineMoments:
@@ -399,39 +429,28 @@ class _AffineMoments:
         self.beta0 = beta0
         self.p = assembler.p
 
-    def _offset(self, beta):
-        return np.concatenate(([1.0], beta - self.beta0))
-
-    def _cross(self, beta):
-        """cross[a, j, b] = (1/n) sum_i Z_i[a, j] g_i(beta)[b]."""
-        return (self.z_gram @ self._offset(beta)).reshape(self.cross_shape)
-
-    def moment(self, beta):
-        """g_n at beta."""
-        return self.z_mean @ self._offset(beta)
-
-    def weight(self, beta):
-        """Sigma_n at beta."""
-        return self._offset(beta) @ self._cross(beta)
-
     def evaluate(self, beta, frozen_inv=None):
-        """(g_n, weight inverse, rank) at beta; rank is None for a frozen weight."""
-        g = self.moment(beta)
+        """``_Point`` at beta. Under continuous updating its terms are
+        cross[a, j, b] = (1/n) sum_i Z_i[a, j] g_i(beta)[b], and
+        Sigma_n = w' cross."""
+        w = np.concatenate(([1.0], beta - self.beta0))
+        g = self.z_mean @ w
         if frozen_inv is not None:
-            return g, frozen_inv, None
-        return (g, *_weight_inverse(self.weight(beta), self.p))
+            return _Point(g, frozen_inv, None, None)
+        cross = (self.z_gram @ w).reshape(self.cross_shape)
+        return _Point(g, *_weight_inverse(w @ cross, self.p), cross)
 
-    def derivatives(self, beta, g, w_inv, frozen_inv):
-        """(G_n, half-gradient of the searched objective) at beta.
+    def derivatives(self, point, u, continuous):
+        """(G_n, half-gradient of the searched objective) at ``point``.
 
-        With a frozen weight the half-gradient is G' W g. Under continuous
+        With a frozen weight the half-gradient is G' u. Under continuous
         updating the weight's own beta-dependence subtracts
-        (1/n) sum_i (g_i' u) T_i' u with u = W g.
+        (1/n) sum_i (g_i' u) T_i' u, with u = W g; ``point`` must then be a
+        continuously-updated evaluation, which carries the cross product.
         """
-        u = w_inv @ g
         half_grad = self.jacobian.T @ u
-        if frozen_inv is None:
-            half_grad -= (u @ (self._cross(beta) @ u))[1:]
+        if continuous:
+            half_grad -= (u @ (point.terms @ u))[1:]
         return self.jacobian, half_grad
 
 
@@ -439,26 +458,28 @@ class _SubjectMoments:
     """Per-subject contributions at every evaluation, for non-identity links.
 
     The half-gradient is exact (``_Assembler.derivatives``); G_n is the
-    truncated mean Jacobian.
+    truncated mean Jacobian. A point's terms are the (mu, a, d) of
+    ``_Assembler._link_terms``.
     """
 
     def __init__(self, assembler):
         self.assembler = assembler
 
     def evaluate(self, beta, frozen_inv=None):
-        """(g_n, weight inverse, rank) at beta; rank is None for a frozen weight."""
-        g, contribs = self.assembler.moments(beta)
+        """``_Point`` at beta; its rank is None for a frozen weight."""
+        terms = self.assembler._link_terms(beta)
+        contribs = self.assembler._contributions(*terms)
+        g = contribs.mean(axis=0)
         if frozen_inv is not None:
-            return g, frozen_inv, None
-        return (g, *_weight_inverse(weight_matrix(contribs), self.assembler.p))
+            return _Point(g, frozen_inv, None, terms)
+        return _Point(
+            g, *_weight_inverse(weight_matrix(contribs), self.assembler.p), terms
+        )
 
-    def derivatives(self, beta, g, w_inv, frozen_inv):
-        """(G_n, exact half-gradient of the searched objective) at beta.
-
-        The half-gradient is (1/n) sum_i c_i (dg_i/dbeta)' u with u = W g;
-        see ``_Assembler.derivatives``.
-        """
-        return self.assembler.derivatives(beta, w_inv @ g, frozen_inv is None)
+    def derivatives(self, point, u, continuous):
+        """(G_n, exact half-gradient of the searched objective) at ``point``,
+        with u = W g; see ``_Assembler.derivatives``."""
+        return self.assembler.derivatives(point.terms, u, continuous)
 
 
 @dataclass(frozen=True)
@@ -476,14 +497,17 @@ class _Solution:
     jacobian: np.ndarray
 
 
-def _direction(model, beta, g, w_inv, frozen_inv, free):
+def _direction(model, point, free, continuous):
     """(G_n, Gauss-Newton step for the free coordinates, gradient norm)."""
-    jac, half_grad = model.derivatives(beta, g, w_inv, frozen_inv)
+    jac, half_grad = model.derivatives(point, point.w_inv @ point.g, continuous)
     free_jac = jac[:, free]
-    normal = free_jac.T @ w_inv @ free_jac
+    normal = free_jac.T @ point.w_inv @ free_jac
     score = half_grad[free]
-    svals = np.linalg.svd(normal, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0 or svals[-1] <= svals[0] * 1e-13:
+    if not np.isfinite(normal).all():
+        # eigvalsh does not raise on NaN or inf input; reject it here
+        raise RankDeficient("normal matrix of the free coordinates is not finite")
+    mags = np.abs(np.linalg.eigvalsh(normal))
+    if mags.size == 0 or mags.max() == 0 or mags.min() <= mags.max() * 1e-13:
         raise RankDeficient(
             "moment Jacobian is rank deficient for the free coordinates"
         )
@@ -506,11 +530,12 @@ def _minimize(assembler, beta0, free, options):
         model = _AffineMoments(assembler, beta)
     else:
         model = _SubjectMoments(assembler)
-    g, w_inv, rank = model.evaluate(beta)
-    degraded = rank < g.shape[0]
-    q_cur = float(g @ w_inv @ g)
-    frozen_inv = w_inv if options.two_step else None
-    jac, step, grad_norm = _direction(model, beta, g, w_inv, frozen_inv, free)
+    point = model.evaluate(beta)
+    degraded = point.rank < point.g.shape[0]
+    q_cur = point.objective()
+    continuous = not options.two_step
+    frozen_inv = None if continuous else point.w_inv
+    jac, step, grad_norm = _direction(model, point, free, continuous)
     iterates = [beta.copy()]
     converged = False
     iterations = 0
@@ -525,8 +550,8 @@ def _minimize(assembler, beta0, free, options):
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta.copy()
             candidate[free] += alpha * step
-            trial_g, trial_w, trial_rank = model.evaluate(candidate, frozen_inv)
-            trial_q = float(trial_g @ trial_w @ trial_g)
+            trial = model.evaluate(candidate, frozen_inv)
+            trial_q = trial.objective()
             if trial_q < q_cur:
                 accepted = True
                 break
@@ -538,11 +563,11 @@ def _minimize(assembler, beta0, free, options):
             break
         delta_q = q_cur - trial_q
         taken = np.abs(alpha * step).max()
-        beta, g, w_inv, q_cur = candidate, trial_g, trial_w, trial_q
-        if trial_rank is not None:
-            degraded = degraded or trial_rank < g.shape[0]
+        beta, point, q_cur = candidate, trial, trial_q
+        if continuous:
+            degraded = degraded or point.rank < point.g.shape[0]
         iterates.append(beta.copy())
-        jac, step, grad_norm = _direction(model, beta, g, w_inv, frozen_inv, free)
+        jac, step, grad_norm = _direction(model, point, free, continuous)
         if taken < STEP_TOL or delta_q < OBJECTIVE_TOL:
             converged = True
             break
@@ -554,7 +579,7 @@ def _minimize(assembler, beta0, free, options):
         iterates=np.asarray(iterates),
         degraded=degraded,
         gradient_norm=grad_norm,
-        weight_inverse=w_inv,
+        weight_inverse=point.w_inv,
         jacobian=jac,
     )
 
@@ -630,8 +655,7 @@ def profile_test(
     beta_start[indices] = values
     free = np.setdiff1d(np.arange(p), indices)
     if free.size == 0:
-        g, w_inv, _ = _SubjectMoments(assembler).evaluate(beta_start)
-        q_restricted = float(g @ w_inv @ g)
+        q_restricted = _SubjectMoments(assembler).evaluate(beta_start).objective()
         beta_restricted = beta_start
     else:
         restricted = _minimize(assembler, beta_start, free, options)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import expit, ndtr
 
 from qifaux import (
     AuxiliaryInfo,
@@ -20,9 +21,11 @@ from qifaux import (
     build_basis,
     build_two_group_aux,
     build_four_group_aux,
+    correlation_matrix,
     fit,
     four_group_partition,
     generate_dataset,
+    initial_estimate,
     moment_vector,
     objective,
     profile_test,
@@ -159,6 +162,57 @@ class TestObjective:
         cfg = ExtendedScoreConfig(GAUSS, build_basis(IND, 2), None)
         with pytest.raises(SingularWeightMatrix):
             objective(cfg, ds, np.zeros(2))
+
+
+class TestWeightInverse:
+    """``_weight_inverse`` against numpy's hermitian pseudo-inverse with the
+    same relative cutoff."""
+
+    @staticmethod
+    def oracle(sigma):
+        from qifaux.estimator import WEIGHT_RCOND
+
+        top = np.linalg.svd(sigma, compute_uv=False).max()
+        rank = np.linalg.matrix_rank(sigma, tol=WEIGHT_RCOND * top, hermitian=True)
+        return np.linalg.pinv(sigma, WEIGHT_RCOND, hermitian=True), int(rank)
+
+    @staticmethod
+    def contributions(rng, d, proportional):
+        contribs = rng.standard_normal((3 * d + 5, d))
+        if proportional:
+            # two exactly proportional score rows, as a time-constant
+            # covariate gives under the CS basis
+            contribs[:, 1] = 2.5 * contribs[:, 0]
+        return contribs
+
+    @pytest.mark.parametrize("proportional", [False, True], ids=["full", "proportional"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matches_hermitian_pinv(self, d, proportional):
+        from qifaux.estimator import _weight_inverse
+
+        rng = np.random.default_rng(10 * d + proportional)
+        for _ in range(5):
+            sigma = weight_matrix(self.contributions(rng, d, proportional))
+            expected, expected_rank = self.oracle(sigma)
+            inverse, rank = _weight_inverse(sigma, 1)
+            assert rank == expected_rank == d - proportional
+            assert_relative(inverse, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_below_p_raises(self, p):
+        from qifaux.estimator import _weight_inverse
+
+        rng = np.random.default_rng(p)
+        for subjects in range(1, p):
+            sigma = weight_matrix(rng.standard_normal((subjects, 6)))
+            assert self.oracle(sigma)[1] == subjects
+            with pytest.raises(SingularWeightMatrix, match=f"rank {subjects} < "):
+                _weight_inverse(sigma, p)
+        # the proportional pair leaves rank p - 1 when d = p
+        sigma = weight_matrix(self.contributions(rng, p, True))
+        assert self.oracle(sigma)[1] == p - 1
+        with pytest.raises(SingularWeightMatrix):
+            _weight_inverse(sigma, p)
 
 
 def fd_moment_jacobian(cfg, ds, beta, h=1e-6):
@@ -302,6 +356,29 @@ class TestFit:
         with pytest.raises(RankDeficient):
             fit(cfg, ds)
 
+    def test_collinear_covariates_fail_the_direction_check(self):
+        """With a start value given, exactly collinear covariates pass the
+        weight (its rank stays p under the CS basis) and must be caught by
+        the eigenvalue check on the Gauss-Newton normal matrix."""
+        rng = np.random.default_rng(17)
+        x1 = rng.standard_normal((30, 3, 1))
+        x = np.concatenate([x1, 2.0 * x1], axis=2)
+        ds = LongitudinalDataset(rng.standard_normal((30, 3)), x)
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
+        with pytest.raises(RankDeficient, match="moment Jacobian is rank deficient"):
+            fit(cfg, ds, init=np.array([0.3, -0.1]))
+
+    def test_non_finite_normal_matrix_is_rank_deficient(self):
+        from qifaux.estimator import _Point, _direction
+
+        class NanJacobian:
+            def derivatives(self, point, u, continuous):
+                return np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros(2)
+
+        point = _Point(np.ones(2), np.eye(2), 2, None)
+        with pytest.raises(RankDeficient, match="not finite"):
+            _direction(NanJacobian(), point, np.arange(2), True)
+
     def test_empty_subgroup_policy(self):
         rng = np.random.default_rng(18)
         ds = random_dataset(rng, n=50)
@@ -378,8 +455,7 @@ class TestFit:
             model = _SubjectMoments(_Assembler(cfg, ds))
 
             def q_fun(b):
-                g, w_inv, _ = model.evaluate(b)
-                return float(g @ w_inv @ g)
+                return model.evaluate(b).objective()
 
             best = np.inf
             for start in (res.beta_hat, beta_true, np.zeros(p)):
@@ -411,6 +487,28 @@ class TestFit:
         r_two = fit(cfg, ds, options=FitOptions(two_step=True))
         assert r_two.converged
         assert np.abs(r_cue.beta_hat - r_two.beta_hat).max() < 0.02
+
+    @pytest.mark.parametrize("start", ["zeros", "cue_optimum"])
+    def test_two_step_first_iterate_uses_frozen_weight(self, start):
+        """Two-step mode searches the frozen-weight objective from its first
+        step on: under the identity link that objective is quadratic, so the
+        first iterate is the full Gauss-Newton step beta0 - (G'WG)^{-1} G'Wg
+        with W the weight inverse at beta0. At the continuous-updating
+        optimum the CUE gradient is zero but this step is not."""
+        from qifaux.estimator import _build_assembler, _weight_inverse
+
+        design = SimulationDesign(n=400, seed=19, replications=1)
+        ds = generate_dataset(design, replication_rng(19, 0, 0))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), build_two_group_aux())
+        beta0 = np.zeros(2) if start == "zeros" else fit(cfg, ds).beta_hat
+        assembler, _ = _build_assembler(cfg, ds, FitOptions())
+        g, contribs = assembler.moments(beta0)
+        w_inv, _ = _weight_inverse(weight_matrix(contribs), 2)
+        jac = assembler.jacobian(beta0)
+        expected = beta0 - np.linalg.solve(jac.T @ w_inv @ jac, jac.T @ w_inv @ g)
+        res = fit(cfg, ds, init=beta0, options=FitOptions(two_step=True))
+        assert res.iterations >= 1
+        assert_relative(res.iterates[1], expected, rtol=1e-10)
 
     def test_logit_bernoulli_fit_recovers_signal(self):
         rng = np.random.default_rng(20)
@@ -504,13 +602,17 @@ class TestSufficientStatistics:
             beta = rng.standard_normal(p)
             g, contribs = assembler.moments(beta)
             sigma = weight_matrix(contribs)
-            assert_relative(model.moment(beta), g)
-            assert_relative(model.weight(beta), sigma)
+            # the continuously-updated point carries the Gram cross product,
+            # from which Sigma_n = w' cross with w = (1, beta - beta0)
+            updated = model.evaluate(beta)
+            offset = np.concatenate(([1.0], beta - model.beta0))
+            assert_relative(updated.g, g)
+            assert_relative(offset @ updated.terms, sigma)
             assert_relative(model.jacobian, assembler.jacobian(beta))
             w_direct = frozen_inv if two_step else _weight_inverse(sigma, p)[0]
-            g_gram, w_gram, _ = model.evaluate(beta, frozen_inv)
-            assert_relative(g_gram @ w_gram @ g_gram, g @ w_direct @ g)
-            _, half_grad = model.derivatives(beta, g_gram, w_gram, frozen_inv)
+            point = model.evaluate(beta, frozen_inv)
+            assert_relative(point.objective(), g @ w_direct @ g)
+            _, half_grad = model.derivatives(point, point.w_inv @ point.g, not two_step)
             assert_relative(
                 half_grad, per_subject_half_gradient(assembler, beta, w_direct, two_step)
             )
@@ -585,16 +687,15 @@ class TestExactGradient:
             frozen_inv = model.evaluate(truth + 0.2 * rng.standard_normal(2))[1]
 
         def searched(beta):
-            g, w_inv, _ = model.evaluate(beta, frozen_inv)
-            return g @ w_inv @ g
+            return model.evaluate(beta, frozen_inv).objective()
 
         h = 1e-5
         for _ in range(3):
             # beta_1 = 0 makes mu constant within subjects, where the x_2
             # score rows are proportional and Sigma_n singular; stay clear
             beta = truth + 0.15 * rng.standard_normal(2)
-            g, w_inv, _ = model.evaluate(beta, frozen_inv)
-            _, half_grad = model.derivatives(beta, g, w_inv, frozen_inv)
+            point = model.evaluate(beta, frozen_inv)
+            _, half_grad = model.derivatives(point, point.w_inv @ point.g, not two_step)
             fd = [(searched(beta + e) - searched(beta - e)) / (4 * h) for e in h * np.eye(2)]
             assert_relative(half_grad, fd, rtol=1e-6)
 
@@ -616,11 +717,84 @@ class TestExactGradient:
         frozen_inv = subject.evaluate(rng.standard_normal(p))[1] if two_step else None
         for _ in range(4):
             beta = rng.standard_normal(p)
-            g, w_inv, _ = subject.evaluate(beta, frozen_inv)
-            jac, half_grad = subject.derivatives(beta, g, w_inv, frozen_inv)
-            jac_gram, half_grad_gram = gram.derivatives(beta, g, w_inv, frozen_inv)
+            point = subject.evaluate(beta, frozen_inv)
+            u = point.w_inv @ point.g
+            jac, half_grad = subject.derivatives(point, u, not two_step)
+            jac_gram, half_grad_gram = gram.derivatives(
+                gram.evaluate(beta, frozen_inv), u, not two_step
+            )
             assert_relative(jac, jac_gram, rtol=1e-12)
             assert_relative(half_grad, half_grad_gram, rtol=1e-12)
+
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    def test_logit_link_terms_once_per_evaluation(self, monkeypatch, two_step):
+        """The gradient at an accepted point reuses the link terms of the
+        evaluation that accepted it, so a logit fit and profile test compute
+        them exactly once per Q_n evaluation."""
+        from qifaux.estimator import _Assembler, _SubjectMoments
+
+        counts = {"link_terms": 0, "evaluate": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            _Assembler, "_link_terms", counting("link_terms", _Assembler._link_terms)
+        )
+        monkeypatch.setattr(
+            _SubjectMoments, "evaluate", counting("evaluate", _SubjectMoments.evaluate)
+        )
+        ds = logistic_panel(np.random.default_rng(7), n=400)
+        aux = AuxiliaryInfo(two_group_partition(), (np.full(3, 0.4), np.full(3, 0.6)))
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
+        options = FitOptions(two_step=two_step)
+        res = fit(cfg, ds, options=options)
+        assert res.converged and res.iterations > 0
+        profile_test(cfg, ds, [1], [-0.3], options=options, unrestricted=res)
+        assert counts["evaluate"] > res.iterations
+        assert counts["link_terms"] == counts["evaluate"]
+
+
+def binary_panel(n, rng, rho=0.5):
+    """Binary panel with exactly logistic marginals: CS-normal x_1,
+    Bernoulli x_2 and Y_j = 1{Phi(Z_j) < expit(eta_j)}, Z CS-normal."""
+    q = 3
+    chol = np.linalg.cholesky(correlation_matrix(CS, q, rho))
+    x1 = rng.standard_normal((n, q)) @ chol.T
+    x2 = rng.integers(0, 2, size=n).astype(float)
+    mean = expit(0.5 * x1 - 0.5 * x2[:, None])
+    y = (ndtr(rng.standard_normal((n, q)) @ chol.T) < mean).astype(float)
+    x = np.stack([x1, np.repeat(x2[:, None], q, axis=1)], axis=2)
+    return LongitudinalDataset(y, x)
+
+
+class TestInitialEstimate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logit_start_stops_early_at_the_capped_value(self, monkeypatch, seed):
+        """Fisher scoring stops once its step falls below STEP_TOL, and the
+        start equals the one after all FISHER_STEPS steps."""
+        ds = binary_panel(3000, np.random.default_rng(seed))
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), None)
+        calls = []
+        mean_curve = qifaux.estimator.mean_curve
+
+        def counting(spec, eta):
+            calls.append(1)
+            return mean_curve(spec, eta)
+
+        monkeypatch.setattr(qifaux.estimator, "mean_curve", counting)
+        start = initial_estimate(cfg, ds)
+        steps = len(calls)
+        # a zero tolerance never stops early: all FISHER_STEPS steps
+        monkeypatch.setattr(qifaux.estimator, "STEP_TOL", 0.0)
+        capped = initial_estimate(cfg, ds)
+        assert len(calls) - steps == qifaux.estimator.FISHER_STEPS
+        assert steps < qifaux.estimator.FISHER_STEPS
+        assert_relative(start, capped, rtol=1e-13)
 
 
 class TestProfileTest:
