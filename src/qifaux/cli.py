@@ -79,6 +79,11 @@ def _parse_phi_file(path, n_groups, q):
                     f"--phi {path}: line {line_number}: phi vector has "
                     f"{phi.size} entries, need q={q}"
                 )
+            if not np.isfinite(phi).all():
+                raise ValueError(
+                    f"--phi {path}: line {line_number}: phi vector {line!r} "
+                    "has a non-finite entry"
+                )
             phis.append(phi)
     if len(phis) != n_groups:
         raise ValueError(f"phi file defines {len(phis)} vectors for {n_groups} subgroups")

@@ -44,9 +44,11 @@ class MalformedRow(QifauxError, ValueError):
 class UnbalancedSubject(QifauxError, ValueError):
     """A subject has contradictory rows (duplicate time index)."""
 
-    def __init__(self, subject_id):
+    def __init__(self, subject_id, line_number=None):
         self.subject_id = subject_id
-        super().__init__(f"subject {subject_id!r} has duplicate time indices")
+        self.line_number = line_number
+        where = "" if line_number is None else f"line {line_number}: "
+        super().__init__(f"{where}subject {subject_id!r} has duplicate time indices")
 
 
 class EmptyDataset(QifauxError, ValueError):

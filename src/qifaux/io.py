@@ -13,7 +13,8 @@ import io as _stdio
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import chain, compress, islice
 
 import numpy as np
 from scipy import stats
@@ -30,6 +31,9 @@ from .model import LongitudinalDataset
 from .simulation import MonteCarloSummary
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "."}
+# data rows parsed per block: columns are built a block at a time, so the
+# per-row lists live only as long as their block
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -53,15 +57,110 @@ class LoadResult:
         return len(self.dropped)
 
 
-def _parse_cell(token, line_number, column):
+def _parse_cell(token, column):
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         token = token.strip()
         if token.lower() in _MISSING_TOKENS:
             return math.nan
-        raise MalformedRow(line_number, f"non-numeric value {token!r} in {column!r}")
-    return value if math.isfinite(value) else math.nan
+        raise ValueError(f"non-numeric value {token!r} in {column!r}") from None
+
+
+def _parse_block(rows, width, at_sid, at_time, cell_columns, q):
+    """Columns of one block of data rows, cut before its first bad row.
+
+    Each rule is checked only over the rows that passed the rules before
+    it, so the earliest bad row wins and, within a row, the earlier rule.
+    Returns the ids, the times, the (rows, columns) cells and the bad row's
+    ``(index, message)``, or None.
+    """
+    error, limit = None, len(rows)
+
+    def fail(i, message):
+        nonlocal error, limit
+        error, limit = (int(i), message), int(i)
+
+    lengths = list(map(len, rows))
+    if lengths.count(width) != limit:
+        i = next(i for i, n in enumerate(lengths) if n != width)
+        fail(i, f"row has {lengths[i]} fields, header has {width}")
+    flat = list(chain.from_iterable(rows[:limit]))
+    ids = list(map(str.strip, flat[at_sid::width]))
+    if "" in ids:
+        fail(ids.index(""), "empty subject id")
+
+    tokens = flat[at_time : limit * width : width]
+    try:
+        ints = list(map(int, tokens))
+    except ValueError:
+        i, _ = _first_rejected(int, tokens)
+        fail(i, f"non-integer time index {tokens[i].strip()!r}")
+        ints = list(map(int, tokens[:limit]))
+    try:
+        times = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        # exact Python ints, so that huge indices still compare and repeat
+        times = np.array(ints, dtype=object)
+    low = np.flatnonzero(times < 1)
+    if low.size:
+        fail(low[0], f"time index {ints[low[0]]} must be >= 1")
+    if q is not None:
+        high = np.flatnonzero(times[:limit] > q)
+        if high.size:
+            fail(high[0], f"time index {ints[high[0]]} exceeds q={q}")
+
+    columns = []
+    for j, column in cell_columns:
+        tokens = flat[j : limit * width : width]
+        try:
+            values = np.array(list(map(float, tokens)))
+        except ValueError:
+            # a missing token is NaN; anything else that float rejects is bad
+            parse = partial(_parse_cell, column=column)
+            rejected = _first_rejected(parse, tokens)
+            if rejected is not None:
+                fail(rejected[0], str(rejected[1]))
+            values = np.array(list(map(parse, tokens[:limit])))
+        columns.append(values)
+    cells = np.column_stack([values[:limit] for values in columns])
+    cells[~np.isfinite(cells)] = np.nan
+    return ids[:limit], times[:limit], cells, error
+
+
+def _first_rejected(convert, tokens):
+    """The index of the first token ``convert`` rejects and its error, or None."""
+    for i, token in enumerate(tokens):
+        try:
+            convert(token)
+        except ValueError as err:
+            return i, err
+    return None
+
+
+def _first_duplicate(slot, time):
+    """Index of the first row repeating an earlier row's (slot, time), or None."""
+    order = np.lexsort((time, slot))
+    slot, time = slot[order], time[order]
+    again = (slot[1:] == slot[:-1]) & (time[1:] == time[:-1])
+    # lexsort is stable: within a repeated pair the first row sorts first
+    return int(order[1:][again].min()) if again.any() else None
+
+
+def _line_of(text, row):
+    """The line on which data row ``row`` (0-based, blank rows skipped) ends."""
+    reader = csv.reader(_stdio.StringIO(text))
+    next(reader)
+    next(islice(filter(None, reader), row, None))
+    return reader.line_num
+
+
+def _rows_until_error(reader, broken):
+    """The reader's rows; a csv.Error ends them and is kept in ``broken``."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        broken.append(err)
 
 
 def load_dataset(path, schema: ColumnSchema) -> LoadResult:
@@ -73,7 +172,17 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     Subjects missing any of the q time points, or with any missing cell,
     are dropped and reported. Duplicate time indices within a subject,
     unparseable values and rows whose field count differs from the
-    header's are errors; with several, the earliest line's is raised.
+    header's are errors; with several, the earliest line's is raised, and
+    within a line the field count, the id, the time index, the cells (in
+    column order) and then the duplicate.
+
+    The rows are parsed a block of ``BLOCK_ROWS`` at a time, column by
+    column: each numeric column is converted with one call and each rule
+    is one check over the block, and only a failed check looks for its
+    row and line. Duplicates are checked over every row up to the first
+    bad one. The value array holds only subjects with q rows, the only
+    ones that can be complete, so memory is bounded by the rows read
+    whatever the time indices are.
     """
     if hasattr(path, "read"):
         text = path.read()
@@ -90,55 +199,61 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     for column in needed:
         if column not in position:
             raise MalformedRow(1, f"missing column {column!r} in header")
-    at_sid, at_time = position[schema.subject], position[schema.time]
-    cell_columns = [(position[c], c) for c in needed[2:]]
+    parse_block = partial(
+        _parse_block,
+        width=len(header),
+        at_sid=position[schema.subject],
+        at_time=position[schema.time],
+        cell_columns=[(position[c], c) for c in needed[2:]],
+        q=schema.q,
+    )
 
-    # one entry per row: the subject's slot in first-appearance order, the
-    # 0-based time, and the response followed by the covariates
-    slots, seen, row_slot, row_time, row_cells = {}, set(), [], [], []
-    for fields in reader:
-        if not fields:
-            continue
-        line_number = reader.line_num
-        if len(fields) != len(header):
-            raise MalformedRow(
-                line_number, f"row has {len(fields)} fields, header has {len(header)}"
-            )
-        sid = fields[at_sid].strip()
-        if not sid:
-            raise MalformedRow(line_number, "empty subject id")
-        time_token = fields[at_time].strip()
-        try:
-            t = int(time_token)
-        except ValueError:
-            raise MalformedRow(line_number, f"non-integer time index {time_token!r}")
-        if t < 1:
-            raise MalformedRow(line_number, f"time index {t} must be >= 1")
-        if schema.q is not None and t > schema.q:
-            raise MalformedRow(line_number, f"time index {t} exceeds q={schema.q}")
-        cells = [_parse_cell(fields[j], line_number, c) for j, c in cell_columns]
-        slot = slots.setdefault(sid, len(slots))
-        if (slot, t) in seen:
-            raise UnbalancedSubject(sid)
-        seen.add((slot, t))
-        row_slot.append(slot)
-        row_time.append(t - 1)
-        row_cells.append(cells)
+    # a csv.Error ranks after every row read before it
+    broken = []
+    rows = _rows_until_error(reader, broken)
+    ids, times, cells, error = [], [], [], None
+    while error is None and (block := list(islice(rows, BLOCK_ROWS))):
+        block_ids, block_times, block_cells, error = parse_block(list(filter(None, block)))
+        if error is not None:
+            error = (len(ids) + error[0], error[1])
+        ids += block_ids
+        times.append(block_times)
+        cells.append(block_cells)
 
-    if not slots:
+    index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
+    slot = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+    time = np.concatenate(times) if times else np.zeros(0, np.int64)
+    row = _first_duplicate(slot, time)
+    if row is not None:
+        raise UnbalancedSubject(ids[row], _line_of(text, row))
+    if error is not None:
+        raise MalformedRow(_line_of(text, error[0]), error[1])
+    if broken:
+        raise broken[0]
+    if not ids:
         raise EmptyDataset("file contains no data rows")
-    q = schema.q if schema.q is not None else max(row_time) + 1
-    # a time point nobody filled stays NaN, so it marks its subject
-    # incomplete just like a missing cell does
-    grid = np.full((len(slots), q, len(cell_columns)), np.nan)
-    grid[row_slot, row_time] = row_cells
-    complete = ~np.isnan(grid).any(axis=(1, 2))
+
+    q = schema.q if schema.q is not None else int(time.max())
+    # with duplicates rejected and 1 <= t <= q, only a subject with q rows
+    # can be complete, so only those get a slot in the grid: it never holds
+    # more values than the rows read, whatever the time indices are
+    complete = np.zeros(len(index), bool)
+    if q <= len(ids):
+        complete = np.bincount(slot, minlength=len(index)) == q
+        kept = complete[slot]
+        cells = np.concatenate(cells)
+        grid = np.full((np.count_nonzero(complete), q, cells.shape[1]), np.nan)
+        at = (np.cumsum(complete) - 1)[slot[kept]], time[kept].astype(np.intp) - 1
+        grid[at] = cells[kept]
+        # a kept subject fills every time point, so a NaN is a missing cell
+        full = ~np.isnan(grid).any(axis=(1, 2))
+        complete[complete] = full
     if not complete.any():
         raise EmptyDataset("no subject has complete data")
     dataset = LongitudinalDataset(
-        grid[complete, :, 0], grid[complete, :, 1:], tuple(compress(slots, complete))
+        grid[full, :, 0], grid[full, :, 1:], tuple(compress(index, complete))
     )
-    return LoadResult(dataset, tuple(compress(slots, ~complete)))
+    return LoadResult(dataset, tuple(compress(index, ~complete)))
 
 
 def write_dataset(dataset: LongitudinalDataset, path, schema: ColumnSchema | None = None):

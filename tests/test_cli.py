@@ -243,6 +243,20 @@ def test_bad_phi_entry_names_file_and_line(data_file, tmp_path, capsys):
     assert f"error: --phi {phi}: line 2: could not convert string to float: 'x'" in err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity"])
+def test_non_finite_phi_entry_names_file_and_line(data_file, tmp_path, capsys, entry):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,2] == 1\ncol[1,2] == 0\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text(f"-0.5,-0.5,-0.5\n{entry},0,0\n")
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", str(phi),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --phi {phi}: line 2: phi vector '{entry},0,0' has a non-finite entry" in err
+
+
 def test_bad_predicate_names_file_and_line(data_file, tmp_path, capsys):
     groups = tmp_path / "groups.txt"
     groups.write_text("col[1,2] == 1\n\ncol[1,2] > 0\n")

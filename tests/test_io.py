@@ -1,8 +1,11 @@
 """File ingestion, standardization, splitting and report round-trips."""
 
+import csv
 import dataclasses
 import io as stdio
 import string
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from qifaux import (
     InvalidSize,
     LongitudinalDataset,
     MalformedRow,
+    QifauxError,
     SimulationDesign,
     SubgroupPartition,
     UnbalancedSubject,
@@ -34,10 +38,12 @@ from qifaux import (
     standardize_columns,
     write_dataset,
 )
+from qifaux import io as qio
 from qifaux.estimator import ExtendedScoreConfig, fit
 from qifaux.basis import build_basis
 from qifaux.model import MarginalModelSpec
 from qifaux.simulation import AuxMode, PhiSource, run_monte_carlo
+from reference_loader import load_dataset_by_rows
 
 SCHEMA = ColumnSchema("id", "time", "y", ("x1", "x2"))
 
@@ -49,6 +55,73 @@ b,1,-0.1,0.5,1.0
 b,2,-0.2,0.0,1.0
 b,3,-0.3,-0.5,1.0
 """
+
+_ID_TOKENS = st.text('ab ,"\n', max_size=3)
+_TIME_TOKENS = ["0", "-1", "x", "", " 2 ", "1.0", "+3", "4", "9", "2000000000000", str(2**64), str(-(2**70))]
+_CELL_TOKENS = ["", "na", "NaN", " NULL ", ".", "inf", "-inf", "oops", " 1.5 ", "1e400", "-0.0", "1_0"]
+
+
+@st.composite
+def malformed_files(draw):
+    """A long-format file with a few broken rows, and a schema for it.
+
+    Ids may hold commas, quotes and newlines (so rows span lines), and rows
+    may be missing, repeated, shuffled, short, long or preceded by blank
+    lines; times and cells come from pools of bad, huge, out-of-range and
+    missing tokens, and q is pinned or inferred.
+    """
+    q = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 2))
+    ids = draw(
+        st.lists(_ID_TOKENS.filter(str.strip), min_size=1, max_size=4, unique_by=str.strip)
+    )
+    value = st.sampled_from(["0.5", "-1", "2.25", "1e-3"])
+    rows = [
+        [sid, str(t), *(draw(value) for _ in range(p + 1))]
+        for sid in ids
+        for t in range(1, q + 1)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["drop", "repeat", "time", "cell", "id", "long", "short"]))
+        if kind == "drop" and len(rows) > 1:
+            rows.remove(row)
+        elif kind == "repeat":
+            rows.append(list(row))
+        elif kind == "time":
+            row[1] = draw(st.sampled_from(_TIME_TOKENS))
+        elif kind == "cell":
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(_CELL_TOKENS))
+        elif kind == "id":
+            row[0] = draw(_ID_TOKENS)
+        elif kind == "long":
+            row.append("0")
+        elif kind == "short" and len(row) == p + 3:
+            row.pop()
+    rows = draw(st.permutations(rows))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = stdio.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(["id", "time", "y", *(f"x{j + 1}" for j in range(p))])
+    for row in rows:
+        buf.write(end * draw(st.integers(0, 1)))
+        writer.writerow(row)
+    schema = ColumnSchema(
+        covariates=tuple(f"x{j + 1}" for j in range(p)),
+        q=draw(st.none() | st.just(q) | st.integers(1, 4)),
+    )
+    return buf.getvalue(), schema
+
+
+def _outcome(loader, text, schema):
+    """Everything a load gives back, comparable with ==."""
+    try:
+        out = loader(stdio.StringIO(text), schema)
+    except (QifauxError, csv.Error) as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+    ds = out.dataset
+    arrays = tuple((a.shape, a.tobytes()) for a in (ds.responses, ds.covariates))
+    return arrays, ds.subject_ids, out.dropped
 
 
 class TestLoadDataset:
@@ -123,30 +196,29 @@ class TestLoadDataset:
             load_dataset(stdio.StringIO("id,time,y,x1\n"), SCHEMA)
 
     @pytest.mark.parametrize(
-        "edits, error, attribute, value",
+        "edits, error, attributes",
         [
             (
                 [("a,3,0.3,", "a,1,0.3,"), ("b,2,-0.2,", "b,2,oops,")],
                 UnbalancedSubject,
-                "subject_id",
-                "a",
+                {"subject_id": "a", "line_number": 4},
             ),
             (
                 [("a,2,0.2,", "a,2,oops,"), ("b,1,", "b,x,")],
                 MalformedRow,
-                "line_number",
-                3,
+                {"line_number": 3},
             ),
         ],
         ids=["duplicate-line4-before-cell-line6", "cell-line3-before-time-line5"],
     )
-    def test_earliest_error_line_wins(self, edits, error, attribute, value):
+    def test_earliest_error_line_wins(self, edits, error, attributes):
         text = CLEAN
         for old, new in edits:
             text = text.replace(old, new)
         with pytest.raises(error) as err:
             load_dataset(stdio.StringIO(text), SCHEMA)
-        assert getattr(err.value, attribute) == value
+        for attribute, value in attributes.items():
+            assert getattr(err.value, attribute) == value
 
     def test_interleaved_rows_assemble_in_first_appearance_order(self):
         lines = CLEAN.splitlines()
@@ -165,6 +237,79 @@ class TestLoadDataset:
         assert out.dataset.q == 3
         assert out.dropped == ("c",)
         assert out.dataset.subject_ids == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "stray",
+        [3000, 2_000_000_000_000, 10**30],
+        ids=["below-row-count", "beyond-memory", "beyond-int64"],
+    )
+    def test_stray_time_index_allocates_nothing(self, stray):
+        # 1500 complete subjects and one row far beyond their q: the inferred
+        # q leaves no subject complete, so nothing the size of q is built
+        rows = [f"s{i},{t},0.5,1.0,0.0" for i in range(1500) for t in (1, 2, 3)]
+        text = "\n".join(["id,time,y,x1,x2", *rows, f"stray,{stray},0.5,1.0,0.0"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(EmptyDataset, match="no subject has complete data"):
+                load_dataset(stdio.StringIO(text), SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_repeated_huge_time_index_is_a_duplicate(self):
+        huge = 10**30
+        text = CLEAN + f"c,{huge},1,1,1\nc,{huge + 1},1,1,1\n\nc,{huge},1,1,1\n"
+        with pytest.raises(UnbalancedSubject, match="^line 11: subject 'c'") as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert err.value.line_number == 11
+        text = CLEAN + f"c,{-huge},1,1,1\n"
+        with pytest.raises(MalformedRow, match=f"time index {-huge} must be >= 1"):
+            load_dataset(stdio.StringIO(text), SCHEMA)
+
+    def test_csv_error_ranks_after_the_rows_before_it(self):
+        # a bare carriage return inside an unquoted field stops csv.reader
+        broken = "c,1,1\rz,1,1\n"
+        with pytest.raises(csv.Error, match="new-line character"):
+            load_dataset(stdio.StringIO(CLEAN + broken), SCHEMA)
+        text = CLEAN.replace("b,3,", "b,x,") + broken
+        with pytest.raises(MalformedRow, match="^line 7: non-integer time index 'x'"):
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        text = CLEAN.replace("b,3,", "b,1,") + broken
+        with pytest.raises(UnbalancedSubject, match="^line 7: subject 'b'"):
+            load_dataset(stdio.StringIO(text), SCHEMA)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("duplicate", "cell"), ("cell", "duplicate")],
+        ids=["duplicate-in-block1-before-cell-in-block2", "cell-in-block1-before-duplicate-in-block2"],
+    )
+    def test_error_straddling_a_block_boundary(self, first, second):
+        n = qio.BLOCK_ROWS // 3 + 10
+        rows = [[f"s{i}", str(t), "0.5", "1.0", "0.0"] for i in range(n) for t in (1, 2, 3)]
+        last = qio.BLOCK_ROWS - 1  # the last row of the first block
+        for k, kind in ((last, first), (last + 1, second)):
+            if kind == "duplicate":
+                rows[k][:2] = rows[0][:2]
+            else:
+                rows[k][3] = "oops"
+        buf = stdio.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["id", "time", "y", "x1", "x2"], *rows])
+        text = buf.getvalue()
+        error = UnbalancedSubject if first == "duplicate" else MalformedRow
+        with pytest.raises(error) as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        # the header is line 1 and there are no blank lines
+        assert err.value.line_number == last + 2
+        assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=malformed_files(), block=st.sampled_from([1, 2, 3, 7, qio.BLOCK_ROWS]))
+    def test_matches_row_by_row_reference(self, case, block):
+        text, schema = case
+        with mock.patch.object(qio, "BLOCK_ROWS", block):
+            got = _outcome(load_dataset, text, schema)
+        assert got == _outcome(load_dataset_by_rows, text, schema)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
