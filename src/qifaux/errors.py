@@ -29,6 +29,15 @@ class RankDeficient(QifauxError, RuntimeError):
     """Moment Jacobian lost rank; the parameter is not identified."""
 
 
+class NotConverged(QifauxError, RuntimeError):
+    """A restricted solve stopped before its convergence rules were met."""
+
+    def __init__(self, iterations, flat):
+        self.iterations = iterations
+        why = "no achievable decrease of Q_n" if flat else "reached MAX_ITER"
+        super().__init__(f"restricted solve unconverged at iteration {iterations}: {why}")
+
+
 class TooManyFailures(QifauxError, RuntimeError):
     """More than the tolerated share of Monte Carlo replications failed."""
 

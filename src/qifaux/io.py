@@ -12,6 +12,7 @@ import csv
 import io as _stdio
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
@@ -148,10 +149,11 @@ def _first_duplicate(slot, time):
 
 
 def _line_of(text, row):
-    """The line on which data row ``row`` (0-based, blank rows skipped) ends."""
+    """The line where data row ``row`` (0-based, no blank rows) ends or the reader fails."""
     reader = csv.reader(_stdio.StringIO(text))
-    next(reader)
-    next(islice(filter(None, reader), row, None))
+    with suppress(csv.Error):
+        next(reader)
+        next(islice(filter(None, reader), row, None))
     return reader.line_num
 
 
@@ -190,7 +192,10 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     reader = csv.reader(_stdio.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise MalformedRow(_line_of(text, 0), str(err)) from err
     if header is None:
         raise EmptyDataset("file has no header")
     # a repeated header name refers to its last column
@@ -229,7 +234,7 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     if error is not None:
         raise MalformedRow(_line_of(text, error[0]), error[1])
     if broken:
-        raise broken[0]
+        raise MalformedRow(_line_of(text, len(ids)), str(broken[0])) from broken[0]
     if not ids:
         raise EmptyDataset("file contains no data rows")
 

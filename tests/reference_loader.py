@@ -6,7 +6,8 @@ dataset and ``dropped``, or the same error class, message and line. It
 differs from the loop it copies in two marked places, the two intended
 changes of the columnar loader: a duplicate names its line, and an
 inferred q beyond the rows read is an empty dataset instead of an attempt
-to allocate a grid of that many time points.
+to allocate a grid of that many time points. Like the columnar loader, it
+raises the CSV reader's own error as a MalformedRow naming its line.
 """
 
 import csv
@@ -32,6 +33,14 @@ def _parse_cell(token, line_number, column):
     return value if math.isfinite(value) else math.nan
 
 
+def _rows(reader):
+    """The reader's rows; its own error becomes a MalformedRow on its line."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise MalformedRow(reader.line_num, str(err)) from err
+
+
 def load_dataset_by_rows(path, schema):
     if hasattr(path, "read"):
         text = path.read()
@@ -39,7 +48,8 @@ def load_dataset_by_rows(path, schema):
         with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = _rows(reader)
+    header = next(rows, None)
     if header is None:
         raise EmptyDataset("file has no header")
     position = {name: j for j, name in enumerate(header)}
@@ -51,7 +61,7 @@ def load_dataset_by_rows(path, schema):
     cell_columns = [(position[c], c) for c in needed[2:]]
 
     slots, seen, row_slot, row_time, row_cells = {}, set(), [], [], []
-    for fields in reader:
+    for fields in rows:
         if not fields:
             continue
         line_number = reader.line_num

@@ -166,6 +166,17 @@ def test_short_csv_row_exits_nonzero(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_csv_reader_error_exits_nonzero(tmp_path, capsys):
+    # a bare carriage return inside an unquoted field on line 2
+    data = tmp_path / "cr.csv"
+    data.write_bytes(b"id,time,y,x1,x2\na,1,1,1\r2,1\n")
+    code = main(["fit", "--data", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: new-line character")
+    assert "Traceback" not in err
+
+
 def test_predicate_outside_data_exits_nonzero(data_file, tmp_path, capsys):
     groups = tmp_path / "groups.txt"
     groups.write_text("col[5,1] >= 0\ncol[5,1] < 0\n")

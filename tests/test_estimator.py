@@ -15,6 +15,8 @@ from qifaux import (
     FitOptions,
     LongitudinalDataset,
     MarginalModelSpec,
+    NotConverged,
+    QifauxError,
     RankDeficient,
     SingularWeightMatrix,
     SubgroupPartition,
@@ -37,7 +39,7 @@ from qifaux import (
     weight_matrix,
 )
 import qifaux.estimator
-from qifaux.simulation import SimulationDesign
+from qifaux.simulation import SimulationDesign, _method_aux
 
 GAUSS = MarginalModelSpec.gaussian()
 BERN = MarginalModelSpec.bernoulli()
@@ -557,7 +559,7 @@ def per_subject_half_gradient(assembler, beta, w_inv, frozen):
     derivative: (1/n) sum_i (1 - g_i' W g) T_i' W g.
     """
     g, contribs = assembler.moments(beta)
-    tensor = assembler.contribution_jacobians(beta)
+    tensor = assembler._jacobians(*assembler._link_terms(beta)[1:])
     u = w_inv @ g
     per_subject = np.einsum("ndp,d->np", tensor, u)
     if frozen:
@@ -772,6 +774,115 @@ def binary_panel(n, rng, rho=0.5):
     return LongitudinalDataset(y, x)
 
 
+def paper_problem(method, seed, r=0, n=300):
+    """Replication r of the paper's design as run_monte_carlo builds it."""
+    design = SimulationDesign(n=n, beta_true=(0.5, -0.5), seed=seed, replications=r + 1)
+    ds = generate_dataset(design, replication_rng(seed, r, 0))
+    return ExtendedScoreConfig(GAUSS, build_basis(CS, 3), _method_aux(method, design, r)), ds
+
+
+def gauss_newton_direction(model, point, free, continuous):
+    """Reference: the solver's direction with Gauss-Newton steps only."""
+    jac, half_grad = model.derivatives(point, point.w_inv @ point.g, continuous)
+    free_jac = jac[:, free]
+    score = half_grad[free]
+    step = -np.linalg.solve(free_jac.T @ point.w_inv @ free_jac, score)
+    return jac, step, float(np.abs(score).max())
+
+
+class TestNewtonStep:
+    """Exact Hessian of the identity-link CUE objective and the Newton
+    steps it drives in restricted solves."""
+
+    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4"])
+    def test_hessian_matches_central_differences(self, method):
+        from qifaux.estimator import _AffineMoments, _build_assembler
+
+        cfg, ds = paper_problem(method, seed=1003)
+        assembler, _ = _build_assembler(cfg, ds, FitOptions())
+        rng = np.random.default_rng(7)
+        model = _AffineMoments(assembler, np.array([0.5, -0.5]) + 0.1 * rng.standard_normal(2))
+
+        def half_grad(beta):
+            point = model.evaluate(beta)
+            return model.derivatives(point, point.w_inv @ point.g, True)[1]
+
+        h = 1e-5
+        for _ in range(3):
+            # off the optimum, where the weight-derivative terms are large
+            beta = np.array([0.5, -0.5]) + 0.3 * rng.standard_normal(2)
+            point = model.evaluate(beta)
+            if method == "gmmai4":
+                # the x_2 score rows are proportional: Sigma_n has rank 15 of 16
+                assert point.rank == point.g.shape[0] - 1
+            hess = model.hessian(point, point.w_inv @ point.g)
+            fd = np.column_stack(
+                [(half_grad(beta + e) - half_grad(beta - e)) / (2 * h) for e in h * np.eye(2)]
+            )
+            assert_relative(hess, fd, rtol=1e-7)
+            assert_relative(hess, hess.T, rtol=1e-12)
+
+    def test_formerly_creeping_restricted_solve_converges(self, monkeypatch):
+        # gmmai4 under the false null beta_2 = 0 in replication 0 of design
+        # 1014: Gauss-Newton used up all MAX_ITER = 100 iterations here
+        from qifaux.estimator import _AffineMoments, _build_assembler, _minimize
+
+        cfg, ds = paper_problem("gmmai4", seed=1014)
+        beta_start = fit(cfg, ds).beta_hat.copy()
+        beta_start[1] = 0.0
+        assembler, _ = _build_assembler(cfg, ds, FitOptions())
+        free = np.array([0])
+        sol = _minimize(assembler, beta_start, free, FitOptions())
+        assert sol.converged and sol.iterations <= 10
+        model = _AffineMoments(assembler, sol.beta)
+        point = model.evaluate(sol.beta)
+        _, half_grad = model.derivatives(point, point.w_inv @ point.g, True)
+        assert abs(half_grad[0]) < 1e-8
+
+        monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
+        creeping = _minimize(assembler, beta_start, free, FitOptions())
+        assert not creeping.converged
+        assert creeping.iterations == qifaux.estimator.MAX_ITER
+        assert sol.objective < creeping.objective
+
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4", "logit"])
+    def test_fits_and_other_profile_tests_take_gauss_newton_steps(
+        self, monkeypatch, method, two_step
+    ):
+        """Newton steps are for continuously-updated identity-link
+        restricted solves only: fits, two-step profile tests and logit
+        profile tests equal the Gauss-Newton-only solver bit for bit."""
+        if method == "logit":
+            rng = np.random.default_rng(11)
+            ds = logistic_panel(rng)
+            phi = tuple(rng.uniform(0.35, 0.65, 3) for _ in range(2))
+            cfg = ExtendedScoreConfig(
+                BERN, build_basis(CS, 3), AuxiliaryInfo(two_group_partition(), phi)
+            )
+        else:
+            cfg, ds = paper_problem(method, seed=1014)
+        options = FitOptions(two_step=two_step)
+        # Gauss-Newton creeps on the continuously-updated identity-link
+        # restricted solve of this false null: only the fit is compared there
+        with_test = method == "logit" or two_step
+
+        def run():
+            res = fit(cfg, ds, options=options)
+            if not with_test:
+                return res, None
+            return res, profile_test(cfg, ds, [1], [0.0], options=options, unrestricted=res)
+
+        res, test = run()
+        monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
+        ref_res, ref_test = run()
+        for field in ("beta_hat", "covariance", "objective", "iterations", "iterates"):
+            np.testing.assert_array_equal(getattr(res, field), getattr(ref_res, field))
+        if with_test:
+            np.testing.assert_array_equal(test.beta_restricted, ref_test.beta_restricted)
+            assert test.statistic == ref_test.statistic
+
+
 class TestInitialEstimate:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_logit_start_stops_early_at_the_capped_value(self, monkeypatch, seed):
@@ -839,6 +950,20 @@ class TestProfileTest:
             values.append(out.statistic)
         ks = stats.kstest(np.array(values), "chi2", args=(2,))
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "constant, value, reason",
+        [("MAX_ITER", 1, "reached MAX_ITER"), ("MAX_HALVINGS", -1, "no achievable decrease")],
+    )
+    def test_unconverged_restricted_solve_raises(self, monkeypatch, constant, value, reason):
+        # the Newton solve of this restricted problem takes 6 iterations
+        cfg, ds = paper_problem("gmmai4", seed=1014)
+        res = fit(cfg, ds)
+        monkeypatch.setattr(qifaux.estimator, constant, value)
+        with pytest.raises(NotConverged, match=f"at iteration 1: {reason}") as err:
+            profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        assert err.value.iterations == 1
+        assert isinstance(err.value, QifauxError)
 
     def test_index_validation(self):
         design = SimulationDesign(n=100, seed=25, replications=1)

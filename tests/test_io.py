@@ -117,7 +117,7 @@ def _outcome(loader, text, schema):
     """Everything a load gives back, comparable with ==."""
     try:
         out = loader(stdio.StringIO(text), schema)
-    except (QifauxError, csv.Error) as err:
+    except QifauxError as err:
         return type(err), str(err), getattr(err, "line_number", None)
     ds = out.dataset
     arrays = tuple((a.shape, a.tobytes()) for a in (ds.responses, ds.covariates))
@@ -270,7 +270,7 @@ class TestLoadDataset:
     def test_csv_error_ranks_after_the_rows_before_it(self):
         # a bare carriage return inside an unquoted field stops csv.reader
         broken = "c,1,1\rz,1,1\n"
-        with pytest.raises(csv.Error, match="new-line character"):
+        with pytest.raises(MalformedRow, match="^line 8: new-line character"):
             load_dataset(stdio.StringIO(CLEAN + broken), SCHEMA)
         text = CLEAN.replace("b,3,", "b,x,") + broken
         with pytest.raises(MalformedRow, match="^line 7: non-integer time index 'x'"):
@@ -278,6 +278,29 @@ class TestLoadDataset:
         text = CLEAN.replace("b,3,", "b,1,") + broken
         with pytest.raises(UnbalancedSubject, match="^line 7: subject 'b'"):
             load_dataset(stdio.StringIO(text), SCHEMA)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("id,time,y,x1,x2\na,1,1,1\r2,1\n", 2),
+            (CLEAN + "\n\nc,1,1\r,1,1\n", 10),
+            ("id,ti\rme,y,x1,x2\n" + CLEAN[15:], 1),
+        ],
+        ids=["first-row", "after-blank-lines", "header"],
+    )
+    def test_bare_carriage_return_is_malformed(self, text, line):
+        with pytest.raises(MalformedRow, match="new-line character") as err:
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert err.value.line_number == line
+
+    def test_oversized_field_is_malformed(self):
+        limit = csv.field_size_limit()
+        text = CLEAN + f'c,1,"{"9" * (limit + 1)}",1,1\n'
+        with pytest.raises(MalformedRow, match="^line 8: field larger than field limit"):
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        # a field at the limit is read, and parsed as a number
+        out = load_dataset(stdio.StringIO(CLEAN + f"c,1,{'0' * limit},1,1\n"), SCHEMA)
+        assert out.dropped == ("c",)
 
     @pytest.mark.parametrize(
         "first, second",
