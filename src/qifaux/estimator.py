@@ -19,16 +19,16 @@ g_i(beta) = g_i(beta0) + T_i (beta - beta0), so with Z_i = [g_i(beta0) | T_i]
 and w = (1, beta - beta0) the solver needs only the mean and the Gram
 matrix of the Z_i: g_n = mean(Z) w, Sigma_n = (1/n) sum_i Z_i w w' Z_i',
 G_n = mean(T), and the gradient above in closed form (Hansen, Heaton and
-Yaron 1996). One pass at the start value builds them at a cost of
-O(n d^2 (p+1)^2); every iteration after it is free of n. That
-pass replaces an O(n d^2) weight update per objective evaluation, so its
-advantage narrows as p grows. Other links recompute the per-subject
-contributions at each evaluation and take the same gradient with the exact
-contribution Jacobian, contracted with Sigma^{-1} g_n before the sum over
-subjects. The Gauss-Newton metric and the plug-in covariance use the
+Yaron 1996). A fit makes one O(n d^2 (p+1)^2) pass at its start value and the
+profile tests of a fit share one at its estimate; every iteration after a
+pass is free of n. It replaces an O(n d^2) weight update per objective
+evaluation, so its advantage narrows as p grows. Other links recompute the
+per-subject contributions at each evaluation and take the same gradient with
+the exact contribution Jacobian, contracted with Sigma^{-1} g_n before the
+sum over subjects. The Gauss-Newton metric and the plug-in covariance use the
 truncated mean Jacobian G_n under both links; restricted identity-link CUE
-solves step with the exact, n-free Hessian where it is positive definite,
-as that metric misses the weight-derivative curvature a false null brings.
+solves step with the exact, n-free Hessian where it is positive definite, as
+that metric misses the weight-derivative curvature a false null brings.
 
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .auxiliary import AuxiliaryInfo
 from .basis import BasisSet
@@ -531,23 +531,23 @@ def _direction(model, point, free, continuous):
     return jac, -np.linalg.solve(normal, score), float(np.abs(score).max())
 
 
-def _minimize(assembler, beta0, free, options):
+def _model(assembler, beta0):
+    """One Gram pass at beta0 under the identity link, else per-subject moments."""
+    if assembler.spec.link is Link.IDENTITY:
+        return _AffineMoments(assembler, beta0)
+    return _SubjectMoments(assembler)
+
+
+def _minimize(model, beta0, free, options):
     """Newton or Gauss-Newton with step halving on Q_n over the free coordinates.
 
     The step preconditions the exact objective gradient with the inverse of
     the exact Hessian or of G' Sigma^{-1} G (``_direction``), both positive
     definite, so it is always a descent direction and the fixed point is a
     stationary point of the minimized objective (continuously-updating Q_n,
-    or the frozen-weight form in two-step mode). The link decides only how
-    the moments, weight and derivatives are produced: from sufficient
-    statistics under the identity link, from per-subject contributions
-    otherwise.
+    or the frozen-weight form in two-step mode) of ``model``, from ``_model``.
     """
     beta = np.asarray(beta0, dtype=float).copy()
-    if assembler.spec.link is Link.IDENTITY:
-        model = _AffineMoments(assembler, beta)
-    else:
-        model = _SubjectMoments(assembler)
     point = model.evaluate(beta)
     degraded = point.rank < point.g.shape[0]
     q_cur = point.objective()
@@ -624,7 +624,7 @@ def fit(
             raise ValueError(f"init must have shape ({dataset.p},)")
     # With every coordinate free, the solver has already checked that
     # this normal matrix is nonsingular at the solution.
-    sol = _minimize(assembler, beta0, np.arange(dataset.p), options)
+    sol = _minimize(_model(assembler, beta0), beta0, np.arange(dataset.p), options)
     normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
     covariance = np.linalg.inv(normal) / dataset.n
     covariance = (covariance + covariance.T) / 2.0
@@ -658,39 +658,52 @@ def profile_test(
     solve that stopped unconverged.
     """
     options = options or FitOptions()
+    indices, values = _hypothesis(constrained_indices, constrained_values, dataset.p)
+    if unrestricted is None:
+        unrestricted = fit(config, dataset, options=options)
+    elif np.shape(unrestricted.beta_hat) != (dataset.p,):
+        raise ValueError(f"unrestricted.beta_hat must have shape ({dataset.p},)")
+    assembler, _ = _build_assembler(config, dataset, options)
+    model = _model(assembler, unrestricted.beta_hat)
+    return _profile_test(model, dataset.n, unrestricted, indices, values, options)
+
+
+def _hypothesis(constrained_indices, constrained_values, p):
+    """(indices, values) arrays of a point null on distinct coordinates of p."""
     indices = np.asarray(constrained_indices, dtype=int)
     values = np.asarray(constrained_values, dtype=float)
-    p = dataset.p
     if indices.ndim != 1 or indices.size == 0 or indices.size != values.size:
         raise ValueError("need one value per constrained index")
     if len(set(indices.tolist())) != indices.size:
         raise ValueError("constrained indices must be distinct")
     if ((indices < 0) | (indices >= p)).any():
         raise ValueError(f"constrained indices must lie in 0..{p - 1}")
-    if unrestricted is None:
-        unrestricted = fit(config, dataset, options=options)
-    assembler, _ = _build_assembler(config, dataset, options)
+    return indices, values
+
+
+def _profile_test(model, n, unrestricted, indices, values, options):
+    """``profile_test`` on ``model``, the ``_model`` at the unrestricted estimate."""
     beta_start = unrestricted.beta_hat.copy()
     beta_start[indices] = values
-    free = np.setdiff1d(np.arange(p), indices)
+    free = np.setdiff1d(np.arange(beta_start.size), indices)
     if free.size == 0:
-        q_restricted = _SubjectMoments(assembler).evaluate(beta_start).objective()
+        q_restricted = model.evaluate(beta_start).objective()
         beta_restricted = beta_start
     else:
-        restricted = _minimize(assembler, beta_start, free, options)
+        restricted = _minimize(model, beta_start, free, options)
         if not restricted.converged:
             # the last step was refused exactly when it left no iterate
             flat = len(restricted.iterates) == restricted.iterations
             raise NotConverged(restricted.iterations, flat)
         beta_restricted, q_restricted = restricted.beta, restricted.objective
-    statistic = dataset.n * (q_restricted - unrestricted.objective)
+    statistic = n * (q_restricted - unrestricted.objective)
     clamped = statistic < 0
     statistic = max(statistic, 0.0)
     df = int(indices.size)
     return ProfileTestResult(
         statistic=float(statistic),
         df=df,
-        p_value=float(stats.chi2.sf(statistic, df)),
+        p_value=float(special.chdtrc(df, statistic)),
         beta_restricted=beta_restricted,
         beta_unrestricted=unrestricted.beta_hat,
         clamped=bool(clamped),
@@ -701,7 +714,7 @@ def wald_interval(result: FitResult, index: int, level: float = 0.95):
     """Normal-theory confidence interval for one coefficient."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)
     center = result.beta_hat[index]
     half = z * np.sqrt(result.covariance[index, index])
     return float(center - half), float(center + half)

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import chain, compress, islice
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     EmptyDataset,
@@ -388,7 +388,7 @@ def _fit_table(results: dict) -> str:
     for name, result in results.items():
         for j, (b, s) in enumerate(zip(result.beta_hat, result.se)):
             z = b / s if s > 0 else float("inf")
-            pv = 2.0 * stats.norm.sf(abs(z))
+            pv = 2.0 * special.ndtr(-abs(z))
             lines.append(
                 f"{name:<14}beta{j + 1:<4}{b:>12.4f}{s:>12.4f}{z:>10.2f}{pv:>12.4g}"
             )

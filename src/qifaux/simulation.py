@@ -27,8 +27,11 @@ from .errors import MalformedRow, QifauxError, TooManyFailures
 from .estimator import (
     ExtendedScoreConfig,
     FitOptions,
+    _build_assembler,
+    _hypothesis,
+    _model,
+    _profile_test,
     fit,
-    profile_test,
     wald_interval,
 )
 from .model import LongitudinalDataset, MarginalModelSpec
@@ -314,20 +317,15 @@ def _one_replication(r, design, methods, basis, spec, hypotheses, options):
             lo, hi = wald_interval(result, j, INTERVAL_LEVEL)
             covered[j] = lo <= beta0[j] <= hi
         tests = {}
-        for hyp in hypotheses:
+        if hypotheses:
+            assembler, _ = _build_assembler(config, dataset, options)
+            model = _model(assembler, result.beta_hat)
+        for label, indices, values in hypotheses:
             try:
-                outcome = profile_test(
-                    config,
-                    dataset,
-                    hyp.indices,
-                    hyp.values,
-                    options=options,
-                    unrestricted=result,
-                )
+                out = _profile_test(model, dataset.n, result, indices, values, options)
+                tests[label] = (out.statistic, out.p_value < TEST_LEVEL)
             except QifauxError:
-                tests[hyp.label] = None
-                continue
-            tests[hyp.label] = (outcome.statistic, outcome.p_value < TEST_LEVEL)
+                tests[label] = None
         record[method] = (result.beta_hat, result.se, covered, tests)
     return record
 
@@ -355,13 +353,13 @@ def run_monte_carlo(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     options = options or FitOptions()
-    hypotheses = tuple(hypotheses)
+    checked = [(h.label, *_hypothesis(h.indices, h.values, design.p)) for h in hypotheses]
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
     reps = design.replications
 
     def work(r):
-        return _one_replication(r, design, methods, basis, spec, hypotheses, options)
+        return _one_replication(r, design, methods, basis, spec, checked, options)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -390,15 +388,14 @@ def run_monte_carlo(
         )
         power = {}
         statistics = {}
-        for hyp in hypotheses:
-            outcomes = [row[3][hyp.label] for row in ok if row[3][hyp.label] is not None]
+        for label, _, _ in checked:
+            outcomes = [row[3][label] for row in ok if row[3][label] is not None]
             if outcomes:
-                stats_arr = np.array([o[0] for o in outcomes])
-                power[hyp.label] = float(np.mean([o[1] for o in outcomes]))
-                statistics[hyp.label] = stats_arr
+                power[label] = float(np.mean([o[1] for o in outcomes]))
+                statistics[label] = np.array([o[0] for o in outcomes])
             else:
-                power[hyp.label] = float("nan")
-                statistics[hyp.label] = np.zeros(0)
+                power[label] = float("nan")
+                statistics[label] = np.zeros(0)
         summaries[method] = MonteCarloSummary(
             method=method,
             replications=len(ok),

@@ -1,5 +1,7 @@
 """Moment assembly, objective, Gauss-Newton fit, profile test, intervals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -832,7 +834,9 @@ class TestNewtonStep:
         beta_start[1] = 0.0
         assembler, _ = _build_assembler(cfg, ds, FitOptions())
         free = np.array([0])
-        sol = _minimize(assembler, beta_start, free, FitOptions())
+        sol = _minimize(
+            _AffineMoments(assembler, beta_start), beta_start, free, FitOptions()
+        )
         assert sol.converged and sol.iterations <= 10
         model = _AffineMoments(assembler, sol.beta)
         point = model.evaluate(sol.beta)
@@ -840,7 +844,9 @@ class TestNewtonStep:
         assert abs(half_grad[0]) < 1e-8
 
         monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
-        creeping = _minimize(assembler, beta_start, free, FitOptions())
+        creeping = _minimize(
+            _AffineMoments(assembler, beta_start), beta_start, free, FitOptions()
+        )
         assert not creeping.converged
         assert creeping.iterations == qifaux.estimator.MAX_ITER
         assert sol.objective < creeping.objective
@@ -975,6 +981,16 @@ class TestProfileTest:
             profile_test(cfg, ds, [0, 0], [0.1, 0.2])
         with pytest.raises(ValueError):
             profile_test(cfg, ds, [5], [0.1])
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_unrestricted_of_wrong_length_rejected(self, length):
+        design = SimulationDesign(n=100, seed=25, replications=1)
+        ds = generate_dataset(design, replication_rng(25, 0, 0))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
+        res = fit(cfg, ds)
+        wrong = replace(res, beta_hat=np.resize(res.beta_hat, length))
+        with pytest.raises(ValueError, match=r"unrestricted.beta_hat must have shape \(2,\)"):
+            profile_test(cfg, ds, [1], [0.0], unrestricted=wrong)
 
 
 class TestIntervalsAndEfficiency:

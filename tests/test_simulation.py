@@ -7,16 +7,24 @@ from scipy import stats
 import qifaux.simulation as sim
 from qifaux import (
     CorrelationStructure,
+    ExtendedScoreConfig,
+    MarginalModelSpec,
     PhiSource,
     SimulationDesign,
     TooManyFailures,
+    build_basis,
     build_four_group_aux,
+    fit,
     generate_dataset,
+    profile_test,
     qq_data,
     replication_rng,
     run_monte_carlo,
 )
 from qifaux.simulation import Hypothesis, MonteCarloSummary
+
+# the paper's tests: a true null on beta_1 and a false one on beta_2
+PAPER_HYPOTHESES = (Hypothesis("b1", (0,), (0.5,)), Hypothesis("b2", (1,), (0.0,)))
 
 
 class TestGenerateDataset:
@@ -157,6 +165,55 @@ class TestRunMonteCarlo:
         design = SimulationDesign(n=60, seed=10, replications=2)
         with pytest.raises(ValueError):
             run_monte_carlo(design, ["mystery"])
+
+    def test_bad_hypothesis_rejected_before_any_fit(self, monkeypatch):
+        design = SimulationDesign(n=60, seed=10, replications=2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called before the hypotheses were checked")
+
+        monkeypatch.setattr(sim, "fit", no_fit)
+        with pytest.raises(ValueError, match="constrained indices must lie in 0..1"):
+            run_monte_carlo(design, ["qif"], hypotheses=[Hypothesis("bad", (5,), (0.0,))])
+
+    def test_one_gram_pass_for_all_tests_of_a_fit(self, monkeypatch):
+        """The profile tests of one fit share one moment model at its
+        estimate: each (method, replication) makes the fit's Gram pass and
+        one more, however many hypotheses it tests."""
+        from qifaux.estimator import _Assembler
+
+        calls = []
+        blocks = _Assembler.blocks
+
+        def counting(self, beta):
+            calls.append(1)
+            return blocks(self, beta)
+
+        monkeypatch.setattr(_Assembler, "blocks", counting)
+        design = SimulationDesign(n=150, seed=6, replications=2)
+        summaries = run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
+        assert all(s.failures == 0 for s in summaries.values())
+        assert len(calls) == 2 * len(sim.METHODS) * design.replications
+
+    @pytest.mark.parametrize("seed", [1000, 1014])
+    def test_statistics_equal_the_public_profile_test(self, seed):
+        """run_monte_carlo reports, bit for bit, what
+        profile_test(..., unrestricted=fit(...)) gives for the same panel."""
+        design = SimulationDesign(n=300, seed=seed, replications=2)
+        summaries = run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
+        basis = build_basis(design.working, design.q)
+        for method in sim.METHODS:
+            for hyp in PAPER_HYPOTHESES:
+                got = summaries[method].statistics[hyp.label]
+                assert got.shape == (design.replications,)
+                for r in range(design.replications):
+                    ds = generate_dataset(design, replication_rng(design.seed, r, 0))
+                    cfg = ExtendedScoreConfig(
+                        MarginalModelSpec.gaussian(), basis, sim._method_aux(method, design, r)
+                    )
+                    res = fit(cfg, ds)
+                    out = profile_test(cfg, ds, hyp.indices, hyp.values, unrestricted=res)
+                    assert got[r] == out.statistic
 
 
 class TestQQData:
