@@ -19,13 +19,13 @@ g_i(beta) = g_i(beta0) + T_i (beta - beta0), so with Z_i = [g_i(beta0) | T_i]
 and w = (1, beta - beta0) the solver needs only the mean and the Gram
 matrix of the Z_i: g_n = mean(Z) w, Sigma_n = (1/n) sum_i Z_i w w' Z_i',
 G_n = mean(T), and the gradient above in closed form (Hansen, Heaton and
-Yaron 1996). A fit makes one O(n d^2 (p+1)^2) pass at its start value and the
-profile tests of a fit share one at its estimate; every iteration after a
-pass is free of n. It replaces an O(n d^2) weight update per objective
-evaluation, so its advantage narrows as p grows. Other links recompute the
-per-subject contributions at each evaluation and take the same gradient with
-the exact contribution Jacobian, contracted with Sigma^{-1} g_n before the
-sum over subjects. The Gauss-Newton metric and the plug-in covariance use the
+Yaron 1996). A fit makes one O(n d^2 (p+1)^2) pass at its start value and its
+profile tests reuse that pass; every iteration after it is free of n. It
+replaces an O(n d^2) weight update per objective evaluation, so its
+advantage narrows as p grows. Other links recompute the per-subject
+contributions at each evaluation and take the same gradient with the exact
+contribution Jacobian, contracted with Sigma^{-1} g_n before the sum over
+subjects. The Gauss-Newton metric and the plug-in covariance use the
 truncated mean Jacobian G_n under both links; restricted identity-link CUE
 solves step with the exact, n-free Hessian where it is positive definite, as
 that metric misses the weight-derivative curvature a false null brings.
@@ -510,7 +510,7 @@ def _direction(model, point, free, continuous):
     """(G_n, step for the free coordinates, gradient norm): Newton's for a
     continuously-updated restricted solve with an exact, positive definite
     H_ff, else Gauss-Newton's. Fits keep Gauss-Newton: Newton moves their
-    estimates by up to 1.8e-7, beyond the benchmark reference (ROADMAP item 2)."""
+    estimates by up to 1.8e-7, beyond the benchmark reference (ROADMAP item 3)."""
     jac, half_grad = model.derivatives(point, u := point.w_inv @ point.g, continuous)
     free_jac = jac[:, free]
     normal = free_jac.T @ point.w_inv @ free_jac
@@ -524,7 +524,7 @@ def _direction(model, point, free, continuous):
             "moment Jacobian is rank deficient for the free coordinates"
         )
     if continuous and free.size < jac.shape[1] and hasattr(model, "hessian"):
-        hess = model.hessian(point, u)[np.ix_(free, free)]
+        hess = model.hessian(point, u)[free][:, free]
         with suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(hess)
             normal = hess
@@ -614,6 +614,11 @@ def fit(
     rather than an exception; rank failures raise RankDeficient and a
     weight matrix with rank below p raises SingularWeightMatrix.
     """
+    return _fit(config, dataset, init, options)[0]
+
+
+def _fit(config, dataset, init=None, options=None):
+    """(``fit`` result, the ``_model`` it searched, expanded at its start)."""
     options = options or FitOptions()
     assembler, dropped = _build_assembler(config, dataset, options)
     if init is None:
@@ -622,9 +627,10 @@ def fit(
         beta0 = np.asarray(init, dtype=float)
         if beta0.shape != (dataset.p,):
             raise ValueError(f"init must have shape ({dataset.p},)")
+    model = _model(assembler, beta0)
     # With every coordinate free, the solver has already checked that
     # this normal matrix is nonsingular at the solution.
-    sol = _minimize(_model(assembler, beta0), beta0, np.arange(dataset.p), options)
+    sol = _minimize(model, beta0, np.arange(dataset.p), options)
     normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
     covariance = np.linalg.inv(normal) / dataset.n
     covariance = (covariance + covariance.T) / 2.0
@@ -638,7 +644,7 @@ def fit(
         iterates=sol.iterates,
         weight_rank_deficient=sol.degraded,
         dropped_groups=dropped,
-    )
+    ), model
 
 
 def profile_test(
@@ -655,16 +661,23 @@ def profile_test(
     chi-square with one degree of freedom per pinned coordinate; separate
     numerical optimizations can make it marginally negative, in which case
     it is clamped to zero and flagged. NotConverged reports a restricted
-    solve that stopped unconverged.
+    solve that stopped unconverged. The test searches the fit's own moment
+    model: without ``unrestricted`` the one ``fit`` makes here, else one
+    expanded at ``unrestricted.iterates[0]``, the start that fit expanded
+    around (``beta_hat`` when no iterates are recorded).
     """
     options = options or FitOptions()
     indices, values = _hypothesis(constrained_indices, constrained_values, dataset.p)
     if unrestricted is None:
-        unrestricted = fit(config, dataset, options=options)
-    elif np.shape(unrestricted.beta_hat) != (dataset.p,):
+        unrestricted, model = _fit(config, dataset, options=options)
+        return _profile_test(model, dataset.n, unrestricted, indices, values, options)
+    if np.shape(unrestricted.beta_hat) != (dataset.p,):
         raise ValueError(f"unrestricted.beta_hat must have shape ({dataset.p},)")
-    assembler, _ = _build_assembler(config, dataset, options)
-    model = _model(assembler, unrestricted.beta_hat)
+    iterates = unrestricted.iterates
+    if iterates is not None and np.shape(iterates[:1]) != (1, dataset.p):
+        raise ValueError(f"unrestricted.iterates[0] must have shape ({dataset.p},)")
+    start = unrestricted.beta_hat if iterates is None else iterates[0]
+    model = _model(_build_assembler(config, dataset, options)[0], start)
     return _profile_test(model, dataset.n, unrestricted, indices, values, options)
 
 
@@ -682,10 +695,10 @@ def _hypothesis(constrained_indices, constrained_values, p):
 
 
 def _profile_test(model, n, unrestricted, indices, values, options):
-    """``profile_test`` on ``model``, the ``_model`` at the unrestricted estimate."""
+    """``profile_test`` on ``model``, the moment model of the unrestricted fit."""
     beta_start = unrestricted.beta_hat.copy()
     beta_start[indices] = values
-    free = np.setdiff1d(np.arange(beta_start.size), indices)
+    free = np.delete(np.arange(beta_start.size), indices)
     if free.size == 0:
         q_restricted = model.evaluate(beta_start).objective()
         beta_restricted = beta_start

@@ -27,11 +27,9 @@ from .errors import MalformedRow, QifauxError, TooManyFailures
 from .estimator import (
     ExtendedScoreConfig,
     FitOptions,
-    _build_assembler,
+    _fit,
     _hypothesis,
-    _model,
     _profile_test,
-    fit,
     wald_interval,
 )
 from .model import LongitudinalDataset, MarginalModelSpec
@@ -305,7 +303,7 @@ def _one_replication(r, design, methods, basis, spec, hypotheses, options):
     for method in methods:
         config = ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
         try:
-            result = fit(config, dataset, options=options)
+            result, model = _fit(config, dataset, options=options)
             if not result.converged:
                 record[method] = None
                 continue
@@ -317,9 +315,6 @@ def _one_replication(r, design, methods, basis, spec, hypotheses, options):
             lo, hi = wald_interval(result, j, INTERVAL_LEVEL)
             covered[j] = lo <= beta0[j] <= hi
         tests = {}
-        if hypotheses:
-            assembler, _ = _build_assembler(config, dataset, options)
-            model = _model(assembler, result.beta_hat)
         for label, indices, values in hypotheses:
             try:
                 out = _profile_test(model, dataset.n, result, indices, values, options)

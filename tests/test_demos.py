@@ -8,7 +8,15 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_single_study_fit.py", "05_file_pipeline.py"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_single_study_fit.py",
+        "03_hypothesis_power.py",
+        "04_profile_statistic_qq.py",
+        "05_file_pipeline.py",
+    ],
+)
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / name), run_name="__main__")

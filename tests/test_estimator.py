@@ -26,12 +26,14 @@ from qifaux import (
     build_two_group_aux,
     build_four_group_aux,
     correlation_matrix,
+    emit_report,
     fit,
     four_group_partition,
     generate_dataset,
     initial_estimate,
     moment_vector,
     objective,
+    parse_structured_report,
     profile_test,
     relative_efficiency,
     replication_rng,
@@ -991,6 +993,60 @@ class TestProfileTest:
         wrong = replace(res, beta_hat=np.resize(res.beta_hat, length))
         with pytest.raises(ValueError, match=r"unrestricted.beta_hat must have shape \(2,\)"):
             profile_test(cfg, ds, [1], [0.0], unrestricted=wrong)
+        rows = len(res.iterates)
+        for iterates in (np.resize(res.iterates, (rows, length)), np.zeros((0, 2))):
+            wrong = replace(res, iterates=iterates)
+            with pytest.raises(
+                ValueError, match=r"unrestricted.iterates\[0\] must have shape \(2,\)"
+            ):
+                profile_test(cfg, ds, [1], [0.0], unrestricted=wrong)
+
+    def test_fit_and_its_tests_make_one_gram_pass(self, monkeypatch):
+        """A test without ``unrestricted`` searches the moment model its own
+        fit built; one given ``unrestricted`` builds one at that fit's start."""
+        cfg, ds = paper_problem("gmmai2", seed=1000)
+        res = fit(cfg, ds)
+        calls = []
+        blocks = qifaux.estimator._Assembler.blocks
+
+        def counting(self, beta):
+            calls.append(beta.copy())
+            return blocks(self, beta)
+
+        monkeypatch.setattr(qifaux.estimator._Assembler, "blocks", counting)
+        profile_test(cfg, ds, [1], [0.0])
+        assert len(calls) == 1
+        profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[1], res.iterates[0])
+
+    @pytest.mark.parametrize("method", ["qif", "gmmai4"])
+    def test_both_public_routes_agree_bitwise(self, method):
+        cfg, ds = paper_problem(method, seed=1014)
+        given = profile_test(cfg, ds, [1], [0.0], unrestricted=fit(cfg, ds))
+        assert profile_test(cfg, ds, [1], [0.0]).statistic == given.statistic
+
+    def test_unrecorded_start_falls_back_to_the_estimate(self):
+        """Without iterates the model expands at beta_hat; under the
+        identity link that changes only rounding."""
+        cfg, ds = paper_problem("gmmai4", seed=1014)
+        res = fit(cfg, ds)
+        assert not np.array_equal(res.iterates[0], res.beta_hat)
+        at_start = profile_test(cfg, ds, [1], [0.0], unrestricted=res).statistic
+        bare = replace(res, iterates=None)
+        at_estimate = profile_test(cfg, ds, [1], [0.0], unrestricted=bare).statistic
+        assert at_start > 1.0
+        assert abs(at_estimate - at_start) <= 1e-12 * max(1.0, abs(at_start))
+
+    def test_report_round_trip_keeps_the_statistic(self):
+        cfg, ds = paper_problem("gmmai2", seed=1000)
+        res = fit(cfg, ds)
+        parsed = parse_structured_report(emit_report(res, "structured"))["fit"]
+        np.testing.assert_array_equal(parsed.iterates, res.iterates)
+        direct = profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        assert profile_test(cfg, ds, [1], [0.0], unrestricted=parsed).statistic == (
+            direct.statistic
+        )
 
 
 class TestIntervalsAndEfficiency:

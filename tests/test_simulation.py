@@ -157,7 +157,7 @@ class TestRunMonteCarlo:
         def always_diverges(*args, **kwargs):
             raise sim.QifauxError("forced failure")
 
-        monkeypatch.setattr(sim, "fit", always_diverges)
+        monkeypatch.setattr(sim, "_fit", always_diverges)
         with pytest.raises(TooManyFailures):
             run_monte_carlo(design, ["qif"])
 
@@ -172,14 +172,14 @@ class TestRunMonteCarlo:
         def no_fit(*args, **kwargs):
             raise AssertionError("fit called before the hypotheses were checked")
 
-        monkeypatch.setattr(sim, "fit", no_fit)
+        monkeypatch.setattr(sim, "_fit", no_fit)
         with pytest.raises(ValueError, match="constrained indices must lie in 0..1"):
             run_monte_carlo(design, ["qif"], hypotheses=[Hypothesis("bad", (5,), (0.0,))])
 
     def test_one_gram_pass_for_all_tests_of_a_fit(self, monkeypatch):
-        """The profile tests of one fit share one moment model at its
-        estimate: each (method, replication) makes the fit's Gram pass and
-        one more, however many hypotheses it tests."""
+        """The profile tests of one fit reuse the fit's own moment model:
+        each (method, replication) makes the fit's Gram pass and no other,
+        however many hypotheses it tests."""
         from qifaux.estimator import _Assembler
 
         calls = []
@@ -193,7 +193,7 @@ class TestRunMonteCarlo:
         design = SimulationDesign(n=150, seed=6, replications=2)
         summaries = run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
         assert all(s.failures == 0 for s in summaries.values())
-        assert len(calls) == 2 * len(sim.METHODS) * design.replications
+        assert len(calls) == len(sim.METHODS) * design.replications
 
     @pytest.mark.parametrize("seed", [1000, 1014])
     def test_statistics_equal_the_public_profile_test(self, seed):
