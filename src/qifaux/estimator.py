@@ -30,6 +30,15 @@ truncated mean Jacobian G_n under both links; restricted identity-link CUE
 solves step with the exact, n-free Hessian where it is positive definite, as
 that metric misses the weight-derivative curvature a false null brings.
 
+The solver runs a stack of problems that share one method in lockstep:
+each round makes one stacked evaluation for the problems still searching
+along their step and one stacked direction for those that accepted a point,
+and a problem leaves the stack when it converges, reaches MAX_ITER or
+fails. Every stacked kernel gives each problem, bit for bit, what it gives
+that problem alone, and every check and choice of step is made per problem.
+``fit`` and ``profile_test`` are the batch of one; the Monte Carlo harness
+solves a method's replications together.
+
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
 under the identity link, the link terms otherwise), so the gradient at an
@@ -44,7 +53,6 @@ the moments, which exact minimization removes.
 from __future__ import annotations
 
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +64,7 @@ from .basis import BasisSet
 from .errors import (
     EmptySubgroup,
     NotConverged,
+    QifauxError,
     RankDeficient,
     SingularWeightMatrix,
     WeightRankWarning,
@@ -287,26 +296,49 @@ class _Assembler:
         return self._mean_jacobian(a, deriv), half_grad
 
 
-def _weight_inverse(sigma, p):
-    """Pseudo-inverse of the symmetric second-moment weight matrix Sigma_n.
+def _weight_inverse(sigma):
+    """Pseudo-inverses and ranks of a stack (..., d, d) of symmetric weights.
 
-    One eigendecomposition; eigenvalues of magnitude at most WEIGHT_RCOND
-    times the largest magnitude count as zero. Returns (inverse, rank);
-    raises SingularWeightMatrix when the rank falls below the parameter
-    dimension p.
+    One eigendecomposition per matrix; eigenvalues of magnitude at most
+    WEIGHT_RCOND times the largest magnitude count as zero, and their
+    reciprocals are set to zero rather than their columns deleted, so every
+    matrix of the stack keeps the same shape.
     """
     lam, vec = np.linalg.eigh(sigma)
     # largest first, the order of the singular values, which fixes the
-    # summation order of the product below
-    lam, vec = lam[::-1], vec[:, ::-1]
-    keep = np.abs(lam) > WEIGHT_RCOND * np.abs(lam).max(initial=0.0)
-    rank = int(keep.sum())
+    # summation order of the product below; the dropped terms add exact zeros
+    lam, vec = lam[..., ::-1], np.ascontiguousarray(vec[..., ::-1])
+    mags = np.abs(lam)
+    keep = mags > WEIGHT_RCOND * mags.max(axis=-1, keepdims=True, initial=0.0)
+    scale = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return (vec * scale[..., None, :]) @ vec.swapaxes(-1, -2), keep.sum(axis=-1)
+
+
+def _rank_error(rank, p):
+    """SingularWeightMatrix for a weight whose rank is below p, else None."""
     if rank < p:
-        raise SingularWeightMatrix(
-            f"weight matrix rank {rank} < parameter dimension {p}"
-        )
-    vec = vec[:, keep]
-    return (vec * (1.0 / lam[keep])) @ vec.T, rank
+        return SingularWeightMatrix(f"weight matrix rank {rank} < parameter dimension {p}")
+    return None
+
+
+def _stacked(function, *stacks):
+    """(``function`` of each slice of the stacks, a dict from the position of
+    each slice where it raised LinAlgError to that error). numpy's stacked
+    linalg raises for the whole stack when one slice fails, so the stack is
+    then redone one slice at a time; the failed slices' results stay NaN."""
+    try:
+        return function(*stacks), {}
+    except np.linalg.LinAlgError as err:
+        if len(stacks[0]) == 1:
+            return np.full(stacks[-1].shape, np.nan), {0: err}
+    out = np.full(stacks[-1].shape, np.nan)
+    errors = {}
+    for i, args in enumerate(zip(*stacks)):
+        try:
+            out[i] = function(*args)
+        except np.linalg.LinAlgError as err:
+            errors[i] = err
+    return out, errors
 
 
 def _build_assembler(config, dataset, options):
@@ -343,14 +375,17 @@ def objective(
 ) -> float:
     """Quadratic form g_n' Sigma_n^+ g_n; warns when Sigma_n lost rank."""
     beta = np.asarray(beta, dtype=float)
-    point = _SubjectMoments(_Assembler(config, dataset)).evaluate(beta)
-    if point.rank < point.g.shape[0]:
+    point = _SubjectMoments([_Assembler(config, dataset)]).evaluate([0], beta[None])
+    error = _rank_error(point.rank[0], dataset.p)
+    if error is not None:
+        raise error
+    if point.rank[0] < point.g.shape[1]:
         warnings.warn(
             "weight matrix is rank deficient; using pseudo-inverse",
             WeightRankWarning,
             stacklevel=2,
         )
-    return point.objective()
+    return float(point.objective()[0])
 
 
 def score_jacobian(
@@ -393,106 +428,143 @@ def initial_estimate(
 
 
 class _Point(NamedTuple):
-    """One objective evaluation: g_n, the weight inverse W and its rank
-    (None for a frozen weight), and the model's terms that the gradient
-    at this point reuses."""
+    """Objective evaluations of a stack of problems: their rows in the model,
+    g_n, the weight inverses W and their ranks (None for a frozen weight),
+    and the model's terms that the gradient at these points reuses."""
 
+    rows: np.ndarray
     g: np.ndarray
     w_inv: np.ndarray
-    rank: int | None
+    rank: np.ndarray | None
     terms: object
 
     def objective(self):
-        return float(self.g @ self.w_inv @ self.g)
+        """Q_n = g' W g of each problem."""
+        return (self.g[:, None, :] @ self.w_inv @ self.g[:, :, None])[:, 0, 0]
+
+    def take(self, index):
+        """The evaluations at positions ``index`` of the stack."""
+        terms = self.terms
+        if isinstance(terms, list):
+            terms = [terms[i] for i in index]
+        elif terms is not None:
+            terms = terms[index]
+        rank = None if self.rank is None else self.rank[index]
+        return _Point(self.rows[index], self.g[index], self.w_inv[index], rank, terms)
 
 
 class _AffineMoments:
-    """Identity-link moments from one Gram pass at the expansion point beta0.
+    """Identity-link moments of a stack of problems, each from one Gram pass
+    at its own expansion point beta0.
 
     Z_i = [g_i(beta0) | T_i] is the (d, p+1) block of subject i, and the
     contribution at beta is Z_i w with w = (1, beta - beta0). The mean and
     Gram matrix of the Z_i give g_n, Sigma_n, G_n and the exact gradient
-    without touching the subjects again. Expanding around the start value
+    without touching the subjects again. Each problem's pass runs on its own
+    assembler; only its (d, p+1) mean and (d(p+1), d(p+1)) Gram matrix are
+    stacked, along a leading problem axis. Expanding around the start value
     rather than zero keeps the cancellation in Sigma_n small. The README
     gives the p at which the Gram product stops paying for itself.
     """
 
-    def __init__(self, assembler, beta0):
-        n = assembler.n
-        z = assembler.blocks(beta0)
-        d, k = z.shape[1:]
-        z = z.reshape(n, -1)
-        self.z_gram = (z.T @ z / n).reshape(-1, k)
-        self.t_gram = self.z_gram.reshape(d, k, d, k)[:, 1:, :, 1:]
-        self.cross_shape = (d, k, d)
-        self.z_mean = z.mean(axis=0).reshape(d, k)
-        self.jacobian = self.z_mean[:, 1:]
-        self.beta0 = beta0
-        self.p = assembler.p
+    def __init__(self, assemblers, beta0):
+        grams, means = [], []
+        for assembler, start in zip(assemblers, beta0):
+            z = assembler.blocks(start)
+            n, d, k = z.shape
+            z = z.reshape(n, -1)
+            grams.append((z.T @ z / n).reshape(-1, k))
+            means.append(z.mean(axis=0).reshape(d, k))
+        self.z_gram = np.stack(grams)
+        self.z_mean = np.stack(means)
+        self.beta0 = np.asarray(beta0, dtype=float)
 
-    def evaluate(self, beta, frozen_inv=None):
-        """``_Point`` at beta. Under continuous updating its terms are
-        cross[a, j, b] = (1/n) sum_i Z_i[a, j] g_i(beta)[b], and
+    def evaluate(self, rows, beta, frozen_inv=None):
+        """``_Point`` of problems ``rows`` at the rows of beta. Under
+        continuous updating its terms are cross[r, a, j, b] =
+        (1/n) sum_i Z_i[a, j] g_i(beta)[b] of each problem, and
         Sigma_n = w' cross."""
-        w = np.concatenate(([1.0], beta - self.beta0))
-        g = self.z_mean @ w
+        d, k = self.z_mean.shape[1:]
+        w = np.empty((len(rows), k))
+        w[:, 0] = 1.0
+        w[:, 1:] = beta - self.beta0[rows]
+        g = (self.z_mean[rows] @ w[:, :, None])[..., 0]
         if frozen_inv is not None:
-            return _Point(g, frozen_inv, None, None)
-        cross = (self.z_gram @ w).reshape(self.cross_shape)
-        return _Point(g, *_weight_inverse(w @ cross, self.p), cross)
+            return _Point(rows, g, frozen_inv, None, None)
+        cross = (self.z_gram[rows] @ w[:, :, None]).reshape(-1, d, k, d)
+        sigma = (w[:, None, None, :] @ cross)[:, :, 0, :]
+        return _Point(rows, g, *_weight_inverse(sigma), cross)
 
     def derivatives(self, point, u, continuous):
-        """(G_n, half-gradient of the searched objective) at ``point``.
+        """(G_n, half-gradient of the searched objective) of each problem of
+        ``point``, with u = W g.
 
         With a frozen weight the half-gradient is G' u. Under continuous
         updating the weight's own beta-dependence subtracts
-        (1/n) sum_i (g_i' u) T_i' u, with u = W g; ``point`` must then be a
+        (1/n) sum_i (g_i' u) T_i' u; ``point`` must then be a
         continuously-updated evaluation, which carries the cross product.
         """
-        half_grad = self.jacobian.T @ u
+        jac = self.z_mean[point.rows][:, :, 1:]
+        half_grad = (jac.swapaxes(1, 2) @ u[:, :, None])[..., 0]
         if continuous:
-            half_grad -= (u @ (point.terms @ u))[1:]
-        return self.jacobian, half_grad
+            weighted = (point.terms @ u[:, None, :, None])[..., 0]
+            half_grad -= (u[:, None, :] @ weighted)[:, 0, 1:]
+        return jac, half_grad
 
     def hessian(self, point, u):
-        """Exact Hessian B' W B - V of Q_n / 2 under continuous updating, in
-        O(d^2 p^2 + d^3): u = W g has Jacobian W B, B = G - (dSigma/dbeta) u,
-        and V = (1/n) sum_i T_i' u u' T_i."""
-        cross = point.terms[:, 1:, :]
-        b = self.jacobian - cross @ u - np.einsum("akb,a->bk", cross, u)
-        return b.T @ point.w_inv @ b - np.einsum("a,ajbk,b->jk", u, self.t_gram, u)
+        """Exact Hessian B' W B - V of Q_n / 2 of each problem under
+        continuous updating, in O(d^2 p^2 + d^3): u = W g has Jacobian W B,
+        B = G - (dSigma/dbeta) u, and V = (1/n) sum_i T_i' u u' T_i."""
+        d, k = self.z_mean.shape[1:]
+        cross = point.terms[:, :, 1:, :]
+        jac = self.z_mean[point.rows][:, :, 1:]
+        b = jac - (cross @ u[:, None, :, None])[..., 0] - np.einsum("rakb,ra->rbk", cross, u)
+        t_gram = self.z_gram[point.rows].reshape(-1, d, k, d, k)[:, :, 1:, :, 1:]
+        return b.swapaxes(1, 2) @ point.w_inv @ b - np.einsum(
+            "ra,rajbk,rb->rjk", u, t_gram, u
+        )
 
 
 class _SubjectMoments:
-    """Per-subject contributions at every evaluation, for non-identity links.
+    """Per-subject contributions at every evaluation, for non-identity links,
+    with one assembler per problem of the stack.
 
     The half-gradient is exact (``_Assembler.derivatives``); G_n is the
     truncated mean Jacobian. A point's terms are the (mu, a, d) of
-    ``_Assembler._link_terms``.
+    ``_Assembler._link_terms``, one triple per problem.
     """
 
-    def __init__(self, assembler):
-        self.assembler = assembler
+    def __init__(self, assemblers):
+        self.assemblers = assemblers
 
-    def evaluate(self, beta, frozen_inv=None):
-        """``_Point`` at beta; its rank is None for a frozen weight."""
-        terms = self.assembler._link_terms(beta)
-        contribs = self.assembler._contributions(*terms)
-        g = contribs.mean(axis=0)
+    def evaluate(self, rows, beta, frozen_inv=None):
+        """``_Point`` of problems ``rows`` at the rows of beta; its rank is
+        None for a frozen weight."""
+        terms, g, sigma = [], [], []
+        for r, b in zip(rows, beta):
+            assembler = self.assemblers[r]
+            terms.append(assembler._link_terms(b))
+            contribs = assembler._contributions(*terms[-1])
+            g.append(contribs.mean(axis=0))
+            if frozen_inv is None:
+                sigma.append(weight_matrix(contribs))
         if frozen_inv is not None:
-            return _Point(g, frozen_inv, None, terms)
-        return _Point(
-            g, *_weight_inverse(weight_matrix(contribs), self.assembler.p), terms
-        )
+            return _Point(rows, np.array(g), frozen_inv, None, terms)
+        return _Point(rows, np.array(g), *_weight_inverse(np.array(sigma)), terms)
 
     def derivatives(self, point, u, continuous):
-        """(G_n, exact half-gradient of the searched objective) at ``point``,
-        with u = W g; see ``_Assembler.derivatives``."""
-        return self.assembler.derivatives(point.terms, u, continuous)
+        """(G_n, exact half-gradient of the searched objective) of each
+        problem of ``point``, with u = W g; see ``_Assembler.derivatives``."""
+        jac, half_grad = zip(
+            *(
+                self.assemblers[r].derivatives(t, v, continuous)
+                for r, t, v in zip(point.rows, point.terms, u)
+            )
+        )
+        return np.array(jac), np.array(half_grad)
 
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(NamedTuple):
     """Where the solver stopped, with the weight and Jacobian held there."""
 
     beta: np.ndarray
@@ -507,39 +579,71 @@ class _Solution:
 
 
 def _direction(model, point, free, continuous):
-    """(G_n, step for the free coordinates, gradient norm): Newton's for a
-    continuously-updated restricted solve with an exact, positive definite
-    H_ff, else Gauss-Newton's. Fits keep Gauss-Newton: Newton moves their
-    estimates by up to 1.8e-7, beyond the benchmark reference (ROADMAP item 3)."""
-    jac, half_grad = model.derivatives(point, u := point.w_inv @ point.g, continuous)
-    free_jac = jac[:, free]
-    normal = free_jac.T @ point.w_inv @ free_jac
-    score = half_grad[free]
-    if not np.isfinite(normal).all():
-        # eigvalsh does not raise on NaN or inf input; reject it here
-        raise RankDeficient("normal matrix of the free coordinates is not finite")
-    mags = np.abs(np.linalg.eigvalsh(normal))
-    if mags.size == 0 or mags.max() == 0 or mags.min() <= mags.max() * 1e-13:
-        raise RankDeficient(
-            "moment Jacobian is rank deficient for the free coordinates"
-        )
-    if continuous and free.size < jac.shape[1] and hasattr(model, "hessian"):
-        hess = model.hessian(point, u)[free][:, free]
-        with suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(hess)
-            normal = hess
-    return jac, -np.linalg.solve(normal, score), float(np.abs(score).max())
+    """(G_n, step for the free coordinates, gradient norm) of each problem
+    of the stacked ``point``, and a dict from the position of each problem
+    that cannot go on to the exception that stops it.
+
+    The step is Newton's for a continuously-updated restricted solve with an
+    exact, positive definite H_ff, else Gauss-Newton's. Fits keep
+    Gauss-Newton: Newton moves their estimates by up to 1.8e-7, beyond the
+    benchmark reference (ROADMAP item 3). Every check and the choice of step
+    are made for each problem on its own, as when it is solved alone.
+    """
+    u = (point.w_inv @ point.g[:, :, None])[..., 0]
+    jac, half_grad = model.derivatives(point, u, continuous)
+    free_jac = jac[:, :, free]
+    normal = free_jac.swapaxes(1, 2) @ point.w_inv @ free_jac
+    score = half_grad[:, free]
+    grad_norm = np.abs(score).max(axis=1, initial=0.0)
+    # eigvalsh does not raise on NaN or inf input: reject it first, and give
+    # eigvalsh a finite stand-in for it
+    finite = np.isfinite(normal).all(axis=(1, 2))
+    checked = normal if finite.all() else np.where(finite[:, None, None], normal, 1.0)
+    spectra = np.abs(np.linalg.eigvalsh(checked)).tolist()
+    errors = {}
+    for i, (ok, mags) in enumerate(zip(finite.tolist(), spectra)):
+        if not ok:
+            errors[i] = RankDeficient("normal matrix of the free coordinates is not finite")
+        elif not mags or max(mags) == 0 or min(mags) <= max(mags) * 1e-13:
+            errors[i] = RankDeficient(
+                "moment Jacobian is rank deficient for the free coordinates"
+            )
+    if errors:
+        # the others' steps, from a stack without the failed problems
+        step = np.full(score.shape, np.nan)
+        good = np.delete(np.arange(len(score)), list(errors))
+        if good.size:
+            _, step[good], _, more = _direction(model, point.take(good), free, continuous)
+            errors.update((good[k], error) for k, error in more.items())
+        return jac, step, grad_norm, errors
+    if continuous and free.size < jac.shape[2] and hasattr(model, "hessian"):
+        hess = model.hessian(point, u)[:, free][:, :, free]
+        # Gauss-Newton where H_ff has no Cholesky factor
+        failed = list(_stacked(np.linalg.cholesky, hess)[1])
+        hess[failed] = normal[failed]
+        normal = hess
+    solved, errors = _stacked(np.linalg.solve, normal, score[:, :, None])
+    return jac, -solved[:, :, 0], grad_norm, errors
 
 
-def _model(assembler, beta0):
-    """One Gram pass at beta0 under the identity link, else per-subject moments."""
-    if assembler.spec.link is Link.IDENTITY:
-        return _AffineMoments(assembler, beta0)
-    return _SubjectMoments(assembler)
+def _model(assemblers, beta0):
+    """Moments of a stack of problems: one Gram pass per problem at its row
+    of beta0 under the identity link, else per-subject moments."""
+    if assemblers[0].spec.link is Link.IDENTITY:
+        return _AffineMoments(assemblers, beta0)
+    return _SubjectMoments(assemblers)
 
 
-def _minimize(model, beta0, free, options):
-    """Newton or Gauss-Newton with step halving on Q_n over the free coordinates.
+def _minimize(model, rows, beta0, free, options):
+    """Newton or Gauss-Newton with step halving on Q_n over the free
+    coordinates, for the problems ``rows`` of ``model`` in lockstep.
+
+    Row j of beta0 starts problem rows[j]. Each round makes one stacked
+    evaluation for the problems searching along their step and one stacked
+    ``_direction`` for those that accepted a point. A problem leaves when it
+    converges, reaches MAX_ITER or fails; its halvings, stopping rules and
+    result are those it has when solved alone, as a batch of one. Returns
+    per problem its ``_Solution`` or the error that stopped it.
 
     The step preconditions the exact objective gradient with the inverse of
     the exact Hessian or of G' Sigma^{-1} G (``_direction``), both positive
@@ -547,59 +651,127 @@ def _minimize(model, beta0, free, options):
     stationary point of the minimized objective (continuously-updating Q_n,
     or the frozen-weight form in two-step mode) of ``model``, from ``_model``.
     """
-    beta = np.asarray(beta0, dtype=float).copy()
-    point = model.evaluate(beta)
-    degraded = point.rank < point.g.shape[0]
-    q_cur = point.objective()
+    beta = np.array(beta0, dtype=float)
+    size, p = beta.shape
+    rows = np.asarray(rows)
     continuous = not options.two_step
+    point = model.evaluate(rows, beta)
+    d = point.g.shape[1]
     frozen_inv = None if continuous else point.w_inv
-    jac, step, grad_norm = _direction(model, point, free, continuous)
-    iterates = [beta.copy()]
-    converged = False
-    iterations = 0
-    for _ in range(MAX_ITER):
-        if np.abs(step).max() < STEP_TOL:
-            converged = True
-            break
-        iterations += 1
-        accepted = False
-        alpha = 1.0
-        smallest_gap = np.inf
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = beta.copy()
-            candidate[free] += alpha * step
-            trial = model.evaluate(candidate, frozen_inv)
-            trial_q = trial.objective()
-            if trial_q < q_cur:
-                accepted = True
-                break
-            smallest_gap = min(smallest_gap, abs(trial_q - q_cur))
-            alpha *= 0.5
-        if not accepted:
-            # No achievable decrease: objective flat along the direction.
-            converged = smallest_gap < OBJECTIVE_TOL
-            break
-        delta_q = q_cur - trial_q
-        taken = np.abs(alpha * step).max()
-        beta, point, q_cur = candidate, trial, trial_q
-        if continuous:
-            degraded = degraded or point.rank < point.g.shape[0]
-        iterates.append(beta.copy())
-        jac, step, grad_norm = _direction(model, point, free, continuous)
-        if taken < STEP_TOL or delta_q < OBJECTIVE_TOL:
-            converged = True
-            break
-    return _Solution(
-        beta=beta,
-        objective=q_cur,
-        iterations=iterations,
-        converged=converged,
-        iterates=np.asarray(iterates),
-        degraded=degraded,
-        gradient_norm=grad_norm,
-        weight_inverse=point.w_inv,
-        jacobian=jac,
-    )
+    # Per problem: the last accepted point and the direction taken there,
+    # the iteration count, and the refused trials of the current iteration
+    # with the smallest |change of Q_n| among them.
+    q_cur = point.objective().tolist()
+    degraded = (point.rank < d).tolist()
+    iterates = [[b] for b in beta.copy()]
+    step = np.empty((size, free.size))
+    jac, w_inv, grad_norm = [None] * size, [None] * size, [None] * size
+    iterations, trials, smallest_gap = [0] * size, [0] * size, [np.inf] * size
+    outcomes = [None] * size
+
+    def solution(j, converged):
+        return _Solution(
+            beta=beta[j].copy(),
+            objective=q_cur[j],
+            iterations=iterations[j],
+            converged=converged,
+            iterates=np.asarray(iterates[j]),
+            degraded=degraded[j],
+            gradient_norm=grad_norm[j],
+            weight_inverse=w_inv[j],
+            jacobian=jac[j],
+        )
+
+    def advance(moved, at, stopped):
+        """Directions for the problems ``moved`` at their points ``at``, then
+        the stopping rules in order: ``stopped`` ends a problem converged,
+        then MAX_ITER unconverged, then a step below STEP_TOL converged.
+        Returns the problems that go on to search along their new step."""
+        new_jac, new_step, new_norm, errors = _direction(model, at, free, continuous)
+        step[moved] = new_step
+        small = (np.abs(new_step).max(axis=1) < STEP_TOL).tolist()
+        searching = []
+        for k, (j, norm) in enumerate(zip(moved, new_norm.tolist())):
+            if k in errors:
+                outcomes[j] = errors[k]
+                continue
+            jac[j], w_inv[j], grad_norm[j] = new_jac[k], at.w_inv[k], norm
+            if stopped[k]:
+                outcomes[j] = solution(j, True)
+            elif iterations[j] >= MAX_ITER:
+                outcomes[j] = solution(j, False)
+            elif small[k]:
+                outcomes[j] = solution(j, True)
+            else:
+                iterations[j] += 1
+                trials[j], smallest_gap[j] = 0, np.inf
+                if MAX_HALVINGS < 0:
+                    # no trial at all: no achievable decrease
+                    outcomes[j] = solution(j, False)
+                else:
+                    searching.append(j)
+        return searching
+
+    active = []
+    for j, rank in enumerate(point.rank.tolist()):
+        if rank < p:
+            outcomes[j] = _rank_error(rank, p)
+        else:
+            active.append(j)
+    if active:
+        active = advance(active, point.take(active), [False] * len(active))
+    while active:
+        alpha = np.array([0.5**trials[j] for j in active])
+        moving = alpha[:, None] * step[active]
+        candidate = beta[active]
+        candidate[:, free] += moving
+        taken = np.abs(moving).max(axis=1).tolist()
+        trial = model.evaluate(
+            rows[active], candidate, None if frozen_inv is None else frozen_inv[active]
+        )
+        trial_q = trial.objective().tolist()
+        ranks = trial.rank.tolist() if continuous else None
+        searching, accepted, moved, stopped = [], [], [], []
+        for k, j in enumerate(active):
+            if continuous and ranks[k] < p:
+                outcomes[j] = _rank_error(ranks[k], p)
+            elif trial_q[k] < q_cur[j]:
+                stopped.append(taken[k] < STEP_TOL or q_cur[j] - trial_q[k] < OBJECTIVE_TOL)
+                q_cur[j] = trial_q[k]
+                if continuous:
+                    degraded[j] = degraded[j] or ranks[k] < d
+                iterates[j].append(candidate[k])
+                accepted.append(k)
+                moved.append(j)
+            else:
+                smallest_gap[j] = min(smallest_gap[j], abs(trial_q[k] - q_cur[j]))
+                trials[j] += 1
+                if trials[j] > MAX_HALVINGS:
+                    # No achievable decrease: objective flat along the direction.
+                    outcomes[j] = solution(j, smallest_gap[j] < OBJECTIVE_TOL)
+                else:
+                    searching.append(j)
+        if moved:
+            beta[moved] = candidate[accepted]
+            at = trial if len(accepted) == len(active) else trial.take(accepted)
+            searching += advance(moved, at, stopped)
+        active = searching
+    return outcomes
+
+
+class _Fitted(NamedTuple):
+    """A fit with the moment model its solver searched and its row there."""
+
+    result: FitResult
+    model: object
+    row: int
+
+
+def _value(outcome):
+    """The outcome of a batch of one, raising the error that stopped it."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fit(
@@ -614,37 +786,59 @@ def fit(
     rather than an exception; rank failures raise RankDeficient and a
     weight matrix with rank below p raises SingularWeightMatrix.
     """
-    return _fit(config, dataset, init, options)[0]
+    return _value(_fit([config], [dataset], options or FitOptions(), init)[0]).result
 
 
-def _fit(config, dataset, init=None, options=None):
-    """(``fit`` result, the ``_model`` it searched, expanded at its start)."""
-    options = options or FitOptions()
-    assembler, dropped = _build_assembler(config, dataset, options)
-    if init is None:
-        beta0 = initial_estimate(config, dataset)
-    else:
-        beta0 = np.asarray(init, dtype=float)
-        if beta0.shape != (dataset.p,):
-            raise ValueError(f"init must have shape ({dataset.p},)")
-    model = _model(assembler, beta0)
-    # With every coordinate free, the solver has already checked that
-    # this normal matrix is nonsingular at the solution.
-    sol = _minimize(model, beta0, np.arange(dataset.p), options)
-    normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
-    covariance = np.linalg.inv(normal) / dataset.n
-    covariance = (covariance + covariance.T) / 2.0
-    return FitResult(
-        beta_hat=sol.beta,
-        covariance=covariance,
-        objective=sol.objective,
-        iterations=sol.iterations,
-        converged=sol.converged,
-        gradient_norm=sol.gradient_norm,
-        iterates=sol.iterates,
-        weight_rank_deficient=sol.degraded,
-        dropped_groups=dropped,
-    ), model
+def _fit(configs, datasets, options, init=None):
+    """``fit`` of each problem (configs[i], datasets[i]), in lockstep.
+
+    Problems whose moments stack (one link, basis, p and count of kept
+    subgroups) are solved together, each expanded at its own start. Returns
+    per problem its ``_Fitted``, or the QifauxError or LinAlgError that
+    stopped it.
+    """
+    outcomes = [None] * len(configs)
+    batches = {}
+    for i, (config, dataset) in enumerate(zip(configs, datasets)):
+        try:
+            assembler, dropped = _build_assembler(config, dataset, options)
+            if init is None:
+                beta0 = initial_estimate(config, dataset)
+            else:
+                beta0 = np.asarray(init, dtype=float)
+                if beta0.shape != (dataset.p,):
+                    raise ValueError(f"init must have shape ({dataset.p},)")
+        except QifauxError as err:
+            outcomes[i] = err
+            continue
+        key = (config.spec.link, assembler.basis_stack.shape, assembler.p, len(assembler.phi))
+        batches.setdefault(key, []).append((i, assembler, dropped, beta0))
+    for batch in batches.values():
+        index, assemblers, dropped, beta0 = zip(*batch)
+        beta0 = np.array(beta0)
+        model = _model(assemblers, beta0)
+        free = np.arange(beta0.shape[1])
+        for j, sol in enumerate(_minimize(model, np.arange(len(batch)), beta0, free, options)):
+            if isinstance(sol, Exception):
+                outcomes[index[j]] = sol
+                continue
+            # With every coordinate free, the solver has already checked that
+            # this normal matrix is nonsingular at the solution.
+            normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
+            covariance = np.linalg.inv(normal) / assemblers[j].n
+            result = FitResult(
+                beta_hat=sol.beta,
+                covariance=(covariance + covariance.T) / 2.0,
+                objective=sol.objective,
+                iterations=sol.iterations,
+                converged=sol.converged,
+                gradient_norm=sol.gradient_norm,
+                iterates=sol.iterates,
+                weight_rank_deficient=sol.degraded,
+                dropped_groups=dropped[j],
+            )
+            outcomes[index[j]] = _Fitted(result, model, j)
+    return outcomes
 
 
 def profile_test(
@@ -669,16 +863,17 @@ def profile_test(
     options = options or FitOptions()
     indices, values = _hypothesis(constrained_indices, constrained_values, dataset.p)
     if unrestricted is None:
-        unrestricted, model = _fit(config, dataset, options=options)
-        return _profile_test(model, dataset.n, unrestricted, indices, values, options)
-    if np.shape(unrestricted.beta_hat) != (dataset.p,):
-        raise ValueError(f"unrestricted.beta_hat must have shape ({dataset.p},)")
-    iterates = unrestricted.iterates
-    if iterates is not None and np.shape(iterates[:1]) != (1, dataset.p):
-        raise ValueError(f"unrestricted.iterates[0] must have shape ({dataset.p},)")
-    start = unrestricted.beta_hat if iterates is None else iterates[0]
-    model = _model(_build_assembler(config, dataset, options)[0], start)
-    return _profile_test(model, dataset.n, unrestricted, indices, values, options)
+        fitted = _value(_fit([config], [dataset], options)[0])
+    else:
+        if np.shape(unrestricted.beta_hat) != (dataset.p,):
+            raise ValueError(f"unrestricted.beta_hat must have shape ({dataset.p},)")
+        iterates = unrestricted.iterates
+        if iterates is not None and np.shape(iterates[:1]) != (1, dataset.p):
+            raise ValueError(f"unrestricted.iterates[0] must have shape ({dataset.p},)")
+        start = unrestricted.beta_hat if iterates is None else iterates[0]
+        assembler = _build_assembler(config, dataset, options)[0]
+        fitted = _Fitted(unrestricted, _model([assembler], start[None]), 0)
+    return _value(_profile_tests([fitted], dataset.n, indices, values, options)[0])
 
 
 def _hypothesis(constrained_indices, constrained_values, p):
@@ -694,25 +889,56 @@ def _hypothesis(constrained_indices, constrained_values, p):
     return indices, values
 
 
-def _profile_test(model, n, unrestricted, indices, values, options):
-    """``profile_test`` on ``model``, the moment model of the unrestricted fit."""
-    beta_start = unrestricted.beta_hat.copy()
-    beta_start[indices] = values
-    free = np.delete(np.arange(beta_start.size), indices)
-    if free.size == 0:
-        q_restricted = model.evaluate(beta_start).objective()
-        beta_restricted = beta_start
-    else:
-        restricted = _minimize(model, beta_start, free, options)
-        if not restricted.converged:
-            # the last step was refused exactly when it left no iterate
-            flat = len(restricted.iterates) == restricted.iterations
-            raise NotConverged(restricted.iterations, flat)
-        beta_restricted, q_restricted = restricted.beta, restricted.objective
+def _profile_tests(fitted, n, indices, values, options):
+    """``profile_test`` of one hypothesis against each ``_Fitted`` of
+    ``fitted``, on the moment model its fit searched, in lockstep per model;
+    n is the subject count. Returns per fit its ProfileTestResult or the
+    QifauxError or LinAlgError that stopped the test."""
+    outcomes = [None] * len(fitted)
+    batches = {}
+    for j, f in enumerate(fitted):
+        batches.setdefault(id(f.model), []).append(j)
+    for js in batches.values():
+        model = fitted[js[0]].model
+        rows = np.array([fitted[j].row for j in js])
+        beta_start = np.array([fitted[j].result.beta_hat for j in js])
+        beta_start[:, indices] = values
+        p = beta_start.shape[1]
+        free = np.delete(np.arange(p), indices)
+        if free.size == 0:
+            point = model.evaluate(rows, beta_start)
+            restricted = [
+                (beta, float(q)) if rank >= p else _rank_error(rank, p)
+                for beta, q, rank in zip(beta_start, point.objective(), point.rank)
+            ]
+        else:
+            restricted = [
+                _restricted(sol) for sol in _minimize(model, rows, beta_start, free, options)
+            ]
+        for j, out in zip(js, restricted):
+            if isinstance(out, Exception):
+                outcomes[j] = out
+            else:
+                outcomes[j] = _test_result(n, fitted[j].result, *out, int(indices.size))
+    return outcomes
+
+
+def _restricted(solution):
+    """(beta, Q_n) of a converged restricted solve, else its error."""
+    if isinstance(solution, Exception):
+        return solution
+    if not solution.converged:
+        # the last step was refused exactly when it left no iterate
+        flat = len(solution.iterates) == solution.iterations
+        return NotConverged(solution.iterations, flat)
+    return solution.beta, solution.objective
+
+
+def _test_result(n, unrestricted, beta_restricted, q_restricted, df):
+    """The profile test of a restricted minimum against its unrestricted fit."""
     statistic = n * (q_restricted - unrestricted.objective)
     clamped = statistic < 0
     statistic = max(statistic, 0.0)
-    df = int(indices.size)
     return ProfileTestResult(
         statistic=float(statistic),
         df=df,
@@ -723,14 +949,19 @@ def _profile_test(model, n, unrestricted, indices, values, options):
     )
 
 
-def wald_interval(result: FitResult, index: int, level: float = 0.95):
-    """Normal-theory confidence interval for one coefficient."""
+def _wald_bounds(center, variance, level):
+    """center -/+ z sqrt(variance), elementwise, with z the standard normal
+    quantile at 0.5 + level / 2."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    z = special.ndtri(0.5 + level / 2.0)
-    center = result.beta_hat[index]
-    half = z * np.sqrt(result.covariance[index, index])
-    return float(center - half), float(center + half)
+    half = special.ndtri(0.5 + level / 2.0) * np.sqrt(variance)
+    return center - half, center + half
+
+
+def wald_interval(result: FitResult, index: int, level: float = 0.95):
+    """Normal-theory confidence interval for one coefficient."""
+    lo, hi = _wald_bounds(result.beta_hat[index], result.covariance[index, index], level)
+    return float(lo), float(hi)
 
 
 def relative_efficiency(result_a: FitResult, result_b: FitResult, index: int) -> float:

@@ -29,8 +29,8 @@ from .estimator import (
     FitOptions,
     _fit,
     _hypothesis,
-    _profile_test,
-    wald_interval,
+    _profile_tests,
+    _wald_bounds,
 )
 from .model import LongitudinalDataset, MarginalModelSpec
 
@@ -296,33 +296,54 @@ def _method_aux(method: str, design: SimulationDesign, r: int) -> AuxiliaryInfo 
     return build_four_group_aux(design, replication_rng(design.seed, r, _ROLE_HOLDOUT))
 
 
-def _one_replication(r, design, methods, basis, spec, hypotheses, options):
-    dataset = generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
+def _method_records(method, design, datasets, basis, spec, hypotheses, options):
+    """(beta_hat, se, covered, tests) of one method in each replication, None
+    where its fit failed or did not converge: one lockstep fit batch over the
+    replications, then one lockstep test batch per hypothesis over the
+    converged fits."""
+    configs = [
+        ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
+        for r in range(len(datasets))
+    ]
+    outcomes = _fit(configs, datasets, options)
+    _raise_unexpected(outcomes)
+    kept = [
+        r for r, out in enumerate(outcomes)
+        if not isinstance(out, Exception) and out.result.converged
+    ]
+    records = [None] * len(datasets)
+    if not kept:
+        return records
+    fitted = [outcomes[r] for r in kept]
+    estimates = np.array([f.result.beta_hat for f in fitted])
+    variances = np.array([np.diag(f.result.covariance) for f in fitted])
+    lo, hi = _wald_bounds(estimates, variances, INTERVAL_LEVEL)
     beta0 = np.asarray(design.beta_true, dtype=float)
-    record = {}
-    for method in methods:
-        config = ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
-        try:
-            result, model = _fit(config, dataset, options=options)
-            if not result.converged:
-                record[method] = None
-                continue
-        except QifauxError:
-            record[method] = None
-            continue
-        covered = np.zeros(dataset.p, dtype=bool)
-        for j in range(dataset.p):
-            lo, hi = wald_interval(result, j, INTERVAL_LEVEL)
-            covered[j] = lo <= beta0[j] <= hi
-        tests = {}
-        for label, indices, values in hypotheses:
-            try:
-                out = _profile_test(model, dataset.n, result, indices, values, options)
-                tests[label] = (out.statistic, out.p_value < TEST_LEVEL)
-            except QifauxError:
-                tests[label] = None
-        record[method] = (result.beta_hat, result.se, covered, tests)
-    return record
+    covered = (lo <= beta0) & (beta0 <= hi)
+    tests = {}
+    for label, indices, values in hypotheses:
+        results = _profile_tests(fitted, design.n, indices, values, options)
+        _raise_unexpected(results)
+        tests[label] = [
+            None if isinstance(out, QifauxError) else (out.statistic, out.p_value < TEST_LEVEL)
+            for out in results
+        ]
+    for j, r in enumerate(kept):
+        records[r] = (
+            estimates[j],
+            np.sqrt(variances[j]),
+            covered[j],
+            {label: results[j] for label, results in tests.items()},
+        )
+    return records
+
+
+def _raise_unexpected(outcomes):
+    """Raise the first error of a batch that is not a QifauxError: a failed
+    replication is counted, anything else stops the study."""
+    for out in outcomes:
+        if isinstance(out, Exception) and not isinstance(out, QifauxError):
+            raise out
 
 
 def run_monte_carlo(
@@ -339,7 +360,10 @@ def run_monte_carlo(
     coverage and the rejection rate of each profile test at TEST_LEVEL.
     Failed replications (non-convergence or estimation errors) are excluded
     with their count reported on the summary. Raises TooManyFailures when a
-    method loses more than MAX_FAILURE_SHARE of its replications.
+    method loses more than MAX_FAILURE_SHARE of its replications. A method's
+    replications are fitted in lockstep, and so are the tests of each
+    hypothesis on its converged fits; with n_jobs > 1 the methods run in
+    that many threads.
     """
     methods = [m.strip().lower() for m in methods]
     if not methods:
@@ -352,20 +376,24 @@ def run_monte_carlo(
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
     reps = design.replications
+    datasets = [
+        generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
+        for r in range(reps)
+    ]
 
-    def work(r):
-        return _one_replication(r, design, methods, basis, spec, checked, options)
+    def work(method):
+        return _method_records(method, design, datasets, basis, spec, checked, options)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(work, range(reps)))
+            records = dict(zip(methods, pool.map(work, methods)))
     else:
-        records = [work(r) for r in range(reps)]
+        records = {method: work(method) for method in methods}
 
     beta0 = np.asarray(design.beta_true, dtype=float)
     summaries = {}
     for method in methods:
-        rows = [records[r][method] for r in range(reps)]
+        rows = records[method]
         ok = [row for row in rows if row is not None]
         failures = reps - len(ok)
         if failures > MAX_FAILURE_SHARE * reps:

@@ -200,25 +200,45 @@ class TestWeightInverse:
         for _ in range(5):
             sigma = weight_matrix(self.contributions(rng, d, proportional))
             expected, expected_rank = self.oracle(sigma)
-            inverse, rank = _weight_inverse(sigma, 1)
+            inverse, rank = _weight_inverse(sigma)
             assert rank == expected_rank == d - proportional
             assert_relative(inverse, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_rank_below_p_raises(self, p):
-        from qifaux.estimator import _weight_inverse
+        from qifaux.estimator import _rank_error, _weight_inverse
 
         rng = np.random.default_rng(p)
         for subjects in range(1, p):
             sigma = weight_matrix(rng.standard_normal((subjects, 6)))
             assert self.oracle(sigma)[1] == subjects
             with pytest.raises(SingularWeightMatrix, match=f"rank {subjects} < "):
-                _weight_inverse(sigma, p)
+                raise _rank_error(_weight_inverse(sigma)[1], p)
         # the proportional pair leaves rank p - 1 when d = p
         sigma = weight_matrix(self.contributions(rng, p, True))
         assert self.oracle(sigma)[1] == p - 1
         with pytest.raises(SingularWeightMatrix):
-            _weight_inverse(sigma, p)
+            raise _rank_error(_weight_inverse(sigma)[1], p)
+        # a full-rank weight gives no error
+        sigma = weight_matrix(rng.standard_normal((9, 6)))
+        assert _rank_error(_weight_inverse(sigma)[1], p) is None
+
+    def test_stack_equals_each_matrix_alone(self):
+        """The stacked pseudo-inverse zeroes the dropped eigenvalues instead of
+        deleting their columns; every matrix of a stack, full rank or not,
+        comes out bit for bit as when inverted alone."""
+        from qifaux.estimator import _weight_inverse
+
+        rng = np.random.default_rng(5)
+        sigma = np.stack(
+            [weight_matrix(self.contributions(rng, 16, j % 2 == 1)) for j in range(6)]
+        )
+        inverse, rank = _weight_inverse(sigma)
+        np.testing.assert_array_equal(rank, [16, 15, 16, 15, 16, 15])
+        for j in range(6):
+            alone, alone_rank = _weight_inverse(sigma[j])
+            assert alone_rank == rank[j]
+            np.testing.assert_array_equal(inverse[j], alone)
 
 
 def fd_moment_jacobian(cfg, ds, beta, h=1e-6):
@@ -379,11 +399,12 @@ class TestFit:
 
         class NanJacobian:
             def derivatives(self, point, u, continuous):
-                return np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros(2)
+                return np.array([[[np.nan, 1.0], [0.0, 1.0]]]), np.zeros((1, 2))
 
-        point = _Point(np.ones(2), np.eye(2), 2, None)
+        point = _Point(np.arange(1), np.ones((1, 2)), np.eye(2)[None], np.array([2]), None)
+        error = _direction(NanJacobian(), point, np.arange(2), True)[3][0]
         with pytest.raises(RankDeficient, match="not finite"):
-            _direction(NanJacobian(), point, np.arange(2), True)
+            raise error
 
     def test_empty_subgroup_policy(self):
         rng = np.random.default_rng(18)
@@ -458,10 +479,10 @@ class TestFit:
             cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
             res = fit(cfg, ds)
             assert res.converged
-            model = _SubjectMoments(_Assembler(cfg, ds))
+            model = _SubjectMoments([_Assembler(cfg, ds)])
 
             def q_fun(b):
-                return model.evaluate(b).objective()
+                return model.evaluate([0], b[None]).objective()[0]
 
             best = np.inf
             for start in (res.beta_hat, beta_true, np.zeros(p)):
@@ -509,7 +530,7 @@ class TestFit:
         beta0 = np.zeros(2) if start == "zeros" else fit(cfg, ds).beta_hat
         assembler, _ = _build_assembler(cfg, ds, FitOptions())
         g, contribs = assembler.moments(beta0)
-        w_inv, _ = _weight_inverse(weight_matrix(contribs), 2)
+        w_inv, _ = _weight_inverse(weight_matrix(contribs))
         jac = assembler.jacobian(beta0)
         expected = beta0 - np.linalg.solve(jac.T @ w_inv @ jac, jac.T @ w_inv @ g)
         res = fit(cfg, ds, init=beta0, options=FitOptions(two_step=True))
@@ -599,28 +620,29 @@ class TestSufficientStatistics:
             cfg, ds, FitOptions(allow_empty_subgroups=True)
         )
         assert dropped == (1,)
-        model = _AffineMoments(assembler, rng.standard_normal(p))
+        model = _AffineMoments([assembler], rng.standard_normal(p)[None])
         frozen_inv = None
         if two_step:
             start = assembler.contributions(rng.standard_normal(p))
-            frozen_inv, _ = _weight_inverse(weight_matrix(start), p)
+            frozen_inv = _weight_inverse(weight_matrix(start))[0][None]
         for _ in range(4):
             beta = rng.standard_normal(p)
             g, contribs = assembler.moments(beta)
             sigma = weight_matrix(contribs)
             # the continuously-updated point carries the Gram cross product,
             # from which Sigma_n = w' cross with w = (1, beta - beta0)
-            updated = model.evaluate(beta)
-            offset = np.concatenate(([1.0], beta - model.beta0))
-            assert_relative(updated.g, g)
-            assert_relative(offset @ updated.terms, sigma)
-            assert_relative(model.jacobian, assembler.jacobian(beta))
-            w_direct = frozen_inv if two_step else _weight_inverse(sigma, p)[0]
-            point = model.evaluate(beta, frozen_inv)
-            assert_relative(point.objective(), g @ w_direct @ g)
-            _, half_grad = model.derivatives(point, point.w_inv @ point.g, not two_step)
+            updated = model.evaluate([0], beta[None])
+            offset = np.concatenate(([1.0], beta - model.beta0[0]))
+            assert_relative(updated.g[0], g)
+            assert_relative(offset @ updated.terms[0], sigma)
+            w_direct = frozen_inv[0] if two_step else _weight_inverse(sigma)[0]
+            point = model.evaluate([0], beta[None], frozen_inv)
+            assert_relative(point.objective()[0], g @ w_direct @ g)
+            u = (point.w_inv[0] @ point.g[0])[None]
+            jac, half_grad = model.derivatives(point, u, not two_step)
+            assert_relative(jac[0], assembler.jacobian(beta))
             assert_relative(
-                half_grad, per_subject_half_gradient(assembler, beta, w_direct, two_step)
+                half_grad[0], per_subject_half_gradient(assembler, beta, w_direct, two_step)
             )
 
     @settings(max_examples=25, deadline=None)
@@ -686,24 +708,25 @@ class TestExactGradient:
             cfg, ds, FitOptions(allow_empty_subgroups=True)
         )
         assert dropped == ((1,) if method == "empty_dropped" else ())
-        model = _SubjectMoments(assembler)
+        model = _SubjectMoments([assembler])
         truth = np.array([0.5, -0.5])
         frozen_inv = None
         if two_step:
-            frozen_inv = model.evaluate(truth + 0.2 * rng.standard_normal(2))[1]
+            frozen_inv = model.evaluate([0], (truth + 0.2 * rng.standard_normal(2))[None]).w_inv
 
         def searched(beta):
-            return model.evaluate(beta, frozen_inv).objective()
+            return model.evaluate([0], beta[None], frozen_inv).objective()[0]
 
         h = 1e-5
         for _ in range(3):
             # beta_1 = 0 makes mu constant within subjects, where the x_2
             # score rows are proportional and Sigma_n singular; stay clear
             beta = truth + 0.15 * rng.standard_normal(2)
-            point = model.evaluate(beta, frozen_inv)
-            _, half_grad = model.derivatives(point, point.w_inv @ point.g, not two_step)
+            point = model.evaluate([0], beta[None], frozen_inv)
+            u = (point.w_inv[0] @ point.g[0])[None]
+            _, half_grad = model.derivatives(point, u, not two_step)
             fd = [(searched(beta + e) - searched(beta - e)) / (4 * h) for e in h * np.eye(2)]
-            assert_relative(half_grad, fd, rtol=1e-6)
+            assert_relative(half_grad[0], fd, rtol=1e-6)
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
@@ -718,16 +741,18 @@ class TestExactGradient:
         aux = AuxiliaryInfo(part, tuple(rng.standard_normal(3) for _ in range(3)))
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), aux)
         assembler, _ = _build_assembler(cfg, ds, FitOptions(allow_empty_subgroups=True))
-        subject = _SubjectMoments(assembler)
-        gram = _AffineMoments(assembler, rng.standard_normal(p))
-        frozen_inv = subject.evaluate(rng.standard_normal(p))[1] if two_step else None
+        subject = _SubjectMoments([assembler])
+        gram = _AffineMoments([assembler], rng.standard_normal(p)[None])
+        frozen_inv = None
+        if two_step:
+            frozen_inv = subject.evaluate([0], rng.standard_normal(p)[None]).w_inv
         for _ in range(4):
-            beta = rng.standard_normal(p)
-            point = subject.evaluate(beta, frozen_inv)
-            u = point.w_inv @ point.g
+            beta = rng.standard_normal(p)[None]
+            point = subject.evaluate([0], beta, frozen_inv)
+            u = (point.w_inv[0] @ point.g[0])[None]
             jac, half_grad = subject.derivatives(point, u, not two_step)
             jac_gram, half_grad_gram = gram.derivatives(
-                gram.evaluate(beta, frozen_inv), u, not two_step
+                gram.evaluate([0], beta, frozen_inv), u, not two_step
             )
             assert_relative(jac, jac_gram, rtol=1e-12)
             assert_relative(half_grad, half_grad_gram, rtol=1e-12)
@@ -786,12 +811,15 @@ def paper_problem(method, seed, r=0, n=300):
 
 
 def gauss_newton_direction(model, point, free, continuous):
-    """Reference: the solver's direction with Gauss-Newton steps only."""
-    jac, half_grad = model.derivatives(point, point.w_inv @ point.g, continuous)
-    free_jac = jac[:, free]
-    score = half_grad[free]
-    step = -np.linalg.solve(free_jac.T @ point.w_inv @ free_jac, score)
-    return jac, step, float(np.abs(score).max())
+    """Reference: the solver's direction with Gauss-Newton steps only, for
+    each problem of the stacked point."""
+    u = (point.w_inv @ point.g[:, :, None])[..., 0]
+    jac, half_grad = model.derivatives(point, u, continuous)
+    free_jac = jac[:, :, free]
+    score = half_grad[:, free]
+    normal = free_jac.swapaxes(1, 2) @ point.w_inv @ free_jac
+    step = -np.linalg.solve(normal, score[:, :, None])[:, :, 0]
+    return jac, step, np.abs(score).max(axis=1), {}
 
 
 class TestNewtonStep:
@@ -805,21 +833,23 @@ class TestNewtonStep:
         cfg, ds = paper_problem(method, seed=1003)
         assembler, _ = _build_assembler(cfg, ds, FitOptions())
         rng = np.random.default_rng(7)
-        model = _AffineMoments(assembler, np.array([0.5, -0.5]) + 0.1 * rng.standard_normal(2))
+        model = _AffineMoments(
+            [assembler], (np.array([0.5, -0.5]) + 0.1 * rng.standard_normal(2))[None]
+        )
 
         def half_grad(beta):
-            point = model.evaluate(beta)
-            return model.derivatives(point, point.w_inv @ point.g, True)[1]
+            point = model.evaluate([0], beta[None])
+            return model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)[1][0]
 
         h = 1e-5
         for _ in range(3):
             # off the optimum, where the weight-derivative terms are large
             beta = np.array([0.5, -0.5]) + 0.3 * rng.standard_normal(2)
-            point = model.evaluate(beta)
+            point = model.evaluate([0], beta[None])
             if method == "gmmai4":
                 # the x_2 score rows are proportional: Sigma_n has rank 15 of 16
-                assert point.rank == point.g.shape[0] - 1
-            hess = model.hessian(point, point.w_inv @ point.g)
+                assert point.rank[0] == point.g.shape[1] - 1
+            hess = model.hessian(point, (point.w_inv[0] @ point.g[0])[None])[0]
             fd = np.column_stack(
                 [(half_grad(beta + e) - half_grad(beta - e)) / (2 * h) for e in h * np.eye(2)]
             )
@@ -836,18 +866,17 @@ class TestNewtonStep:
         beta_start[1] = 0.0
         assembler, _ = _build_assembler(cfg, ds, FitOptions())
         free = np.array([0])
-        sol = _minimize(
-            _AffineMoments(assembler, beta_start), beta_start, free, FitOptions()
-        )
+        start = beta_start[None]
+        (sol,) = _minimize(_AffineMoments([assembler], start), [0], start, free, FitOptions())
         assert sol.converged and sol.iterations <= 10
-        model = _AffineMoments(assembler, sol.beta)
-        point = model.evaluate(sol.beta)
-        _, half_grad = model.derivatives(point, point.w_inv @ point.g, True)
-        assert abs(half_grad[0]) < 1e-8
+        model = _AffineMoments([assembler], sol.beta[None])
+        point = model.evaluate([0], sol.beta[None])
+        _, half_grad = model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)
+        assert abs(half_grad[0, 0]) < 1e-8
 
         monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
-        creeping = _minimize(
-            _AffineMoments(assembler, beta_start), beta_start, free, FitOptions()
+        (creeping,) = _minimize(
+            _AffineMoments([assembler], start), [0], start, free, FitOptions()
         )
         assert not creeping.converged
         assert creeping.iterations == qifaux.estimator.MAX_ITER
@@ -889,6 +918,120 @@ class TestNewtonStep:
         if with_test:
             np.testing.assert_array_equal(test.beta_restricted, ref_test.beta_restricted)
             assert test.statistic == ref_test.statistic
+
+
+class TestLockstep:
+    """Every problem of a lockstep batch comes out bit for bit as when it is
+    solved alone, as a batch of one, whatever its neighbours do."""
+
+    @staticmethod
+    def solve_each_way(assemblers, beta0, start, free, options=FitOptions()):
+        """``_minimize`` over the whole stack, checked slice by slice against
+        each problem alone; returns the batch's outcomes."""
+        from qifaux.estimator import _minimize, _model, _Solution
+
+        batch = _minimize(
+            _model(assemblers, beta0), np.arange(len(assemblers)), start, free, options
+        )
+        for j, out in enumerate(batch):
+            (alone,) = _minimize(
+                _model([assemblers[j]], beta0[j : j + 1]), [0], start[j : j + 1], free, options
+            )
+            assert type(out) is type(alone)
+            if isinstance(out, Exception):
+                assert str(out) == str(alone)
+                continue
+            for field in _Solution._fields:
+                np.testing.assert_array_equal(
+                    getattr(out, field), getattr(alone, field), err_msg=field
+                )
+        return batch
+
+    @staticmethod
+    def paper_batch(method, seed, replications, hypothesis=None):
+        """(assemblers, fit starts, solve starts) of a design's replications,
+        the starts of a restricted solve when a (index, value) is given."""
+        from qifaux.estimator import _build_assembler
+
+        assemblers, beta0, start = [], [], []
+        for r in range(replications):
+            cfg, ds = paper_problem(method, seed, r)
+            assemblers.append(_build_assembler(cfg, ds, FitOptions())[0])
+            res = fit(cfg, ds)
+            beta0.append(res.iterates[0])
+            start.append(res.beta_hat.copy() if hypothesis else res.iterates[0])
+            if hypothesis:
+                start[-1][hypothesis[0]] = hypothesis[1]
+        return assemblers, np.array(beta0), np.array(start)
+
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    def test_failing_problems_retire_alone(self, two_step):
+        """A collinear panel fails the rank check of its normal matrix and a
+        one-subject panel its weight rank, each with its own error, while
+        the healthy fits beside them run on."""
+        from qifaux.estimator import _build_assembler, _Solution
+
+        cfg, _ = paper_problem("qif", 1000)
+        rng = np.random.default_rng(17)
+        x1 = rng.standard_normal((30, 3, 1))
+        collinear = LongitudinalDataset(
+            rng.standard_normal((30, 3)), np.concatenate([x1, 2.0 * x1], axis=2)
+        )
+        lonely = LongitudinalDataset(np.array([[1.0, 2.0, 0.5]]), rng.standard_normal((1, 3, 2)))
+        panels = [paper_problem("qif", seed)[1] for seed in (1000, 1001)]
+        panels[1:1] = [collinear, lonely]
+        assemblers = [_build_assembler(cfg, ds, FitOptions())[0] for ds in panels]
+        beta0 = np.array([initial_estimate(cfg, ds) for ds in panels[::3]])
+        beta0 = np.insert(beta0, 1, [[0.3, -0.1], [0.3, -0.1]], axis=0)
+        out = self.solve_each_way(
+            assemblers, beta0, beta0, np.arange(2), FitOptions(two_step=two_step)
+        )
+        assert isinstance(out[1], RankDeficient)
+        assert "moment Jacobian is rank deficient" in str(out[1])
+        assert isinstance(out[2], SingularWeightMatrix)
+        assert all(isinstance(o, _Solution) and o.converged for o in out[::3])
+
+    def test_problem_at_max_iter_beside_converged_ones(self, monkeypatch):
+        """With Gauss-Newton steps only, the restricted gmmai4 solve of
+        design 1014, replication 0, creeps to MAX_ITER; its neighbours
+        converge and leave the batch before it."""
+        monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
+        assemblers, beta0, start = self.paper_batch("gmmai4", 1014, 4, (1, 0.0))
+        out = self.solve_each_way(assemblers, beta0, start, np.array([0]))
+        assert not out[0].converged
+        assert out[0].iterations == qifaux.estimator.MAX_ITER
+        assert all(o.converged and o.iterations < qifaux.estimator.MAX_ITER for o in out[1:])
+
+    def test_slowest_paper_restricted_solve(self):
+        """The slowest restricted solve of the benchmark's Monte Carlo
+        designs (seed 1082, replication 0, gmmai4, beta_2 = 0) takes 31
+        iterations, most of them after the rest of its batch has retired."""
+        assemblers, beta0, start = self.paper_batch("gmmai4", 1082, 5, (1, 0.0))
+        out = self.solve_each_way(assemblers, beta0, start, np.array([0]))
+        assert out[0].converged and out[0].iterations == 31
+        assert all(o.converged and o.iterations < 10 for o in out[1:])
+
+    def test_logit_batch_of_one_failing_at_its_start(self):
+        """A logit problem whose weight has rank below p at its start leaves
+        before any direction is computed, with its own error."""
+        x = np.random.default_rng(0).standard_normal((1, 3, 2))
+        ds = LongitudinalDataset(np.array([[1.0, 0.0, 1.0]]), x)
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), None)
+        for two_step in (False, True):
+            with pytest.raises(SingularWeightMatrix, match="rank 1 < parameter dimension 2"):
+                fit(cfg, ds, init=np.zeros(2), options=FitOptions(two_step=two_step))
+
+    def test_fits_of_a_batch_equal_their_public_fits(self):
+        """``fit`` is the batch of one: every fit of a lockstep batch equals
+        the public ``fit`` of its problem, covariance included."""
+        from qifaux.estimator import _fit
+
+        problems = [paper_problem("gmmai2", 1003, r) for r in range(4)]
+        outcomes = _fit([c for c, _ in problems], [ds for _, ds in problems], FitOptions())
+        for (cfg, ds), out in zip(problems, outcomes):
+            alone = fit(cfg, ds)
+            for field in ("beta_hat", "covariance", "objective", "iterations", "iterates"):
+                np.testing.assert_array_equal(getattr(out.result, field), getattr(alone, field))
 
 
 class TestInitialEstimate:

@@ -154,8 +154,8 @@ class TestRunMonteCarlo:
     def test_too_many_failures(self, monkeypatch):
         design = SimulationDesign(n=60, seed=9, replications=10)
 
-        def always_diverges(*args, **kwargs):
-            raise sim.QifauxError("forced failure")
+        def always_diverges(configs, datasets, options):
+            return [sim.QifauxError("forced failure") for _ in configs]
 
         monkeypatch.setattr(sim, "_fit", always_diverges)
         with pytest.raises(TooManyFailures):
@@ -194,6 +194,49 @@ class TestRunMonteCarlo:
         summaries = run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
         assert all(s.failures == 0 for s in summaries.values())
         assert len(calls) == len(sim.METHODS) * design.replications
+
+    @pytest.mark.parametrize("seed", [6, 1014])
+    def test_stacked_evaluations_follow_the_slowest_member(self, monkeypatch, seed):
+        """run_monte_carlo solves each method's fits as one lockstep group and
+        each hypothesis's tests as another; a group makes as many stacked
+        evaluations as its slowest member makes alone."""
+        import qifaux.estimator as est
+
+        groups = []
+        evaluate, minimize = est._AffineMoments.evaluate, est._minimize
+
+        def counting_evaluate(self, *args, **kwargs):
+            groups[-1] += 1
+            return evaluate(self, *args, **kwargs)
+
+        def counting_minimize(*args, **kwargs):
+            groups.append(0)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(est._AffineMoments, "evaluate", counting_evaluate)
+        monkeypatch.setattr(est, "_minimize", counting_minimize)
+        design = SimulationDesign(n=150, seed=seed, replications=4)
+        run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
+        lockstep, groups[:] = list(groups), []
+
+        expected = []
+        basis = build_basis(design.working, design.q)
+        for method in sim.METHODS:
+            fits = []
+            for r in range(design.replications):
+                ds = generate_dataset(design, replication_rng(design.seed, r, 0))
+                cfg = ExtendedScoreConfig(
+                    MarginalModelSpec.gaussian(), basis, sim._method_aux(method, design, r)
+                )
+                fits.append((cfg, ds, fit(cfg, ds)))
+            expected.append(max(groups[-design.replications:]))
+            for hyp in PAPER_HYPOTHESES:
+                for cfg, ds, res in fits:
+                    profile_test(cfg, ds, hyp.indices, hyp.values, unrestricted=res)
+                expected.append(max(groups[-design.replications:]))
+        assert len(groups) == len(sim.METHODS) * (1 + len(PAPER_HYPOTHESES)) * design.replications
+        assert lockstep == expected
+        assert sum(lockstep) < sum(groups)
 
     @pytest.mark.parametrize("seed", [1000, 1014])
     def test_statistics_equal_the_public_profile_test(self, seed):
