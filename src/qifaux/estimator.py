@@ -30,14 +30,14 @@ truncated mean Jacobian G_n under both links; restricted identity-link CUE
 solves step with the exact, n-free Hessian where it is positive definite, as
 that metric misses the weight-derivative curvature a false null brings.
 
-The solver runs a stack of problems that share one method in lockstep:
-each round makes one stacked evaluation for the problems still searching
-along their step and one stacked direction for those that accepted a point,
-and a problem leaves the stack when it converges, reaches MAX_ITER or
-fails. Every stacked kernel gives each problem, bit for bit, what it gives
-that problem alone, and every check and choice of step is made per problem.
-``fit`` and ``profile_test`` are the batch of one; the Monte Carlo harness
-solves a method's replications together.
+Each problem's search is one serial loop (``_search``), and the solver
+drives the loops of a stack of problems that share one method in lockstep:
+each round makes one stacked evaluation for the loops that asked for Q_n
+and one stacked direction for those that accepted a point. Every stacked
+kernel gives each problem, bit for bit, what it gives that problem alone; a
+problem that fails a check solves a stand-in there and leaves. ``fit`` and
+``profile_test`` are the batch of one; the Monte Carlo harness solves a
+method's replications together. A joint null is a solve with nothing free.
 
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
@@ -587,7 +587,10 @@ def _direction(model, point, free, continuous):
     exact, positive definite H_ff, else Gauss-Newton's. Fits keep
     Gauss-Newton: Newton moves their estimates by up to 1.8e-7, beyond the
     benchmark reference (ROADMAP item 3). Every check and the choice of step
-    are made for each problem on its own, as when it is solved alone.
+    are made for each problem on its own, as when it is solved alone; a
+    problem that fails its rank check solves an identity stand-in in the
+    stack, and only its error counts. With no free coordinate the check is
+    vacuous and the step empty.
     """
     u = (point.w_inv @ point.g[:, :, None])[..., 0]
     jac, half_grad = model.derivatives(point, u, continuous)
@@ -600,29 +603,23 @@ def _direction(model, point, free, continuous):
     finite = np.isfinite(normal).all(axis=(1, 2))
     checked = normal if finite.all() else np.where(finite[:, None, None], normal, 1.0)
     spectra = np.abs(np.linalg.eigvalsh(checked)).tolist()
-    errors = {}
+    failed = {}
     for i, (ok, mags) in enumerate(zip(finite.tolist(), spectra)):
         if not ok:
-            errors[i] = RankDeficient("normal matrix of the free coordinates is not finite")
-        elif not mags or max(mags) == 0 or min(mags) <= max(mags) * 1e-13:
-            errors[i] = RankDeficient(
+            failed[i] = RankDeficient("normal matrix of the free coordinates is not finite")
+        elif mags and min(mags) <= max(mags) * 1e-13:
+            failed[i] = RankDeficient(
                 "moment Jacobian is rank deficient for the free coordinates"
             )
-    if errors:
-        # the others' steps, from a stack without the failed problems
-        step = np.full(score.shape, np.nan)
-        good = np.delete(np.arange(len(score)), list(errors))
-        if good.size:
-            _, step[good], _, more = _direction(model, point.take(good), free, continuous)
-            errors.update((good[k], error) for k, error in more.items())
-        return jac, step, grad_norm, errors
     if continuous and free.size < jac.shape[2] and hasattr(model, "hessian"):
         hess = model.hessian(point, u)[:, free][:, :, free]
         # Gauss-Newton where H_ff has no Cholesky factor
-        failed = list(_stacked(np.linalg.cholesky, hess)[1])
-        hess[failed] = normal[failed]
+        singular = list(_stacked(np.linalg.cholesky, hess)[1])
+        hess[singular] = normal[singular]
         normal = hess
+    normal[list(failed)] = np.eye(free.size)
     solved, errors = _stacked(np.linalg.solve, normal, score[:, :, None])
+    errors.update(failed)
     return jac, -solved[:, :, 0], grad_norm, errors
 
 
@@ -634,16 +631,81 @@ def _model(assemblers, beta0):
     return _SubjectMoments(assemblers)
 
 
-def _minimize(model, rows, beta0, free, options):
+def _search(beta, free):
     """Newton or Gauss-Newton with step halving on Q_n over the free
-    coordinates, for the problems ``rows`` of ``model`` in lockstep.
+    coordinates, for one problem from beta, as a generator.
 
-    Row j of beta0 starts problem rows[j]. Each round makes one stacked
-    evaluation for the problems searching along their step and one stacked
-    ``_direction`` for those that accepted a point. A problem leaves when it
-    converges, reaches MAX_ITER or fails; its halvings, stopping rules and
-    result are those it has when solved alone, as a batch of one. Returns
-    per problem its ``_Solution`` or the error that stopped it.
+    It yields each point where it needs the objective, beta first, and is
+    sent (Q_n, weight rank) there, the rank None for a frozen weight. At
+    each accepted point it yields None and is sent (G_n, step, the step's
+    largest coordinate, gradient norm, W) there. It returns its
+    ``_Solution``, or raises SingularWeightMatrix where the weight's rank
+    falls below p.
+    """
+    p = beta.size
+    # low is the smallest weight rank at an accepted point
+    q_cur, low = yield beta
+    if low < p:
+        raise _rank_error(low, p)
+    iterates = [beta]
+    jac, step, step_norm, grad_norm, w_inv = yield None
+    converged = False
+    iterations = 0
+    for _ in range(MAX_ITER):
+        if step_norm < STEP_TOL:
+            converged = True
+            break
+        iterations += 1
+        alpha = 1.0
+        smallest_gap = np.inf
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = beta.copy()
+            candidate[free] += alpha * step
+            trial_q, rank = yield candidate
+            if rank is not None and rank < p:
+                raise _rank_error(rank, p)
+            if trial_q < q_cur:
+                break
+            smallest_gap = min(smallest_gap, abs(trial_q - q_cur))
+            alpha *= 0.5
+        else:
+            # No achievable decrease: objective flat along the direction.
+            converged = smallest_gap < OBJECTIVE_TOL
+            break
+        # alpha is a power of two, so this is the largest coordinate taken
+        stopped = alpha * step_norm < STEP_TOL or q_cur - trial_q < OBJECTIVE_TOL
+        beta, q_cur = candidate, trial_q
+        low = low if rank is None else min(low, rank)
+        iterates.append(beta)
+        jac, step, step_norm, grad_norm, w_inv = yield None
+        if stopped:
+            converged = True
+            break
+    return _Solution(
+        beta=beta,
+        objective=q_cur,
+        iterations=iterations,
+        converged=converged,
+        iterates=np.asarray(iterates),
+        degraded=low < len(w_inv),
+        gradient_norm=grad_norm,
+        weight_inverse=w_inv,
+        jacobian=jac,
+    )
+
+
+def _minimize(model, rows, beta0, free, options):
+    """``_search`` of each problem ``rows`` of ``model`` in lockstep, row j of
+    beta0 starting problem rows[j]. Returns per problem its ``_Solution``
+    or the error that stopped it.
+
+    Each problem's search is one serial loop; this function only stacks their
+    requests. Each round makes one stacked evaluation for the searches that
+    asked for Q_n and one stacked ``_direction`` for those that accepted a
+    point, then sends each search its own slice. Every stacked kernel gives
+    a problem, bit for bit, what it gives that problem alone, so each result
+    is the one the problem gets as a batch of one. With no free coordinate
+    the search stops at its start, where Q_n is the joint null's objective.
 
     The step preconditions the exact objective gradient with the inverse of
     the exact Hessian or of G' Sigma^{-1} G (``_direction``), both positive
@@ -651,111 +713,43 @@ def _minimize(model, rows, beta0, free, options):
     stationary point of the minimized objective (continuously-updating Q_n,
     or the frozen-weight form in two-step mode) of ``model``, from ``_model``.
     """
-    beta = np.array(beta0, dtype=float)
-    size, p = beta.shape
     rows = np.asarray(rows)
     continuous = not options.two_step
-    point = model.evaluate(rows, beta)
-    d = point.g.shape[1]
-    frozen_inv = None if continuous else point.w_inv
-    # Per problem: the last accepted point and the direction taken there,
-    # the iteration count, and the refused trials of the current iteration
-    # with the smallest |change of Q_n| among them.
-    q_cur = point.objective().tolist()
-    degraded = (point.rank < d).tolist()
-    iterates = [[b] for b in beta.copy()]
-    step = np.empty((size, free.size))
-    jac, w_inv, grad_norm = [None] * size, [None] * size, [None] * size
-    iterations, trials, smallest_gap = [0] * size, [0] * size, [np.inf] * size
-    outcomes = [None] * size
+    searches = [_search(np.array(start, dtype=float), free) for start in beta0]
+    requests = [next(search) for search in searches]
+    outcomes = [None] * len(searches)
+    active, frozen = list(range(len(searches))), None
 
-    def solution(j, converged):
-        return _Solution(
-            beta=beta[j].copy(),
-            objective=q_cur[j],
-            iterations=iterations[j],
-            converged=converged,
-            iterates=np.asarray(iterates[j]),
-            degraded=degraded[j],
-            gradient_norm=grad_norm[j],
-            weight_inverse=w_inv[j],
-            jacobian=jac[j],
-        )
+    def resume(j, reply):
+        try:
+            requests[j] = searches[j].send(reply)
+        except StopIteration as stop:
+            outcomes[j] = stop.value
+        except SingularWeightMatrix as err:
+            outcomes[j] = err
 
-    def advance(moved, at, stopped):
-        """Directions for the problems ``moved`` at their points ``at``, then
-        the stopping rules in order: ``stopped`` ends a problem converged,
-        then MAX_ITER unconverged, then a step below STEP_TOL converged.
-        Returns the problems that go on to search along their new step."""
-        new_jac, new_step, new_norm, errors = _direction(model, at, free, continuous)
-        step[moved] = new_step
-        small = (np.abs(new_step).max(axis=1) < STEP_TOL).tolist()
-        searching = []
-        for k, (j, norm) in enumerate(zip(moved, new_norm.tolist())):
-            if k in errors:
-                outcomes[j] = errors[k]
-                continue
-            jac[j], w_inv[j], grad_norm[j] = new_jac[k], at.w_inv[k], norm
-            if stopped[k]:
-                outcomes[j] = solution(j, True)
-            elif iterations[j] >= MAX_ITER:
-                outcomes[j] = solution(j, False)
-            elif small[k]:
-                outcomes[j] = solution(j, True)
-            else:
-                iterations[j] += 1
-                trials[j], smallest_gap[j] = 0, np.inf
-                if MAX_HALVINGS < 0:
-                    # no trial at all: no achievable decrease
-                    outcomes[j] = solution(j, False)
-                else:
-                    searching.append(j)
-        return searching
-
-    active = []
-    for j, rank in enumerate(point.rank.tolist()):
-        if rank < p:
-            outcomes[j] = _rank_error(rank, p)
-        else:
-            active.append(j)
-    if active:
-        active = advance(active, point.take(active), [False] * len(active))
     while active:
-        alpha = np.array([0.5**trials[j] for j in active])
-        moving = alpha[:, None] * step[active]
-        candidate = beta[active]
-        candidate[:, free] += moving
-        taken = np.abs(moving).max(axis=1).tolist()
         trial = model.evaluate(
-            rows[active], candidate, None if frozen_inv is None else frozen_inv[active]
+            rows[active],
+            np.array([requests[j] for j in active]),
+            None if frozen is None else frozen[active],
         )
-        trial_q = trial.objective().tolist()
-        ranks = trial.rank.tolist() if continuous else None
-        searching, accepted, moved, stopped = [], [], [], []
-        for k, j in enumerate(active):
-            if continuous and ranks[k] < p:
-                outcomes[j] = _rank_error(ranks[k], p)
-            elif trial_q[k] < q_cur[j]:
-                stopped.append(taken[k] < STEP_TOL or q_cur[j] - trial_q[k] < OBJECTIVE_TOL)
-                q_cur[j] = trial_q[k]
-                if continuous:
-                    degraded[j] = degraded[j] or ranks[k] < d
-                iterates[j].append(candidate[k])
-                accepted.append(k)
-                moved.append(j)
-            else:
-                smallest_gap[j] = min(smallest_gap[j], abs(trial_q[k] - q_cur[j]))
-                trials[j] += 1
-                if trials[j] > MAX_HALVINGS:
-                    # No achievable decrease: objective flat along the direction.
-                    outcomes[j] = solution(j, smallest_gap[j] < OBJECTIVE_TOL)
+        if frozen is None and not continuous:
+            frozen = trial.w_inv  # the weights at the starts, held from here on
+        ranks = [None] * len(active) if trial.rank is None else trial.rank.tolist()
+        for j, q, rank in zip(active, trial.objective().tolist(), ranks):
+            resume(j, (q, rank))
+        at = [k for k, j in enumerate(active) if outcomes[j] is None and requests[j] is None]
+        if at:
+            point = trial if len(at) == len(active) else trial.take(at)
+            jac, step, grad_norm, errors = _direction(model, point, free, continuous)
+            step_norm = np.abs(step).max(axis=1, initial=0.0).tolist()
+            for i, (k, norm) in enumerate(zip(at, grad_norm.tolist())):
+                if i in errors:
+                    outcomes[active[k]] = errors[i]
                 else:
-                    searching.append(j)
-        if moved:
-            beta[moved] = candidate[accepted]
-            at = trial if len(accepted) == len(active) else trial.take(accepted)
-            searching += advance(moved, at, stopped)
-        active = searching
+                    resume(active[k], (jac[i], step[i], step_norm[i], norm, point.w_inv[i]))
+        active = [j for j in active if outcomes[j] is None]
     return outcomes
 
 
@@ -903,18 +897,10 @@ def _profile_tests(fitted, n, indices, values, options):
         rows = np.array([fitted[j].row for j in js])
         beta_start = np.array([fitted[j].result.beta_hat for j in js])
         beta_start[:, indices] = values
-        p = beta_start.shape[1]
-        free = np.delete(np.arange(p), indices)
-        if free.size == 0:
-            point = model.evaluate(rows, beta_start)
-            restricted = [
-                (beta, float(q)) if rank >= p else _rank_error(rank, p)
-                for beta, q, rank in zip(beta_start, point.objective(), point.rank)
-            ]
-        else:
-            restricted = [
-                _restricted(sol) for sol in _minimize(model, rows, beta_start, free, options)
-            ]
+        free = np.delete(np.arange(beta_start.shape[1]), indices)
+        restricted = [
+            _restricted(sol) for sol in _minimize(model, rows, beta_start, free, options)
+        ]
         for j, out in zip(js, restricted):
             if isinstance(out, Exception):
                 outcomes[j] = out

@@ -1011,6 +1011,23 @@ class TestLockstep:
         assert out[0].converged and out[0].iterations == 31
         assert all(o.converged and o.iterations < 10 for o in out[1:])
 
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    def test_joint_null_is_a_solve_with_nothing_free(self, two_step):
+        """Pinning both coordinates leaves an empty free set: every search
+        stops at iteration 0 on the null, with the model's own Q_n there."""
+        from qifaux.estimator import _model
+
+        assemblers, beta0, _ = self.paper_batch("gmmai4", 1014, 4)
+        start = np.tile([0.5, -0.5], (4, 1))
+        out = self.solve_each_way(
+            assemblers, beta0, start, np.arange(0), FitOptions(two_step=two_step)
+        )
+        q_null = _model(assemblers, beta0).evaluate(np.arange(4), start).objective()
+        for sol, q in zip(out, q_null):
+            assert sol.converged and sol.iterations == 0
+            np.testing.assert_array_equal(sol.beta, [0.5, -0.5])
+            assert sol.objective == q
+
     def test_logit_batch_of_one_failing_at_its_start(self):
         """A logit problem whose weight has rank below p at its start leaves
         before any direction is computed, with its own error."""
@@ -1101,6 +1118,23 @@ class TestProfileTest:
             values.append(out.statistic)
         ks = stats.kstest(np.array(values), "chi2", args=(2,))
         assert ks.pvalue > 0.01
+
+    def test_joint_null_on_a_one_subject_panel_raises(self):
+        """The weight of one subject has rank 1, so the joint null's solve
+        with nothing free stops at its start on the weight's rank."""
+        rng = np.random.default_rng(17)
+        ds = LongitudinalDataset(np.array([[1.0, 2.0, 0.5]]), rng.standard_normal((1, 3, 2)))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
+        res = qifaux.estimator.FitResult(
+            beta_hat=np.array([0.5, -0.5]),
+            covariance=np.eye(2),
+            objective=0.0,
+            iterations=0,
+            converged=True,
+            gradient_norm=0.0,
+        )
+        with pytest.raises(SingularWeightMatrix, match="rank 1 < parameter dimension 2"):
+            profile_test(cfg, ds, [0, 1], [0.5, -0.5], unrestricted=res)
 
     @pytest.mark.parametrize(
         "constant, value, reason",
