@@ -590,7 +590,7 @@ def _direction(model, point, free, continuous):
     are made for each problem on its own, as when it is solved alone; a
     problem that fails its rank check solves an identity stand-in in the
     stack, and only its error counts. With no free coordinate the check is
-    vacuous and the step empty.
+    vacuous, no Hessian is formed and the step is empty.
     """
     u = (point.w_inv @ point.g[:, :, None])[..., 0]
     jac, half_grad = model.derivatives(point, u, continuous)
@@ -611,7 +611,7 @@ def _direction(model, point, free, continuous):
             failed[i] = RankDeficient(
                 "moment Jacobian is rank deficient for the free coordinates"
             )
-    if continuous and free.size < jac.shape[2] and hasattr(model, "hessian"):
+    if continuous and 0 < free.size < jac.shape[2] and hasattr(model, "hessian"):
         hess = model.hessian(point, u)[:, free][:, :, free]
         # Gauss-Newton where H_ff has no Cholesky factor
         singular = list(_stacked(np.linalg.cholesky, hess)[1])

@@ -45,6 +45,10 @@ INTERVAL_LEVEL = 0.95
 TEST_LEVEL = 0.05
 MAX_FAILURE_SHARE = 0.05
 
+# Replications solved in one lockstep stack: lockstep throughput levels off
+# at about this depth, and memory grows with it.
+CHUNK = 64
+
 
 def _member_by_name(enum, name: str, kind: str):
     """The member whose value or lower-cased name matches ``name``."""
@@ -296,45 +300,25 @@ def _method_aux(method: str, design: SimulationDesign, r: int) -> AuxiliaryInfo 
     return build_four_group_aux(design, replication_rng(design.seed, r, _ROLE_HOLDOUT))
 
 
-def _method_records(method, design, datasets, basis, spec, hypotheses, options):
-    """(beta_hat, se, covered, tests) of one method in each replication, None
-    where its fit failed or did not converge: one lockstep fit batch over the
-    replications, then one lockstep test batch per hypothesis over the
-    converged fits."""
+def _method_records(method, design, replications, datasets, basis, spec, hypotheses, options):
+    """The FitResults of one method's converged fits on the panels of
+    ``replications``, then per hypothesis the ProfileTestResults of the tests
+    on them that did not fail: one lockstep fit batch, then one lockstep test
+    batch per hypothesis."""
     configs = [
-        ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
-        for r in range(len(datasets))
+        ExtendedScoreConfig(spec, basis, _method_aux(method, design, r)) for r in replications
     ]
     outcomes = _fit(configs, datasets, options)
     _raise_unexpected(outcomes)
-    kept = [
-        r for r, out in enumerate(outcomes)
+    fitted = [
+        out for out in outcomes
         if not isinstance(out, Exception) and out.result.converged
     ]
-    records = [None] * len(datasets)
-    if not kept:
-        return records
-    fitted = [outcomes[r] for r in kept]
-    estimates = np.array([f.result.beta_hat for f in fitted])
-    variances = np.array([np.diag(f.result.covariance) for f in fitted])
-    lo, hi = _wald_bounds(estimates, variances, INTERVAL_LEVEL)
-    beta0 = np.asarray(design.beta_true, dtype=float)
-    covered = (lo <= beta0) & (beta0 <= hi)
-    tests = {}
-    for label, indices, values in hypotheses:
+    records = [[f.result for f in fitted]]
+    for _, indices, values in hypotheses:
         results = _profile_tests(fitted, design.n, indices, values, options)
         _raise_unexpected(results)
-        tests[label] = [
-            None if isinstance(out, QifauxError) else (out.statistic, out.p_value < TEST_LEVEL)
-            for out in results
-        ]
-    for j, r in enumerate(kept):
-        records[r] = (
-            estimates[j],
-            np.sqrt(variances[j]),
-            covered[j],
-            {label: results[j] for label, results in tests.items()},
-        )
+        records.append([out for out in results if not isinstance(out, QifauxError)])
     return records
 
 
@@ -360,10 +344,12 @@ def run_monte_carlo(
     coverage and the rejection rate of each profile test at TEST_LEVEL.
     Failed replications (non-convergence or estimation errors) are excluded
     with their count reported on the summary. Raises TooManyFailures when a
-    method loses more than MAX_FAILURE_SHARE of its replications. A method's
-    replications are fitted in lockstep, and so are the tests of each
-    hypothesis on its converged fits; with n_jobs > 1 the methods run in
-    that many threads.
+    method loses more than MAX_FAILURE_SHARE of its replications.
+
+    Replications run in chunks of CHUNK, and only their fit and test results
+    are kept, so memory is bounded by one chunk. Per chunk, a method's fits
+    are solved in lockstep, then each hypothesis's tests on its converged
+    fits; with n_jobs > 1 the methods of a chunk run in that many threads.
     """
     methods = [m.strip().lower() for m in methods]
     if not methods:
@@ -371,62 +357,61 @@ def run_monte_carlo(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be at least 1")
     options = options or FitOptions()
     checked = [(h.label, *_hypothesis(h.indices, h.values, design.p)) for h in hypotheses]
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
     reps = design.replications
-    datasets = [
-        generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
-        for r in range(reps)
-    ]
 
     def work(method):
-        return _method_records(method, design, datasets, basis, spec, checked, options)
+        return _method_records(
+            method, design, replications, datasets, basis, spec, checked, options
+        )
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = dict(zip(methods, pool.map(work, methods)))
-    else:
-        records = {method: work(method) for method in methods}
+    records = {method: [[] for _ in range(1 + len(checked))] for method in methods}
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        each = pool.map if n_jobs > 1 else map
+        for first in range(0, reps, CHUNK):
+            replications = range(first, min(first + CHUNK, reps))
+            datasets = [
+                generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
+                for r in replications
+            ]
+            for method, chunk in zip(methods, each(work, methods)):
+                for kept, new in zip(records[method], chunk):
+                    kept += new
+            # the next chunk is drawn with this one's panels gone
+            del datasets
 
     beta0 = np.asarray(design.beta_true, dtype=float)
     summaries = {}
     for method in methods:
-        rows = records[method]
-        ok = [row for row in rows if row is not None]
-        failures = reps - len(ok)
+        results, *tests = records[method]
+        failures = reps - len(results)
         if failures > MAX_FAILURE_SHARE * reps:
-            raise TooManyFailures(
-                f"{method}: {failures}/{reps} replications failed"
-            )
-        estimates = np.array([row[0] for row in ok])
-        ses = np.array([row[1] for row in ok])
-        covers = np.array([row[2] for row in ok])
-        bias = estimates.mean(axis=0) - beta0
-        sd = (
-            estimates.std(axis=0, ddof=1)
-            if len(ok) > 1
-            else np.full(design.p, np.nan)
-        )
-        power = {}
-        statistics = {}
-        for label, _, _ in checked:
-            outcomes = [row[3][label] for row in ok if row[3][label] is not None]
-            if outcomes:
-                power[label] = float(np.mean([o[1] for o in outcomes]))
-                statistics[label] = np.array([o[0] for o in outcomes])
-            else:
-                power[label] = float("nan")
-                statistics[label] = np.zeros(0)
+            raise TooManyFailures(f"{method}: {failures}/{reps} replications failed")
+        estimates = np.array([res.beta_hat for res in results])
+        variances = np.array([np.diag(res.covariance) for res in results])
+        lo, hi = _wald_bounds(estimates, variances, INTERVAL_LEVEL)
+        power, statistics = {}, {}
+        for (label, _, _), outcomes in zip(checked, tests):
+            p_values = np.array([out.p_value for out in outcomes])
+            power[label] = float(np.mean(p_values < TEST_LEVEL)) if outcomes else float("nan")
+            statistics[label] = np.array([out.statistic for out in outcomes])
         summaries[method] = MonteCarloSummary(
             method=method,
-            replications=len(ok),
+            replications=len(results),
             failures=failures,
-            bias=bias,
-            sd=sd,
-            se=ses.mean(axis=0),
-            cp=covers.mean(axis=0),
+            bias=estimates.mean(axis=0) - beta0,
+            sd=(
+                estimates.std(axis=0, ddof=1)
+                if len(results) > 1
+                else np.full(design.p, np.nan)
+            ),
+            se=np.sqrt(variances).mean(axis=0),
+            cp=((lo <= beta0) & (beta0 <= hi)).mean(axis=0),
             power=power,
             statistics=statistics,
             estimates=estimates,

@@ -136,6 +136,14 @@ def test_simulate_subcommand(tmp_path):
     assert "qif" in text and "gmmai2" in text and "bias" in text
 
 
+def test_simulate_rejects_jobs_below_one(tmp_path, capsys):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    code = main(["simulate", "--config", str(cfg), "--jobs", "-1"])
+    assert code == 1
+    assert "error: n_jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_qq_subcommand(tmp_path):
     cfg = tmp_path / "design.cfg"
     cfg.write_text(DESIGN)

@@ -1119,6 +1119,24 @@ class TestProfileTest:
         ks = stats.kstest(np.array(values), "chi2", args=(2,))
         assert ks.pvalue > 0.01
 
+    def test_joint_null_forms_no_hessian(self, monkeypatch):
+        """A joint null leaves nothing free, so its solve forms no Hessian;
+        a null that leaves a coordinate free does form one."""
+        design = SimulationDesign(n=300, seed=13, replications=1)
+        ds = generate_dataset(design, replication_rng(design.seed, 0, 0))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), build_two_group_aux())
+        res = fit(cfg, ds)
+
+        def no_hessian(self, point, u):
+            raise AssertionError("Hessian formed")
+
+        monkeypatch.setattr(qifaux.estimator._AffineMoments, "hessian", no_hessian)
+        for given in (res, None):
+            out = profile_test(cfg, ds, [0, 1], [0.5, -0.5], unrestricted=given)
+            assert out.df == 2 and out.beta_restricted.tolist() == [0.5, -0.5]
+        with pytest.raises(AssertionError, match="Hessian formed"):
+            profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+
     def test_joint_null_on_a_one_subject_panel_raises(self):
         """The weight of one subject has rank 1, so the joint null's solve
         with nothing free stops at its start on the weight's rank."""

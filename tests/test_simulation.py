@@ -1,5 +1,8 @@
 """Data generators, counter-based streams and the Monte Carlo harness."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -123,17 +126,56 @@ class TestRunMonteCarlo:
             np.testing.assert_array_equal(a[m].estimates, b[m].estimates)
             np.testing.assert_array_equal(a[m].cp, b[m].cp)
 
-    def test_parallel_equals_serial(self):
-        design = SimulationDesign(n=150, seed=6, replications=12)
-        hyp = [Hypothesis("null", (0,), (0.5,))]
-        serial = run_monte_carlo(design, ["qif", "gmmai4"], hypotheses=hyp, n_jobs=1)
-        parallel = run_monte_carlo(design, ["qif", "gmmai4"], hypotheses=hyp, n_jobs=3)
-        for m in serial:
-            np.testing.assert_array_equal(serial[m].estimates, parallel[m].estimates)
-            assert serial[m].power == parallel[m].power
-            np.testing.assert_array_equal(
-                serial[m].statistics["null"], parallel[m].statistics["null"]
-            )
+    def test_parallel_equals_serial(self, monkeypatch):
+        """Threads and chunks leave every summary field bit for bit as in the
+        serial one-chunk run. A chunk is one fit batch per method, and its
+        panels are gone before the next chunk is drawn."""
+        design = SimulationDesign(n=150, seed=6, replications=5)
+        hyps = [*PAPER_HYPOTHESES, Hypothesis("joint", (0, 1), (0.5, -0.5))]
+        methods = ["qif", "gmmai4"]
+        serial = run_monte_carlo(design, methods, hypotheses=hyps)
+        assert all(s.statistics["joint"].size == 5 for s in serial.values())
+
+        batches, panels = [], []
+        fit_, draw = sim._fit, sim.generate_dataset
+
+        def recording_fit(configs, datasets, options):
+            batches.append(len(configs))
+            return fit_(configs, datasets, options)
+
+        def recording_draw(design, rng):
+            assert sum(ref() is not None for ref in panels) < sim.CHUNK
+            ds = draw(design, rng)
+            panels.append(weakref.ref(ds))
+            return ds
+
+        monkeypatch.setattr(sim, "_fit", recording_fit)
+        monkeypatch.setattr(sim, "generate_dataset", recording_draw)
+        for chunk, n_jobs in ((sim.CHUNK, 3), (2, 1), (2, 3)):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            batches[:] = []
+            runs = run_monte_carlo(design, methods, hypotheses=hyps, n_jobs=n_jobs)
+            assert max(batches) <= chunk
+            assert sum(batches) == len(methods) * design.replications
+            for m in methods:
+                for f in dataclasses.fields(MonteCarloSummary):
+                    got, want = getattr(runs[m], f.name), getattr(serial[m], f.name)
+                    if isinstance(want, dict):
+                        assert got.keys() == want.keys()
+                        for label in want:
+                            np.testing.assert_array_equal(got[label], want[label])
+                    else:
+                        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_panel(self, monkeypatch, n_jobs):
+        def no_draw(*args):
+            raise AssertionError("panel drawn before n_jobs was checked")
+
+        monkeypatch.setattr(sim, "generate_dataset", no_draw)
+        design = SimulationDesign(n=60, seed=10, replications=2)
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            run_monte_carlo(design, ["qif"], n_jobs=n_jobs)
 
     def test_qif_relative_efficiency_is_exactly_one(self):
         design = SimulationDesign(n=60, seed=7, replications=10)
