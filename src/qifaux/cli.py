@@ -118,6 +118,9 @@ def _prepare(args):
                     f"--standardize: unknown column(s) {', '.join(unknown)}; "
                     f"covariates are {', '.join(schema.covariates)}"
                 )
+            repeated = [c for k, c in enumerate(names) if c in names[:k]]
+            if repeated:
+                raise ValueError(f"--standardize: column {repeated[0]} is listed more than once")
             columns = [schema.covariates.index(c) for c in names]
         dataset, info = standardize_columns(
             dataset, columns, include_response=args.standardize_response

@@ -33,11 +33,12 @@ that metric misses the weight-derivative curvature a false null brings.
 Each problem's search is one serial loop (``_search``), and the solver
 drives the loops of a stack of problems that share one method in lockstep:
 each round makes one stacked evaluation for the loops that asked for Q_n
-and one stacked direction for those that accepted a point. Every stacked
-kernel gives each problem, bit for bit, what it gives that problem alone; a
-problem that fails a check solves a stand-in there and leaves. ``fit`` and
-``profile_test`` are the batch of one; the Monte Carlo harness solves a
-method's replications together. A joint null is a solve with nothing free.
+and, if any accepted a point, one stacked direction at that evaluation.
+Every stacked kernel gives each problem, bit for bit, what it gives that
+problem alone; a problem that fails a check solves a stand-in there and
+leaves. ``fit`` and ``profile_test`` are the batch of one; the Monte Carlo
+harness solves a method's replications together. A joint null is a solve
+with nothing free.
 
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
@@ -321,26 +322,6 @@ def _rank_error(rank, p):
     return None
 
 
-def _stacked(function, *stacks):
-    """(``function`` of each slice of the stacks, a dict from the position of
-    each slice where it raised LinAlgError to that error). numpy's stacked
-    linalg raises for the whole stack when one slice fails, so the stack is
-    then redone one slice at a time; the failed slices' results stay NaN."""
-    try:
-        return function(*stacks), {}
-    except np.linalg.LinAlgError as err:
-        if len(stacks[0]) == 1:
-            return np.full(stacks[-1].shape, np.nan), {0: err}
-    out = np.full(stacks[-1].shape, np.nan)
-    errors = {}
-    for i, args in enumerate(zip(*stacks)):
-        try:
-            out[i] = function(*args)
-        except np.linalg.LinAlgError as err:
-            errors[i] = err
-    return out, errors
-
-
 def _build_assembler(config, dataset, options):
     """Assembler with the empty-subgroup policy applied."""
     assembler = _Assembler(config, dataset)
@@ -441,16 +422,6 @@ class _Point(NamedTuple):
     def objective(self):
         """Q_n = g' W g of each problem."""
         return (self.g[:, None, :] @ self.w_inv @ self.g[:, :, None])[:, 0, 0]
-
-    def take(self, index):
-        """The evaluations at positions ``index`` of the stack."""
-        terms = self.terms
-        if isinstance(terms, list):
-            terms = [terms[i] for i in index]
-        elif terms is not None:
-            terms = terms[index]
-        rank = None if self.rank is None else self.rank[index]
-        return _Point(self.rows[index], self.g[index], self.w_inv[index], rank, terms)
 
 
 class _AffineMoments:
@@ -583,14 +554,15 @@ def _direction(model, point, free, continuous):
     of the stacked ``point``, and a dict from the position of each problem
     that cannot go on to the exception that stops it.
 
-    The step is Newton's for a continuously-updated restricted solve with an
-    exact, positive definite H_ff, else Gauss-Newton's. Fits keep
-    Gauss-Newton: Newton moves their estimates by up to 1.8e-7, beyond the
-    benchmark reference (ROADMAP item 3). Every check and the choice of step
-    are made for each problem on its own, as when it is solved alone; a
-    problem that fails its rank check solves an identity stand-in in the
-    stack, and only its error counts. With no free coordinate the check is
-    vacuous, no Hessian is formed and the step is empty.
+    The step is Newton's for a continuously-updated restricted solve whose
+    exact H_ff has a positive smallest eigenvalue, else Gauss-Newton's. Fits
+    keep Gauss-Newton: Newton moves their estimates by up to 1.8e-7, beyond
+    the benchmark reference (ROADMAP item 3). The checks and the choice of
+    step are array operations that decide each problem from its own slice,
+    as when it is solved alone; a problem that fails its rank check solves
+    an identity stand-in in the stack, and only its error counts. Where the
+    stacked solve fails, each problem is solved again alone. With no free
+    coordinate the check passes, no Hessian is formed and the step is empty.
     """
     u = (point.w_inv @ point.g[:, :, None])[..., 0]
     jac, half_grad = model.derivatives(point, u, continuous)
@@ -601,25 +573,35 @@ def _direction(model, point, free, continuous):
     # eigvalsh does not raise on NaN or inf input: reject it first, and give
     # eigvalsh a finite stand-in for it
     finite = np.isfinite(normal).all(axis=(1, 2))
-    checked = normal if finite.all() else np.where(finite[:, None, None], normal, 1.0)
-    spectra = np.abs(np.linalg.eigvalsh(checked)).tolist()
-    failed = {}
-    for i, (ok, mags) in enumerate(zip(finite.tolist(), spectra)):
-        if not ok:
-            failed[i] = RankDeficient("normal matrix of the free coordinates is not finite")
-        elif mags and min(mags) <= max(mags) * 1e-13:
-            failed[i] = RankDeficient(
-                "moment Jacobian is rank deficient for the free coordinates"
-            )
+    mags = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 1.0)))
+    deficient = mags.min(axis=1, initial=np.inf) <= mags.max(axis=1, initial=0.0) * 1e-13
+    errors = {
+        i: RankDeficient(
+            "moment Jacobian is rank deficient for the free coordinates"
+            if finite[i]
+            else "normal matrix of the free coordinates is not finite"
+        )
+        for i in np.flatnonzero(~finite | deficient).tolist()
+    }
     if continuous and 0 < free.size < jac.shape[2] and hasattr(model, "hessian"):
         hess = model.hessian(point, u)[:, free][:, :, free]
-        # Gauss-Newton where H_ff has no Cholesky factor
-        singular = list(_stacked(np.linalg.cholesky, hess)[1])
-        hess[singular] = normal[singular]
-        normal = hess
-    normal[list(failed)] = np.eye(free.size)
-    solved, errors = _stacked(np.linalg.solve, normal, score[:, :, None])
-    errors.update(failed)
+        # Newton where H_ff is positive definite; a non-finite H_ff has the
+        # zero matrix as its stand-in, so it takes Gauss-Newton
+        usable = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
+        newton = np.linalg.eigvalsh(np.where(usable, hess, 0.0))[:, 0] > 0.0
+        normal = np.where(newton[:, None, None], hess, normal)
+    normal[list(errors)] = np.eye(free.size)
+    rhs = score[:, :, None]
+    try:
+        solved = np.linalg.solve(normal, rhs)
+    except np.linalg.LinAlgError:
+        # numpy fails the whole stack for one singular slice
+        solved = np.full(rhs.shape, np.nan)
+        for i in range(len(rhs)):
+            try:
+                solved[i] = np.linalg.solve(normal[i], rhs[i])
+            except np.linalg.LinAlgError as err:
+                errors[i] = err
     return jac, -solved[:, :, 0], grad_norm, errors
 
 
@@ -701,9 +683,10 @@ def _minimize(model, rows, beta0, free, options):
 
     Each problem's search is one serial loop; this function only stacks their
     requests. Each round makes one stacked evaluation for the searches that
-    asked for Q_n and one stacked ``_direction`` for those that accepted a
-    point, then sends each search its own slice. Every stacked kernel gives
-    a problem, bit for bit, what it gives that problem alone, so each result
+    asked for Q_n and, when any of them accepted a point, one stacked
+    ``_direction`` over that whole evaluation, of which only the searches
+    at an accepted point read their slice. Every stacked kernel gives a
+    problem, bit for bit, what it gives that problem alone, so each result
     is the one the problem gets as a batch of one. With no free coordinate
     the search stops at its start, where Q_n is the joint null's objective.
 
@@ -741,14 +724,14 @@ def _minimize(model, rows, beta0, free, options):
             resume(j, (q, rank))
         at = [k for k, j in enumerate(active) if outcomes[j] is None and requests[j] is None]
         if at:
-            point = trial if len(at) == len(active) else trial.take(at)
-            jac, step, grad_norm, errors = _direction(model, point, free, continuous)
+            jac, step, grad_norm, errors = _direction(model, trial, free, continuous)
             step_norm = np.abs(step).max(axis=1, initial=0.0).tolist()
-            for i, (k, norm) in enumerate(zip(at, grad_norm.tolist())):
-                if i in errors:
-                    outcomes[active[k]] = errors[i]
+            grad_norm = grad_norm.tolist()
+            for k in at:
+                if k in errors:
+                    outcomes[active[k]] = errors[k]
                 else:
-                    resume(active[k], (jac[i], step[i], step_norm[i], norm, point.w_inv[i]))
+                    resume(active[k], (jac[k], step[k], step_norm[k], grad_norm[k], trial.w_inv[k]))
         active = [j for j in active if outcomes[j] is None]
     return outcomes
 

@@ -324,6 +324,9 @@ def standardize_columns(
     be standardized through the same operation with ``include_response``.
     """
     columns = list(columns)
+    for k, j in enumerate(columns):
+        if j in columns[:k]:
+            raise ValueError(f"column {j} is listed more than once")
     covs = dataset.covariates.copy()
     means, sds = {}, {}
     for j in columns:
@@ -422,21 +425,27 @@ def _mc_table(summaries: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(value):
+    """A float, or None for NaN and infinities, which JSON cannot hold."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _mc_record(name: str, s: MonteCarloSummary) -> dict:
     record = {
         "method": name,
         "replications": s.replications,
         "failures": s.failures,
-        "bias": [float(v) for v in s.bias],
-        "sd": [float(v) for v in s.sd],
-        "se": [float(v) for v in s.se],
-        "cp": [float(v) for v in s.cp],
+        "bias": [_number(v) for v in s.bias],
+        "sd": [_number(v) for v in s.sd],
+        "se": [_number(v) for v in s.se],
+        "cp": [_number(v) for v in s.cp],
     }
     if s.re is not None:
-        record["re"] = [float(v) for v in s.re]
+        record["re"] = [_number(v) for v in s.re]
         record["baseline"] = s.baseline
     if s.power:
-        record["power"] = {k: float(v) for k, v in s.power.items()}
+        record["power"] = {k: _number(v) for k, v in s.power.items()}
     return record
 
 
@@ -445,7 +454,8 @@ def emit_report(results, format: str = "table") -> str:
 
     ``results`` is a FitResult, a mapping of name -> FitResult, or a
     mapping of name -> MonteCarloSummary. Structured mode emits one JSON
-    record per line and round-trips FitResult fields losslessly.
+    record per line and round-trips FitResult fields losslessly; Monte
+    Carlo records are strict JSON, with null for a non-finite value.
     """
     if format not in ("table", "structured"):
         raise ValueError(f"unknown report format {format!r}")

@@ -1,5 +1,7 @@
 """Command-line subcommands, exercised through main()."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,29 @@ def test_simulate_subcommand(tmp_path):
     assert "qif" in text and "gmmai2" in text and "bias" in text
 
 
+def test_simulate_structured_lines_are_strict_json(tmp_path):
+    """One replication leaves every SD and RE undefined; the records write
+    them as null, so a strict JSON parser reads every line."""
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    out = tmp_path / "mc.jsonl"
+    code = main([
+        "simulate", "--config", str(cfg), "--reps", "1", "--format", "structured",
+        "--out", str(out),
+    ])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    records = [json.loads(line, parse_constant=reject) for line in out.read_text().splitlines()]
+    assert [r["method"] for r in records] == ["qif", "gmmai2"]
+    for record in records:
+        assert record["replications"] == 1
+        assert record["sd"] == [None, None]
+        assert record["re"] == [None, None]
+
+
 def test_simulate_rejects_jobs_below_one(tmp_path, capsys):
     cfg = tmp_path / "design.cfg"
     cfg.write_text(DESIGN)
@@ -247,6 +272,13 @@ def test_standardize_unknown_column_exits_nonzero(data_file, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown column(s) x9; covariates are x1, x2" in err
+
+
+def test_standardize_repeated_column_exits_nonzero(data_file, capsys):
+    code = main(["fit", "--data", str(data_file), "--standardize", "x1,x1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: --standardize: column x1 is listed more than once" in err
 
 
 def test_bad_phi_entry_names_file_and_line(data_file, tmp_path, capsys):

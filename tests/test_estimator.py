@@ -928,7 +928,7 @@ class TestLockstep:
     def solve_each_way(assemblers, beta0, start, free, options=FitOptions()):
         """``_minimize`` over the whole stack, checked slice by slice against
         each problem alone; returns the batch's outcomes."""
-        from qifaux.estimator import _minimize, _model, _Solution
+        from qifaux.estimator import _minimize, _model
 
         batch = _minimize(
             _model(assemblers, beta0), np.arange(len(assemblers)), start, free, options
@@ -937,15 +937,20 @@ class TestLockstep:
             (alone,) = _minimize(
                 _model([assemblers[j]], beta0[j : j + 1]), [0], start[j : j + 1], free, options
             )
-            assert type(out) is type(alone)
-            if isinstance(out, Exception):
-                assert str(out) == str(alone)
-                continue
-            for field in _Solution._fields:
-                np.testing.assert_array_equal(
-                    getattr(out, field), getattr(alone, field), err_msg=field
-                )
+            TestLockstep.assert_same(out, alone)
         return batch
+
+    @staticmethod
+    def assert_same(out, other):
+        """Two outcomes of ``_minimize`` are equal, every field bit for bit."""
+        from qifaux.estimator import _Solution
+
+        assert type(out) is type(other)
+        if isinstance(out, Exception):
+            assert str(out) == str(other)
+            return
+        for field in _Solution._fields:
+            np.testing.assert_array_equal(getattr(out, field), getattr(other, field), err_msg=field)
 
     @staticmethod
     def paper_batch(method, seed, replications, hypothesis=None):
@@ -990,6 +995,67 @@ class TestLockstep:
         assert "moment Jacobian is rank deficient" in str(out[1])
         assert isinstance(out[2], SingularWeightMatrix)
         assert all(isinstance(o, _Solution) and o.converged for o in out[::3])
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_non_finite_hessian_falls_back_to_gauss_newton_alone(self, monkeypatch, value):
+        """In a stack of restricted solves, the one problem whose H_ff is
+        not finite takes Gauss-Newton steps and its neighbours Newton steps,
+        each as when it is solved alone. A Cholesky factor exists for a
+        1x1 H_ff of +inf, and OpenBLAS finds one for NaN; eigvalsh returns
+        +inf for the one and may return anything for the other, so only
+        the finite stand-in sends both to Gauss-Newton."""
+        from qifaux.estimator import _AffineMoments, _minimize, _model
+
+        assemblers, beta0, start = self.paper_batch("gmmai2", 1003, 3, (1, 0.0))
+        free = np.array([0])
+        newton = self.solve_each_way(assemblers, beta0, start, free)
+        hessian = _AffineMoments.hessian
+
+        def poisoned(model, point, u):
+            hess = hessian(model, point, u)
+            hess[(model.beta0[point.rows] == beta0[1]).all(axis=1)] = value
+            return hess
+
+        monkeypatch.setattr(_AffineMoments, "hessian", poisoned)
+        out = self.solve_each_way(assemblers, beta0, start, free)
+        monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
+        (gauss_newton,) = _minimize(
+            _model(assemblers[1:2], beta0[1:2]), [0], start[1:2], free, FitOptions()
+        )
+        self.assert_same(out[1], gauss_newton)
+        assert not np.array_equal(out[1].iterates, newton[1].iterates)
+        for j in (0, 2):
+            self.assert_same(out[j], newton[j])
+
+    def test_failed_stacked_solve_retires_only_its_problem(self, monkeypatch):
+        """A LinAlgError from the stacked solve on one slice retires only
+        that problem, with that error; the rest of the stack runs on."""
+        from qifaux.estimator import _minimize, _model
+
+        assemblers, beta0, start = self.paper_batch("qif", 1003, 3)
+        free = np.arange(2)
+        healthy = self.solve_each_way(assemblers, beta0, start, free)
+        solve, seen = np.linalg.solve, []
+
+        def recording(a, b):
+            seen.append(a.reshape(-1, 2, 2)[0].copy())
+            return solve(a, b)
+
+        def failing(a, b):
+            if any(np.array_equal(m, seen[0]) for m in a.reshape(-1, 2, 2)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        # the normal matrix of problem 1's first direction marks its slice
+        monkeypatch.setattr(qifaux.estimator.np.linalg, "solve", recording)
+        _minimize(_model(assemblers[1:2], beta0[1:2]), [0], start[1:2], free, FitOptions())
+        monkeypatch.setattr(qifaux.estimator.np.linalg, "solve", failing)
+        out = self.solve_each_way(assemblers, beta0, start, free)
+        assert isinstance(out[1], np.linalg.LinAlgError)
+        assert str(out[1]) == "Singular matrix"
+        for j in (0, 2):
+            assert out[j].converged
+            self.assert_same(out[j], healthy[j])
 
     def test_problem_at_max_iter_beside_converged_ones(self, monkeypatch):
         """With Gauss-Newton steps only, the restricted gmmai4 solve of

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io as stdio
+import json
 import string
 import tracemalloc
 from unittest import mock
@@ -42,7 +43,7 @@ from qifaux import io as qio
 from qifaux.estimator import ExtendedScoreConfig, fit
 from qifaux.basis import build_basis
 from qifaux.model import MarginalModelSpec
-from qifaux.simulation import AuxMode, PhiSource, run_monte_carlo
+from qifaux.simulation import AuxMode, MonteCarloSummary, PhiSource, run_monte_carlo
 from reference_loader import load_dataset_by_rows
 
 SCHEMA = ColumnSchema("id", "time", "y", ("x1", "x2"))
@@ -403,6 +404,11 @@ class TestStandardize:
         assert info.column_means[0] == pytest.approx(2.0)
         assert info.column_sds[0] == pytest.approx(np.sqrt(2.0))
 
+    def test_repeated_column_rejected(self):
+        ds = generate_dataset(SimulationDesign(n=50, seed=1), replication_rng(1, 0, 0))
+        with pytest.raises(ValueError, match="column 0 is listed more than once"):
+            standardize_columns(ds, [0, 0])
+
     def test_postconditions_and_idempotence(self):
         rng = np.random.default_rng(31)
         ds = LongitudinalDataset(
@@ -499,6 +505,20 @@ class TestReports:
         assert "bias" in text and "cp" in text and "re" in text
         structured = emit_report(summ, "structured")
         assert structured.count("\n") == 2
+
+    def test_monte_carlo_record_writes_non_finite_values_as_null(self):
+        nan, inf = float("nan"), float("inf")
+        summary = MonteCarloSummary(
+            "qif", 1, 0, np.array([0.1, nan]), np.array([nan, nan]), np.array([inf, 0.2]),
+            np.array([1.0, 0.0]), re=np.array([nan, -inf]), baseline="qif",
+            power={"beta2=0": nan},
+        )
+        record = json.loads(emit_report({"qif": summary}, "structured"))
+        assert record["bias"] == [0.1, None]
+        assert record["sd"] == [None, None]
+        assert record["se"] == [None, 0.2]
+        assert record["re"] == [None, None]
+        assert record["power"] == {"beta2=0": None}
 
     def test_qq_pairs_round_trip(self):
         pairs = np.column_stack([np.linspace(0.1, 3, 7), np.linspace(0.2, 3.1, 7)])
