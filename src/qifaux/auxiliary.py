@@ -76,7 +76,6 @@ class SubgroupPartition:
 
     n_groups: int
     assign: callable
-    labels: tuple = ()
 
     def group_indices(self, dataset: LongitudinalDataset) -> np.ndarray:
         """(n,) int array of group memberships; checks index range."""
@@ -118,8 +117,7 @@ class SubgroupPartition:
                 )
             return np.argmax(match, axis=0)
 
-        labels = tuple(" & ".join(str(a) for a in atoms) for atoms in groups)
-        return cls(len(groups), assign, labels)
+        return cls(len(groups), assign)
 
 
 def parse_subgroup_file(text: str) -> SubgroupPartition:

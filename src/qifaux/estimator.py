@@ -855,10 +855,16 @@ def profile_test(
 
 def _hypothesis(constrained_indices, constrained_values, p):
     """(indices, values) arrays of a point null on distinct coordinates of p."""
-    indices = np.asarray(constrained_indices, dtype=int)
+    indices = np.asarray(constrained_indices)
     values = np.asarray(constrained_values, dtype=float)
     if indices.ndim != 1 or indices.size == 0 or indices.size != values.size:
         raise ValueError("need one value per constrained index")
+    if not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+        for i in constrained_indices
+    ):
+        raise ValueError("constrained indices must be integers")
+    indices = indices.astype(int)
     if len(set(indices.tolist())) != indices.size:
         raise ValueError("constrained indices must be distinct")
     if ((indices < 0) | (indices >= p)).any():
@@ -934,7 +940,7 @@ def wald_interval(result: FitResult, index: int, level: float = 0.95):
 
 
 def relative_efficiency(result_a: FitResult, result_b: FitResult, index: int) -> float:
-    """Variance ratio Var_a / Var_b for one coefficient."""
+    """Ratio of variances Var_a / Var_b for one coefficient."""
     va = float(result_a.covariance[index, index])
     vb = float(result_b.covariance[index, index])
     if vb == 0.0:

@@ -322,9 +322,12 @@ def standardize_columns(
 
     Uses the sample standard deviation (divisor n*q - 1). The response can
     be standardized through the same operation with ``include_response``.
+    A column outside 0..p-1 or listed twice raises ValueError.
     """
     columns = list(columns)
     for k, j in enumerate(columns):
+        if not 0 <= j < dataset.p:
+            raise ValueError(f"column {j} is outside 0..{dataset.p - 1}")
         if j in columns[:k]:
             raise ValueError(f"column {j} is listed more than once")
     covs = dataset.covariates.copy()

@@ -1,13 +1,15 @@
-"""Marginal model core: datasets, link/variance pairs, means and derivatives.
+"""Marginal model core: datasets, links, means and derivatives.
 
 The model specifies only the first two conditional moments of each response
 component given the covariates:
 
     h(mu_ij) = x_ij' beta,    Var(Y_ij | x_ij) = dispersion * v(mu_ij),
 
-with the within-subject correlation left unmodeled. The dispersion never
-enters estimation: it would only rescale the score blocks, and the
-continuously-updating objective is invariant to rescaling a moment block.
+with the within-subject correlation left unmodeled. The link fixes the
+variance function: v = 1 under the identity link and v(mu) = mu (1 - mu)
+under the logit link. The dispersion never enters estimation: it would
+only rescale the score blocks, and the continuously-updating objective is
+invariant to rescaling a moment block.
 The inverse link, its derivative and the variance function are defined
 here and nowhere else; each acts elementwise on stacked arrays such as the
 (n, q) means.
@@ -34,37 +36,19 @@ class Link(Enum):
     LOGIT = "logit"
 
 
-class Variance(Enum):
-    CONSTANT = "constant"
-    BERNOULLI = "bernoulli"
-
-
-_VALID_PAIRS = {
-    (Link.IDENTITY, Variance.CONSTANT),
-    (Link.LOGIT, Variance.BERNOULLI),
-}
-
-
 @dataclass(frozen=True)
 class MarginalModelSpec:
-    """Link and variance functions defining the marginal model."""
+    """The link defining the marginal model; it also fixes the variance."""
 
     link: Link = Link.IDENTITY
-    variance: Variance = Variance.CONSTANT
-
-    def __post_init__(self):
-        if (self.link, self.variance) not in _VALID_PAIRS:
-            raise ValueError(
-                f"unsupported link/variance pair: {self.link}, {self.variance}"
-            )
 
     @classmethod
     def gaussian(cls) -> "MarginalModelSpec":
-        return cls(Link.IDENTITY, Variance.CONSTANT)
+        return cls(Link.IDENTITY)
 
     @classmethod
     def bernoulli(cls) -> "MarginalModelSpec":
-        return cls(Link.LOGIT, Variance.BERNOULLI)
+        return cls(Link.LOGIT)
 
 
 @dataclass(frozen=True)
@@ -144,7 +128,7 @@ def mean_second_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarra
 
 def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     """v(mu) without the dispersion factor, clamped away from zero."""
-    if spec.variance is Variance.CONSTANT:
+    if spec.link is Link.IDENTITY:
         return np.ones_like(mu)
     mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     return mu * (1.0 - mu)
@@ -152,7 +136,7 @@ def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
 
 def variance_weight_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     """d v(mu)^(-1/2) / d mu elementwise; 0 where the clamp on mu binds."""
-    if spec.variance is Variance.CONSTANT:
+    if spec.link is Link.IDENTITY:
         return np.zeros_like(mu)
     inside = (mu > MEAN_CLAMP) & (mu < 1.0 - MEAN_CLAMP)
     slope = -0.5 * variance_function(spec, mu) ** -1.5 * (1.0 - 2.0 * mu)

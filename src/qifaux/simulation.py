@@ -197,7 +197,7 @@ def two_group_partition() -> SubgroupPartition:
     def assign(covariates):
         return np.where(covariates[:, 0, 1] == 1.0, 0, 1)
 
-    return SubgroupPartition(2, assign, ("x2=1", "x2=0"))
+    return SubgroupPartition(2, assign)
 
 
 def four_group_partition() -> SubgroupPartition:
@@ -208,8 +208,7 @@ def four_group_partition() -> SubgroupPartition:
         second = (covariates[:, 0, 1] != 1.0).astype(int)
         return negative + 2 * second
 
-    labels = ("x11>=0,x2=1", "x11<0,x2=1", "x11>=0,x2=0", "x11<0,x2=0")
-    return SubgroupPartition(4, assign, labels)
+    return SubgroupPartition(4, assign)
 
 
 def build_two_group_aux(beta2: float = -0.5) -> AuxiliaryInfo:

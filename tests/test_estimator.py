@@ -1244,6 +1244,13 @@ class TestProfileTest:
             profile_test(cfg, ds, [0, 0], [0.1, 0.2])
         with pytest.raises(ValueError):
             profile_test(cfg, ds, [5], [0.1])
+        for indices in ([0.9], [1.9], [True], [1, True], np.array([1.0])):
+            with pytest.raises(ValueError, match="constrained indices must be integers"):
+                profile_test(cfg, ds, indices, [0.5] * len(indices))
+        from_array = profile_test(cfg, ds, np.array([1], dtype=np.int32), [0.0])
+        from_list = profile_test(cfg, ds, [1], [0.0])
+        assert from_array.statistic == from_list.statistic
+        assert np.array_equal(from_array.beta_restricted, from_list.beta_restricted)
 
     @pytest.mark.parametrize("length", [1, 3])
     def test_unrestricted_of_wrong_length_rejected(self, length):

@@ -409,6 +409,12 @@ class TestStandardize:
         with pytest.raises(ValueError, match="column 0 is listed more than once"):
             standardize_columns(ds, [0, 0])
 
+    @pytest.mark.parametrize("columns, bad", [([1, -1], -1), ([5], 5), ([0, 2], 2)])
+    def test_column_outside_data_rejected(self, columns, bad):
+        ds = generate_dataset(SimulationDesign(n=50, seed=1), replication_rng(1, 0, 0))
+        with pytest.raises(ValueError, match=rf"column {bad} is outside 0\.\.1"):
+            standardize_columns(ds, columns)
+
     def test_postconditions_and_idempotence(self):
         rng = np.random.default_rng(31)
         ds = LongitudinalDataset(

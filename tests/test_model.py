@@ -1,9 +1,11 @@
 """Marginal model core: means, derivatives, variance weights."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from qifaux import Link, LongitudinalDataset, MarginalModelSpec, Variance
+from qifaux import Link, LongitudinalDataset, MarginalModelSpec
 from qifaux.model import (
     MEAN_CLAMP,
     mean_curve,
@@ -140,12 +142,15 @@ class TestSecondOrderTerms:
         assert np.array_equal(fd, np.zeros(4))
 
 
-class TestSpecValidation:
-    def test_mismatched_pair_rejected(self):
-        with pytest.raises(ValueError):
-            MarginalModelSpec(Link.IDENTITY, Variance.BERNOULLI)
-        with pytest.raises(ValueError):
-            MarginalModelSpec(Link.LOGIT, Variance.CONSTANT)
+class TestSpec:
+    """The link is the spec's only field; it fixes the variance function."""
+
+    def test_logit_link_is_bernoulli(self):
+        assert MarginalModelSpec(Link.LOGIT) == MarginalModelSpec.bernoulli()
+
+    def test_default_is_gaussian(self):
+        assert [f.name for f in fields(MarginalModelSpec)] == ["link"]
+        assert MarginalModelSpec() == MarginalModelSpec.gaussian()
 
 
 class TestDataset:
