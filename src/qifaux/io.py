@@ -12,6 +12,7 @@ import csv
 import io as _stdio
 import json
 import math
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -32,6 +33,15 @@ from .model import LongitudinalDataset
 from .simulation import MonteCarloSummary
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "."}
+# a body holding one of these takes the exact route: a quote needs the CSV
+# reader, which rejects NUL before Python 3.11, and numpy's parser strips
+# \x1c-\x1f around a number, which int() and float() keep in an ASCII token
+_UNPLAIN = '"\0\x1c\x1d\x1e\x1f'
+# bytes.translate with these turns each digit into "0", keeps the delimiters
+# and "\r" and drops every other byte, so a field with no digit leaves two
+# delimiters side by side
+_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
+_NOT_DIGIT_OR_DELIMITER = bytes(sorted(set(range(256)) - set(b"0123456789,\n\r")))
 # data rows parsed per block: columns are built a block at a time, so the
 # per-row lists live only as long as their block
 BLOCK_ROWS = 8192
@@ -95,8 +105,11 @@ def _parse_block(rows, width, at_sid, at_time, cell_columns, q):
     try:
         ints = list(map(int, tokens))
     except ValueError:
-        i, _ = _first_rejected(int, tokens)
-        fail(i, f"non-integer time index {tokens[i].strip()!r}")
+        # int() keeps \x1c-\x1f around an ASCII token, which str.strip drops
+        tokens = list(map(str.strip, tokens))
+        rejected = _first_rejected(int, tokens)
+        if rejected is not None:
+            fail(rejected[0], f"non-integer time index {tokens[rejected[0]]!r}")
         ints = list(map(int, tokens[:limit]))
     try:
         times = np.array(ints, dtype=np.int64)
@@ -129,6 +142,100 @@ def _parse_block(rows, width, at_sid, at_time, cell_columns, q):
     return ids[:limit], times[:limit], cells, error
 
 
+def _parse_plain(text, width, columns, q):
+    """The ids, times and cells of a plain body read by numpy (no error), or None.
+
+    A plain body (see load_dataset) splits into the CSV reader's fields at
+    each comma, and numpy parses a token only to the value the exact route
+    gives it. Any other body, or a row numpy or a rule rejects, gives None
+    and is left to the exact route, which reports the errors.
+    """
+    if (
+        any(map(text.__contains__, _UNPLAIN))
+        or len(set(columns)) < len(columns)
+        or not _plain_fields(text, columns[1:])
+    ):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    at_sid, at_time, *at_cells = columns
+    kinds = {at_time: np.int64, **dict.fromkeys(at_cells, np.float64)}
+    dtype = np.dtype([(f"f{j}", kinds.get(j, object)) for j in range(width)])
+    # numpy < 2 only warns on a time such as 1.0, which the exact route rejects
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        try:
+            table = np.loadtxt(
+                lines, dtype, delimiter=",", comments=None, quotechar=None,
+                skiprows=1, ndmin=1,
+            )
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+    ids = list(map(str.strip, table[f"f{at_sid}"].tolist()))
+    times = table[f"f{at_time}"]
+    if "" in ids or (times < 1).any() or (q is not None and (times > q).any()):
+        return None
+    cells = np.column_stack([table[f"f{j}"] for j in at_cells])
+    cells[~np.isfinite(cells)] = np.nan
+    return ids, times, cells, None
+
+
+def _plain_fields(text, numeric):
+    """Whether every \\r ends a line and a data line, and each ``numeric`` field, holds a digit.
+
+    A field with no digit is most often a missing-value token, which numpy
+    rejects only on reaching its row, and a body with no digit has no
+    valid row: the exact route is cheaper for both.
+    """
+    digits = text.encode("utf-8", "surrogatepass").translate(_DIGITS, _NOT_DIGIT_OR_DELIMITER)
+    marks = np.frombuffer(digits, np.uint8)
+    cr = np.flatnonzero(marks == ord("\r"))
+    if cr.size and (cr[-1] + 1 == marks.size or (marks[cr + 1] != ord("\n")).any()):
+        return False
+    start = digits.find(b"\n")  # the header's line end
+    if start < 0 or digits.find(b"0", start) < 0:
+        return False
+    marks = marks[start:]
+    if marks[-1] != ord("\n"):
+        marks = np.append(marks, np.uint8(ord("\n")))
+    delimiter = marks != ord("0")
+    if not (delimiter[:-1] & delimiter[1:] & (marks[:-1] != ord("\r"))).any():
+        return True
+    # field k lies between delimiters k and k + 1, and its column counts
+    # from the last line end at or before delimiter k; a blank line, or the
+    # gap between a "\r" and its "\n", holds no field
+    ends = np.flatnonzero(delimiter)
+    line_end = marks[ends] != ord(",")
+    empty = np.flatnonzero((np.diff(ends) == 1) & ~(line_end[:-1] & line_end[1:]))
+    line_ends = np.flatnonzero(line_end)
+    column = empty - line_ends[np.searchsorted(line_ends, empty, "right") - 1]
+    return not np.isin(column, numeric).any()
+
+
+def _parse_blocks(reader, parse_block):
+    """The ids, times and cells of the exact route's rows, and its first error.
+
+    The error is the first bad row's ``(index, message, cause)``, else the
+    reader's csv.Error, which ranks after every row read before it.
+    """
+    broken = []
+    rows = _rows_until_error(reader, broken)
+    ids, times, cells, error = [], [], [], None
+    while error is None and (block := list(islice(rows, BLOCK_ROWS))):
+        block_ids, block_times, block_cells, error = parse_block(list(filter(None, block)))
+        if error is not None:
+            error = (len(ids) + error[0], error[1], None)
+        ids += block_ids
+        times.append(block_times)
+        cells.append(block_cells)
+    if error is None and broken:
+        error = (len(ids), str(broken[0]), broken[0])
+    if not times:  # no rows, so nothing reads the times or cells
+        return ids, np.zeros(0, np.int64), None, error
+    return ids, np.concatenate(times), np.concatenate(cells), error
+
+
 def _first_rejected(convert, tokens):
     """The index of the first token ``convert`` rejects and its error, or None."""
     for i, token in enumerate(tokens):
@@ -148,9 +255,22 @@ def _first_duplicate(slot, time):
     return int(order[1:][again].min()) if again.any() else None
 
 
+def _lines(text):
+    """The lines of ``text`` with their ends, as io.StringIO yields them.
+
+    The text goes to io.StringIO a piece of about 64K characters at a time,
+    each cut after a newline, so no UCS-4 copy of all of it is made.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield from _stdio.StringIO(text[start:end])
+        start = end
+
+
 def _line_of(text, row):
     """The line where data row ``row`` (0-based, no blank rows) ends or the reader fails."""
-    reader = csv.reader(_stdio.StringIO(text))
+    reader = csv.reader(_lines(text))
     with suppress(csv.Error):
         next(reader)
         next(islice(filter(None, reader), row, None))
@@ -178,20 +298,28 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     within a line the field count, the id, the time index, the cells (in
     column order) and then the duplicate.
 
-    The rows are parsed a block of ``BLOCK_ROWS`` at a time, column by
-    column: each numeric column is converted with one call and each rule
-    is one check over the block, and only a failed check looks for its
-    row and line. Duplicates are checked over every row up to the first
-    bad one. The value array holds only subjects with q rows, the only
-    ones that can be complete, so memory is bounded by the rows read
-    whatever the time indices are.
+    A plain body (no quote, NUL or ``\\x1c``-``\\x1f`` character, no ``\\r``
+    outside a ``\\r\\n``, distinct schema columns, a digit in every field
+    of the time, response and covariate columns and no line longer than the
+    CSV reader's field limit) is read by one call of numpy's C parser.
+    While it runs, the global warning filters turn a DeprecationWarning
+    into an error, in every thread. A body that is not plain, such as one
+    with a missing-value token, or one with a row numpy or a rule rejects,
+    is read by the exact route, the one that reports errors: its rows are
+    parsed a block of ``BLOCK_ROWS`` at a time, column by column; each
+    numeric column is converted with one call and each rule is one check
+    over the block, and only a failed check looks for its row and line.
+    Duplicates are checked over every row up to the first bad one. The
+    value array holds only subjects with q rows, the only ones that can be
+    complete, so memory is bounded by the rows read whatever the time
+    indices are.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
-    reader = csv.reader(_stdio.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader, None)
     except csv.Error as err:
@@ -212,29 +340,18 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
         cell_columns=[(position[c], c) for c in needed[2:]],
         q=schema.q,
     )
-
-    # a csv.Error ranks after every row read before it
-    broken = []
-    rows = _rows_until_error(reader, broken)
-    ids, times, cells, error = [], [], [], None
-    while error is None and (block := list(islice(rows, BLOCK_ROWS))):
-        block_ids, block_times, block_cells, error = parse_block(list(filter(None, block)))
-        if error is not None:
-            error = (len(ids) + error[0], error[1])
-        ids += block_ids
-        times.append(block_times)
-        cells.append(block_cells)
+    columns = [position[c] for c in needed]
+    ids, time, cells, error = _parse_plain(
+        text, len(header), columns, schema.q
+    ) or _parse_blocks(reader, parse_block)
 
     index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
     slot = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
-    time = np.concatenate(times) if times else np.zeros(0, np.int64)
     row = _first_duplicate(slot, time)
     if row is not None:
         raise UnbalancedSubject(ids[row], _line_of(text, row))
     if error is not None:
-        raise MalformedRow(_line_of(text, error[0]), error[1])
-    if broken:
-        raise MalformedRow(_line_of(text, len(ids)), str(broken[0])) from broken[0]
+        raise MalformedRow(_line_of(text, error[0]), error[1]) from error[2]
     if not ids:
         raise EmptyDataset("file contains no data rows")
 
@@ -246,7 +363,6 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     if q <= len(ids):
         complete = np.bincount(slot, minlength=len(index)) == q
         kept = complete[slot]
-        cells = np.concatenate(cells)
         grid = np.full((np.count_nonzero(complete), q, cells.shape[1]), np.nan)
         at = (np.cumsum(complete) - 1)[slot[kept]], time[kept].astype(np.intp) - 1
         grid[at] = cells[kept]
@@ -322,9 +438,12 @@ def standardize_columns(
 
     Uses the sample standard deviation (divisor n*q - 1). The response can
     be standardized through the same operation with ``include_response``.
-    A column outside 0..p-1 or listed twice raises ValueError.
+    A column that is not an integer, lies outside 0..p-1 or is listed twice
+    raises ValueError.
     """
     columns = list(columns)
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in columns):
+        raise ValueError("columns must be integers")
     for k, j in enumerate(columns):
         if not 0 <= j < dataset.p:
             raise ValueError(f"column {j} is outside 0..{dataset.p - 1}")

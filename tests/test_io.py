@@ -57,19 +57,26 @@ b,2,-0.2,0.0,1.0
 b,3,-0.3,-0.5,1.0
 """
 
-_ID_TOKENS = st.text('ab ,"\n', max_size=3)
-_TIME_TOKENS = ["0", "-1", "x", "", " 2 ", "1.0", "+3", "4", "9", "2000000000000", str(2**64), str(-(2**70))]
-_CELL_TOKENS = ["", "na", "NaN", " NULL ", ".", "inf", "-inf", "oops", " 1.5 ", "1e400", "-0.0", "1_0"]
+_ID_TOKENS = st.text('ab ,"\n#\x0b\x0c\x1c\x85\xa0\u2028', max_size=3)
+_TIME_TOKENS = [
+    "0", "-1", "x", "", " 2 ", "1.0", "+3", "4", "9", "2000000000000", str(2**64), str(-(2**70)),
+    " 01 ", "\uff11", "1_0", "\x1c2", "2\x85", "\x0b1\xa0", str(2**63),
+]
+_CELL_TOKENS = [
+    "", "na", "NaN", " NULL ", ".", "inf", "-inf", "oops", " 1.5 ", "1e400", "-0.0", "1_0",
+    "\uff11", "\x1c1", "1\x1f", "\x0b2\x0c", "\x853\u2028", "#4",
+]
 
 
 @st.composite
 def malformed_files(draw):
     """A long-format file with a few broken rows, and a schema for it.
 
-    Ids may hold commas, quotes and newlines (so rows span lines), and rows
-    may be missing, repeated, shuffled, short, long or preceded by blank
-    lines; times and cells come from pools of bad, huge, out-of-range and
-    missing tokens, and q is pinned or inferred.
+    Ids may hold commas, quotes and newlines (so rows span lines), ``#``
+    and control or Unicode whitespace characters, and rows may be missing,
+    repeated, shuffled, short, long or preceded by blank lines; times and
+    cells come from pools of bad, huge, out-of-range, missing, full-width
+    and oddly padded tokens, and q is pinned or inferred.
     """
     q = draw(st.integers(1, 3))
     p = draw(st.integers(1, 2))
@@ -183,14 +190,21 @@ class TestLoadDataset:
         with pytest.raises(UnbalancedSubject):
             load_dataset(stdio.StringIO(text), SCHEMA)
 
-    def test_empty_dataset(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["id,time,y,x1,x2\n", "id,time,y,x1,x2", "id,time,y,x1,x2\r\n\r\n\n"],
+        ids=["header-only", "no-line-end", "blank-lines"],
+    )
+    def test_empty_dataset(self, text):
         with pytest.raises(EmptyDataset):
-            load_dataset(stdio.StringIO("id,time,y,x1,x2\n"), SCHEMA)
+            load_dataset(stdio.StringIO(text), SCHEMA)
+        assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
     def test_time_beyond_pinned_q(self):
         schema = ColumnSchema("id", "time", "y", ("x1", "x2"), q=2)
         with pytest.raises(MalformedRow):
             load_dataset(stdio.StringIO(CLEAN), schema)
+        assert _outcome(load_dataset, CLEAN, schema) == _outcome(load_dataset_by_rows, CLEAN, schema)
 
     def test_missing_header_column(self):
         with pytest.raises(MalformedRow):
@@ -286,22 +300,144 @@ class TestLoadDataset:
             ("id,time,y,x1,x2\na,1,1,1\r2,1\n", 2),
             (CLEAN + "\n\nc,1,1\r,1,1\n", 10),
             ("id,ti\rme,y,x1,x2\n" + CLEAN[15:], 1),
+            (CLEAN.replace("\n", "\r\n").replace("b,2,", "b,\r2,"), 6),
         ],
-        ids=["first-row", "after-blank-lines", "header"],
+        ids=["first-row", "after-blank-lines", "header", "crlf-body"],
     )
     def test_bare_carriage_return_is_malformed(self, text, line):
         with pytest.raises(MalformedRow, match="new-line character") as err:
             load_dataset(stdio.StringIO(text), SCHEMA)
         assert err.value.line_number == line
+        assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
-    def test_oversized_field_is_malformed(self):
+    @pytest.mark.parametrize(
+        "row", ['c,1,"{big}",1,1', "c,1,{big},1,1", "{big},1,1,1,1"],
+        ids=["quoted-cell", "unquoted-cell", "unquoted-id"],
+    )
+    def test_oversized_field_is_malformed(self, row):
         limit = csv.field_size_limit()
-        text = CLEAN + f'c,1,"{"9" * (limit + 1)}",1,1\n'
+        text = CLEAN + row.format(big="9" * (limit + 1)) + "\n"
         with pytest.raises(MalformedRow, match="^line 8: field larger than field limit"):
             load_dataset(stdio.StringIO(text), SCHEMA)
+        assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
         # a field at the limit is read, and parsed as a number
         out = load_dataset(stdio.StringIO(CLEAN + f"c,1,{'0' * limit},1,1\n"), SCHEMA)
         assert out.dropped == ("c",)
+
+    @pytest.mark.parametrize(
+        "text, schema",
+        [
+            *(
+                pytest.param(CLEAN.replace("a,", f"{c}a{c},").replace("b,", f"b{c}b,"), SCHEMA, id=name)
+                for c, name in [
+                    ("\0", "nul"), ("\x0b", "vt"), ("\x0c", "ff"), ("\x1c", "fs"), ("\x85", "nel"),
+                    ("\xa0", "nbsp"), ("\u2028", "line-separator"), ("\u3000", "ideographic-space"),
+                    ("#", "hash"),
+                ]
+            ),
+            *(
+                pytest.param(CLEAN.replace("a,2,0.2,1.5,", old), SCHEMA, id=name)
+                for old, name in [
+                    ("a,2,\uff10.2,1.5,", "fullwidth-cell"), ("a,2,0.2,1_5,", "underscore-cell"),
+                    ("a,\uff12,0.2,1.5,", "fullwidth-time"), ("a,0_2,0.2,1.5,", "underscore-time"),
+                    ("a,+2,0.2,1.5,", "plus-time"), ("a, 02 ,0.2,1.5,", "padded-time"),
+                    ("a,2.0,0.2,1.5,", "float-time"), (f"a,{2**63},0.2,1.5,", "int64-overflow-time"),
+                    ("a,2,0.2\x00,1.5,", "nul-cell"), ("a,2,\x1c0.2,1.5,", "fs-cell"),
+                    ("a,\x1f2,0.2,1.5,", "us-time"), ("a,2,\x0b0.2\x85,\u30001.5,", "space-cell"),
+                    ("a,\x0c2\xa0,0.2,1.5,", "space-time"), ("a,2,0.2,#1.5,", "hash-cell"),
+                    ("a,2,0.2,1e400,", "overflow-cell"), ("a,2,-nan,1.5,", "nan-cell"),
+                ]
+            ),
+            pytest.param(CLEAN.replace("\n", "\r\n"), SCHEMA, id="crlf"),
+            pytest.param(CLEAN.replace("b,1,", " \nb,1,"), SCHEMA, id="space-line"),
+            pytest.param(CLEAN.replace("b,1,", "\t\r\nb,1,"), SCHEMA, id="tab-line"),
+            pytest.param(CLEAN.replace("b,1,", "\n\r\n\nb,1,"), SCHEMA, id="blank-lines"),
+            pytest.param(
+                "id,time,y,x1,x2,x1\n" + CLEAN[16:].replace("\n", ",9\n"), SCHEMA,
+                id="repeated-header-name",
+            ),
+            pytest.param(CLEAN, dataclasses.replace(SCHEMA, q=1), id="pinned-q-below-time"),
+            pytest.param(CLEAN, dataclasses.replace(SCHEMA, covariates=("x1", "x1")), id="covariate-twice"),
+            pytest.param(CLEAN, dataclasses.replace(SCHEMA, response="x1"), id="response-is-covariate"),
+            pytest.param(CLEAN, dataclasses.replace(SCHEMA, time="x2"), id="time-is-covariate"),
+        ],
+    )
+    def test_odd_bodies_match_reference(self, text, schema):
+        assert _outcome(load_dataset, text, schema) == _outcome(load_dataset_by_rows, text, schema)
+
+    def test_line_source_matches_stringio(self):
+        # pieces of about 64K characters: lines, CRs and quoted newlines across the cuts
+        row = 'a,1,"x\ny",\r\n' * 2000 + "b\r,2\n" * 9000 + "\n" * 70000
+        for text in ["", "a", "\n", row, row + "tail", row[:65536], row[:65537]]:
+            assert list(qio._lines(text)) == list(stdio.StringIO(text))
+
+    def test_plain_body_takes_the_numpy_route(self):
+        ds = generate_dataset(SimulationDesign(n=25, seed=30), replication_rng(30, 0, 0))
+        buf = stdio.StringIO()
+        write_dataset(ds, buf, SCHEMA)
+        lines = buf.getvalue().splitlines(keepends=True)
+        bodies = [
+            "".join(lines),
+            "".join(lines).replace("\r\n", "\n"),
+            "".join(lines[:5] + lines[6:]),  # an incomplete subject
+            "".join(lines + lines[3:4]),  # a duplicate
+        ]
+        expected = [_outcome(load_dataset_by_rows, text, SCHEMA) for text in bodies]
+        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
+            assert [_outcome(load_dataset, text, SCHEMA) for text in bodies] == expected
+        assert expected[0][1] == tuple(map(str, ds.subject_ids))
+        assert expected[2][2] == ("1",) and expected[3][0] is UnbalancedSubject
+
+    @pytest.mark.parametrize(
+        "text, schema",
+        [
+            (CLEAN.replace("b,1,", '"b",1,'), SCHEMA),
+            (CLEAN.replace("0.2", "na"), SCHEMA),
+            (CLEAN.replace("0.2", ""), SCHEMA),
+            (CLEAN.replace("b,3,", "b,0,"), SCHEMA),
+            (CLEAN.replace("b,3,", " ,3,"), SCHEMA),
+            (CLEAN.replace("b,3,-0.3,", "b,3,"), SCHEMA),
+            (CLEAN.replace("b,3,-0.3,", "b,3,oops,"), SCHEMA),
+            (CLEAN.replace("b,3,", "b,1.0,"), SCHEMA),
+            (CLEAN, dataclasses.replace(SCHEMA, q=2)),
+        ],
+        ids=[
+            "quoted-id", "na-cell", "empty-cell", "time-0", "empty-id", "short-row",
+            "non-numeric-cell", "float-time", "time-over-pinned-q",
+        ],
+    )
+    def test_other_bodies_take_the_exact_route(self, text, schema):
+        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
+            with pytest.raises(AssertionError, match="exact route"):
+                load_dataset(stdio.StringIO(text), schema)
+        assert _outcome(load_dataset, text, schema) == _outcome(load_dataset_by_rows, text, schema)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CLEAN.replace("b,3,-0.3,", "b,3,na,"),
+            CLEAN.replace("b,3,-0.3,", "b,3, NULL ,"),
+            CLEAN.replace("b,3,-0.3,-0.5,", "b,3,-0.3,,"),
+            CLEAN.replace("-0.5,1.0\n", "-0.5,."),
+            CLEAN.replace("b,3,", "b,,"),
+            "id,time,y,x1,x2\n\r\n\n",
+            "id,time,y,x1,x2",
+        ],
+        ids=["na-cell", "padded-null-cell", "empty-cell", "dot-at-end", "empty-time", "blank-body", "header-only"],
+    )
+    def test_digitless_numeric_field_skips_numpy(self, text):
+        # numpy would reject the row only on reaching it, or warn on no rows
+        with mock.patch.object(qio.np, "loadtxt", side_effect=AssertionError("numpy route")):
+            assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
+
+    def test_digitless_id_and_unused_field_keep_the_numpy_route(self):
+        # the time column comes first, so a blank line's lone empty field is in it
+        rows = [row.split(",", 2) for row in CLEAN.splitlines()[1:]]
+        text = "time,id,y,x1,x2,note\n" + "".join(f"{t},{i},{rest},\n" for i, t, rest in rows) + "\n\r\n"
+        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
+            out = _outcome(load_dataset, text, SCHEMA)
+        assert out == _outcome(load_dataset_by_rows, text, SCHEMA)
+        assert out[1] == ("a", "b")
 
     @pytest.mark.parametrize(
         "first, second",
@@ -414,6 +550,19 @@ class TestStandardize:
         ds = generate_dataset(SimulationDesign(n=50, seed=1), replication_rng(1, 0, 0))
         with pytest.raises(ValueError, match=rf"column {bad} is outside 0\.\.1"):
             standardize_columns(ds, columns)
+
+    @pytest.mark.parametrize("columns", [[True], [0.5], [0, True], [np.bool_(True)], ["0"]])
+    def test_non_integer_column_rejected(self, columns):
+        ds = generate_dataset(SimulationDesign(n=50, seed=1), replication_rng(1, 0, 0))
+        with pytest.raises(ValueError, match="^columns must be integers$"):
+            standardize_columns(ds, columns)
+
+    def test_numpy_integer_column_accepted(self):
+        ds = generate_dataset(SimulationDesign(n=50, seed=1), replication_rng(1, 0, 0))
+        out, info = standardize_columns(ds, [np.int64(1)])
+        ref, ref_info = standardize_columns(ds, [1])
+        assert np.array_equal(out.covariates, ref.covariates)
+        assert info == ref_info
 
     def test_postconditions_and_idempotence(self):
         rng = np.random.default_rng(31)
