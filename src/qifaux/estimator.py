@@ -19,16 +19,18 @@ g_i(beta) = g_i(beta0) + T_i (beta - beta0), so with Z_i = [g_i(beta0) | T_i]
 and w = (1, beta - beta0) the solver needs only the mean and the Gram
 matrix of the Z_i: g_n = mean(Z) w, Sigma_n = (1/n) sum_i Z_i w w' Z_i',
 G_n = mean(T), and the gradient above in closed form (Hansen, Heaton and
-Yaron 1996). A fit makes one O(n d^2 (p+1)^2) pass at its start value and its
-profile tests reuse that pass; every iteration after it is free of n. It
-replaces an O(n d^2) weight update per objective evaluation, so its
-advantage narrows as p grows. Other links recompute the per-subject
-contributions at each evaluation and take the same gradient with the exact
-contribution Jacobian, contracted with Sigma^{-1} g_n before the sum over
-subjects. The Gauss-Newton metric and the plug-in covariance use the
-truncated mean Jacobian G_n under both links; restricted identity-link CUE
-solves step with the exact, n-free Hessian where it is positive definite, as
-that metric misses the weight-derivative curvature a false null brings.
+Yaron 1996). A fit makes one O(n d^2 (p+1)^2) pass at its start value, and
+the profile tests that search the fit's own model reuse it (``profile_test``
+given ``unrestricted`` makes one pass at that fit's start); every iteration
+after it is free of n. It replaces an O(n d^2) weight update per objective
+evaluation, so its advantage narrows as p grows. Other links recompute the
+per-subject contributions at each evaluation and take the same gradient
+with the exact contribution Jacobian, contracted with Sigma^{-1} g_n before
+the sum over subjects. The Gauss-Newton metric and the plug-in covariance
+use the truncated mean Jacobian G_n under both links; restricted
+identity-link CUE solves step with the exact, n-free Hessian where it is
+positive definite, as that metric misses the weight-derivative curvature a
+false null brings.
 
 Each problem's search is one serial loop (``_search``), and the solver
 drives the loops of a stack of problems that share one method in lockstep:
@@ -43,7 +45,10 @@ with nothing free.
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
 under the identity link, the link terms otherwise), so the gradient at an
-accepted point recomputes none of them.
+accepted point recomputes none of them. Each direction factors the normal
+matrix G_f' W G_f of the free coordinates with one more, which gives the
+rank check, the Gauss-Newton step and, at a fit's solution, the plug-in
+covariance; a Newton step factors H_ff the same way.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -536,7 +541,7 @@ class _SubjectMoments:
 
 
 class _Solution(NamedTuple):
-    """Where the solver stopped, with the weight and Jacobian held there."""
+    """Where the solver stopped, with the inverse normal matrix there."""
 
     beta: np.ndarray
     objective: float
@@ -545,64 +550,59 @@ class _Solution(NamedTuple):
     iterates: np.ndarray
     degraded: bool
     gradient_norm: float
-    weight_inverse: np.ndarray
-    jacobian: np.ndarray
+    normal_inverse: np.ndarray
 
 
 def _direction(model, point, free, continuous):
-    """(G_n, step for the free coordinates, gradient norm) of each problem
-    of the stacked ``point``, and a dict from the position of each problem
-    that cannot go on to the exception that stops it.
+    """(inverse normal matrix, step for the free coordinates, gradient norm)
+    of each problem of the stacked ``point``, and a dict from the position of
+    each problem that cannot go on to the exception that stops it.
 
-    The step is Newton's for a continuously-updated restricted solve whose
-    exact H_ff has a positive smallest eigenvalue, else Gauss-Newton's. Fits
-    keep Gauss-Newton: Newton moves their estimates by up to 1.8e-7, beyond
-    the benchmark reference (ROADMAP item 3). The checks and the choice of
-    step are array operations that decide each problem from its own slice,
-    as when it is solved alone; a problem that fails its rank check solves
-    an identity stand-in in the stack, and only its error counts. Where the
-    stacked solve fails, each problem is solved again alone. With no free
-    coordinate the check passes, no Hessian is formed and the step is empty.
+    One ``eigh`` V Lambda V' of each normal matrix G_f' W G_f gives the rank
+    check, the inverse V Lambda^-1 V' and the Gauss-Newton step
+    -V Lambda^-1 V' h_f. The step is Newton's, from the ``eigh`` of the exact
+    H_ff, for a continuously-updated restricted solve whose H_ff has a
+    positive smallest eigenvalue. Fits keep Gauss-Newton: Newton moves their
+    estimates by up to 1.8e-7, beyond the benchmark reference (ROADMAP item
+    3). Each slice of a stacked ``eigh`` is its own LAPACK call, and the
+    checks and the choice of step are array operations on each problem's
+    own slice, as when it is solved alone; a problem that fails its rank
+    check gets unit eigenvalues as a stand-in, and only its error counts.
+    With no free coordinate the check passes, no Hessian is formed and the
+    step is empty.
     """
     u = (point.w_inv @ point.g[:, :, None])[..., 0]
     jac, half_grad = model.derivatives(point, u, continuous)
     free_jac = jac[:, :, free]
     normal = free_jac.swapaxes(1, 2) @ point.w_inv @ free_jac
-    score = half_grad[:, free]
-    grad_norm = np.abs(score).max(axis=1, initial=0.0)
-    # eigvalsh does not raise on NaN or inf input: reject it first, and give
-    # eigvalsh a finite stand-in for it
+    score = half_grad[:, free, None]
+    grad_norm = np.abs(score).max(axis=(1, 2), initial=0.0)
+    # eigh does not raise on NaN or inf input: reject it first, and give
+    # eigh a finite stand-in for it
     finite = np.isfinite(normal).all(axis=(1, 2))
-    mags = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], normal, 1.0)))
-    deficient = mags.min(axis=1, initial=np.inf) <= mags.max(axis=1, initial=0.0) * 1e-13
+    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], normal, 1.0))
+    mags = np.abs(lam)
+    failed = ~finite | (mags.min(axis=1, initial=np.inf) <= mags.max(axis=1, initial=0.0) * 1e-13)
     errors = {
         i: RankDeficient(
             "moment Jacobian is rank deficient for the free coordinates"
             if finite[i]
             else "normal matrix of the free coordinates is not finite"
         )
-        for i in np.flatnonzero(~finite | deficient).tolist()
+        for i in np.flatnonzero(failed).tolist()
     }
+    lam[failed] = 1.0
+    normal_inv = (vec / lam[:, None, :]) @ vec.swapaxes(1, 2)
     if continuous and 0 < free.size < jac.shape[2] and hasattr(model, "hessian"):
         hess = model.hessian(point, u)[:, free][:, :, free]
         # Newton where H_ff is positive definite; a non-finite H_ff has the
         # zero matrix as its stand-in, so it takes Gauss-Newton
         usable = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
-        newton = np.linalg.eigvalsh(np.where(usable, hess, 0.0))[:, 0] > 0.0
-        normal = np.where(newton[:, None, None], hess, normal)
-    normal[list(errors)] = np.eye(free.size)
-    rhs = score[:, :, None]
-    try:
-        solved = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError:
-        # numpy fails the whole stack for one singular slice
-        solved = np.full(rhs.shape, np.nan)
-        for i in range(len(rhs)):
-            try:
-                solved[i] = np.linalg.solve(normal[i], rhs[i])
-            except np.linalg.LinAlgError as err:
-                errors[i] = err
-    return jac, -solved[:, :, 0], grad_norm, errors
+        h_lam, h_vec = np.linalg.eigh(np.where(usable, hess, 0.0))
+        newton = h_lam[:, :1] > 0.0
+        lam, vec = np.where(newton, h_lam, lam), np.where(newton[:, :, None], h_vec, vec)
+    step = vec @ (vec.swapaxes(1, 2) @ score / lam[:, :, None])
+    return normal_inv, -step[..., 0], grad_norm, errors
 
 
 def _model(assemblers, beta0):
@@ -619,10 +619,10 @@ def _search(beta, free):
 
     It yields each point where it needs the objective, beta first, and is
     sent (Q_n, weight rank) there, the rank None for a frozen weight. At
-    each accepted point it yields None and is sent (G_n, step, the step's
-    largest coordinate, gradient norm, W) there. It returns its
-    ``_Solution``, or raises SingularWeightMatrix where the weight's rank
-    falls below p.
+    each accepted point it yields None and is sent (inverse normal matrix,
+    step, its largest coordinate, gradient norm, moment count) there. It
+    returns its ``_Solution``, or raises SingularWeightMatrix where the
+    weight's rank falls below p.
     """
     p = beta.size
     # low is the smallest weight rank at an accepted point
@@ -630,7 +630,7 @@ def _search(beta, free):
     if low < p:
         raise _rank_error(low, p)
     iterates = [beta]
-    jac, step, step_norm, grad_norm, w_inv = yield None
+    normal_inv, step, step_norm, grad_norm, d = yield None
     converged = False
     iterations = 0
     for _ in range(MAX_ITER):
@@ -659,7 +659,7 @@ def _search(beta, free):
         beta, q_cur = candidate, trial_q
         low = low if rank is None else min(low, rank)
         iterates.append(beta)
-        jac, step, step_norm, grad_norm, w_inv = yield None
+        normal_inv, step, step_norm, grad_norm, d = yield None
         if stopped:
             converged = True
             break
@@ -669,10 +669,9 @@ def _search(beta, free):
         iterations=iterations,
         converged=converged,
         iterates=np.asarray(iterates),
-        degraded=low < len(w_inv),
+        degraded=low < d,
         gradient_norm=grad_norm,
-        weight_inverse=w_inv,
-        jacobian=jac,
+        normal_inverse=normal_inv,
     )
 
 
@@ -690,11 +689,12 @@ def _minimize(model, rows, beta0, free, options):
     is the one the problem gets as a batch of one. With no free coordinate
     the search stops at its start, where Q_n is the joint null's objective.
 
-    The step preconditions the exact objective gradient with the inverse of
-    the exact Hessian or of G' Sigma^{-1} G (``_direction``), both positive
-    definite, so it is always a descent direction and the fixed point is a
-    stationary point of the minimized objective (continuously-updating Q_n,
-    or the frozen-weight form in two-step mode) of ``model``, from ``_model``.
+    The step preconditions the exact objective gradient with the inverse
+    V Lambda^-1 V' of the exact Hessian or of G' Sigma^{-1} G, from one
+    ``eigh`` of each (``_direction``), both positive definite, so it is
+    always a descent direction and the fixed point is a stationary point of
+    the minimized objective (continuously-updating Q_n, or the frozen-weight
+    form in two-step mode) of ``model``, from ``_model``.
     """
     rows = np.asarray(rows)
     continuous = not options.two_step
@@ -724,14 +724,15 @@ def _minimize(model, rows, beta0, free, options):
             resume(j, (q, rank))
         at = [k for k, j in enumerate(active) if outcomes[j] is None and requests[j] is None]
         if at:
-            jac, step, grad_norm, errors = _direction(model, trial, free, continuous)
+            normal_inv, step, grad_norm, errors = _direction(model, trial, free, continuous)
             step_norm = np.abs(step).max(axis=1, initial=0.0).tolist()
             grad_norm = grad_norm.tolist()
             for k in at:
                 if k in errors:
                     outcomes[active[k]] = errors[k]
                 else:
-                    resume(active[k], (jac[k], step[k], step_norm[k], grad_norm[k], trial.w_inv[k]))
+                    reply = normal_inv[k], step[k], step_norm[k], grad_norm[k], trial.g.shape[1]
+                    resume(active[k], reply)
         active = [j for j in active if outcomes[j] is None]
     return outcomes
 
@@ -771,8 +772,7 @@ def _fit(configs, datasets, options, init=None):
 
     Problems whose moments stack (one link, basis, p and count of kept
     subgroups) are solved together, each expanded at its own start. Returns
-    per problem its ``_Fitted``, or the QifauxError or LinAlgError that
-    stopped it.
+    per problem its ``_Fitted``, or the QifauxError that stopped it.
     """
     outcomes = [None] * len(configs)
     batches = {}
@@ -785,6 +785,8 @@ def _fit(configs, datasets, options, init=None):
                 beta0 = np.asarray(init, dtype=float)
                 if beta0.shape != (dataset.p,):
                     raise ValueError(f"init must have shape ({dataset.p},)")
+                if not np.isfinite(beta0).all():
+                    raise ValueError("init must be finite")
         except QifauxError as err:
             outcomes[i] = err
             continue
@@ -799,10 +801,8 @@ def _fit(configs, datasets, options, init=None):
             if isinstance(sol, Exception):
                 outcomes[index[j]] = sol
                 continue
-            # With every coordinate free, the solver has already checked that
-            # this normal matrix is nonsingular at the solution.
-            normal = sol.jacobian.T @ sol.weight_inverse @ sol.jacobian
-            covariance = np.linalg.inv(normal) / assemblers[j].n
+            # every coordinate is free: (G' W G)^-1 at the solution
+            covariance = sol.normal_inverse / assemblers[j].n
             result = FitResult(
                 beta_hat=sol.beta,
                 covariance=(covariance + covariance.T) / 2.0,
@@ -848,6 +848,8 @@ def profile_test(
         if iterates is not None and np.shape(iterates[:1]) != (1, dataset.p):
             raise ValueError(f"unrestricted.iterates[0] must have shape ({dataset.p},)")
         start = unrestricted.beta_hat if iterates is None else iterates[0]
+        if not (np.isfinite(unrestricted.beta_hat).all() and np.isfinite(start).all()):
+            raise ValueError("unrestricted.beta_hat and unrestricted.iterates[0] must be finite")
         assembler = _build_assembler(config, dataset, options)[0]
         fitted = _Fitted(unrestricted, _model([assembler], start[None]), 0)
     return _value(_profile_tests([fitted], dataset.n, indices, values, options)[0])
@@ -869,6 +871,8 @@ def _hypothesis(constrained_indices, constrained_values, p):
         raise ValueError("constrained indices must be distinct")
     if ((indices < 0) | (indices >= p)).any():
         raise ValueError(f"constrained indices must lie in 0..{p - 1}")
+    if not np.isfinite(values).all():
+        raise ValueError("constrained values must be finite")
     return indices, values
 
 
@@ -876,7 +880,7 @@ def _profile_tests(fitted, n, indices, values, options):
     """``profile_test`` of one hypothesis against each ``_Fitted`` of
     ``fitted``, on the moment model its fit searched, in lockstep per model;
     n is the subject count. Returns per fit its ProfileTestResult or the
-    QifauxError or LinAlgError that stopped the test."""
+    QifauxError that stopped the test."""
     outcomes = [None] * len(fitted)
     batches = {}
     for j, f in enumerate(fitted):

@@ -96,6 +96,12 @@ class SimulationDesign:
     replications: int = 500
 
     def __post_init__(self):
+        for name in ("n", "replications", "held_out_m", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.replications < 1:
@@ -307,26 +313,15 @@ def _method_records(method, design, replications, datasets, basis, spec, hypothe
     configs = [
         ExtendedScoreConfig(spec, basis, _method_aux(method, design, r)) for r in replications
     ]
-    outcomes = _fit(configs, datasets, options)
-    _raise_unexpected(outcomes)
     fitted = [
-        out for out in outcomes
+        out for out in _fit(configs, datasets, options)
         if not isinstance(out, Exception) and out.result.converged
     ]
     records = [[f.result for f in fitted]]
     for _, indices, values in hypotheses:
         results = _profile_tests(fitted, design.n, indices, values, options)
-        _raise_unexpected(results)
         records.append([out for out in results if not isinstance(out, QifauxError)])
     return records
-
-
-def _raise_unexpected(outcomes):
-    """Raise the first error of a batch that is not a QifauxError: a failed
-    replication is counted, anything else stops the study."""
-    for out in outcomes:
-        if isinstance(out, Exception) and not isinstance(out, QifauxError):
-            raise out
 
 
 def run_monte_carlo(

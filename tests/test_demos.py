@@ -12,6 +12,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "name",
     [
         "01_single_study_fit.py",
+        "02_monte_carlo_study.py",
         "03_hypothesis_power.py",
         "04_profile_statistic_qq.py",
         "05_file_pipeline.py",

@@ -43,6 +43,7 @@ from qifaux import (
     weight_matrix,
 )
 import qifaux.estimator
+from qifaux.estimator import _direction
 from qifaux.simulation import SimulationDesign, _method_aux
 
 GAUSS = MarginalModelSpec.gaussian()
@@ -405,6 +406,38 @@ class TestFit:
         error = _direction(NanJacobian(), point, np.arange(2), True)[3][0]
         with pytest.raises(RankDeficient, match="not finite"):
             raise error
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_init_rejected(self, link, value):
+        if link == "identity":
+            cfg, ds = paper_problem("gmmai2", seed=1000)
+        else:
+            cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), None)
+            ds = logistic_panel(np.random.default_rng(19))
+        with pytest.raises(ValueError, match="init must be finite"):
+            fit(cfg, ds, init=[value, 0.0])
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_covariance_is_the_inverse_normal_matrix(self, link):
+        """Oracle: the covariance equals inv(G' W G) / n with G and W built
+        from the public kernels at beta_hat."""
+        from qifaux.estimator import _weight_inverse
+
+        if link == "identity":
+            cfg, ds = paper_problem("gmmai2", seed=1000)
+        else:
+            rng = np.random.default_rng(20)
+            ds = logistic_panel(rng)
+            phi = tuple(rng.uniform(0.35, 0.65, 3) for _ in range(2))
+            cfg = ExtendedScoreConfig(
+                BERN, build_basis(CS, 3), AuxiliaryInfo(two_group_partition(), phi)
+            )
+        res = fit(cfg, ds)
+        jac = score_jacobian(cfg, ds, res.beta_hat)
+        w_inv, _ = _weight_inverse(weight_matrix(moment_vector(cfg, ds, res.beta_hat)[1]))
+        expected = np.linalg.inv(jac.T @ w_inv @ jac) / ds.n
+        assert_relative(res.covariance, expected, rtol=1e-9)
 
     def test_empty_subgroup_policy(self):
         rng = np.random.default_rng(18)
@@ -810,16 +843,21 @@ def paper_problem(method, seed, r=0, n=300):
     return ExtendedScoreConfig(GAUSS, build_basis(CS, 3), _method_aux(method, design, r)), ds
 
 
+class _WithoutHessian:
+    """A moment model's derivatives without its ``hessian``, so that the
+    solver's direction takes no Newton step."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def derivatives(self, point, u, continuous):
+        return self.model.derivatives(point, u, continuous)
+
+
 def gauss_newton_direction(model, point, free, continuous):
-    """Reference: the solver's direction with Gauss-Newton steps only, for
-    each problem of the stacked point."""
-    u = (point.w_inv @ point.g[:, :, None])[..., 0]
-    jac, half_grad = model.derivatives(point, u, continuous)
-    free_jac = jac[:, :, free]
-    score = half_grad[:, free]
-    normal = free_jac.swapaxes(1, 2) @ point.w_inv @ free_jac
-    step = -np.linalg.solve(normal, score[:, :, None])[:, :, 0]
-    return jac, step, np.abs(score).max(axis=1), {}
+    """Reference: the solver's own direction with Newton steps switched
+    off, for each problem of the stacked point."""
+    return _direction(_WithoutHessian(model), point, free, continuous)
 
 
 class TestNewtonStep:
@@ -855,6 +893,30 @@ class TestNewtonStep:
             )
             assert_relative(hess, fd, rtol=1e-7)
             assert_relative(hess, hess.T, rtol=1e-12)
+
+    def test_newton_step_solves_the_hessian_system(self):
+        """Oracle: at a restricted identity-link point with a positive
+        definite H_ff, the step is -solve(H_ff, h_f) over two free
+        coordinates."""
+        from qifaux.estimator import _AffineMoments, _build_assembler
+
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((200, 3, 3))
+        y = x @ np.array([0.5, -0.5, 0.25]) + rng.standard_normal((200, 3))
+        ds = LongitudinalDataset(y, x)
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
+        assembler, _ = _build_assembler(cfg, ds, FitOptions())
+        beta = fit(cfg, ds).beta_hat.copy()
+        beta[2] = 0.0
+        free = np.array([0, 1])
+        model = _AffineMoments([assembler], beta[None])
+        point = model.evaluate([0], beta[None])
+        u = (point.w_inv[0] @ point.g[0])[None]
+        h_f = model.derivatives(point, u, True)[1][0, free]
+        hess = model.hessian(point, u)[0][np.ix_(free, free)]
+        assert np.linalg.eigvalsh(hess).min() > 0.0
+        step = _direction(model, point, free, True)[1][0]
+        assert_relative(step, -np.linalg.solve(hess, h_f), rtol=1e-9)
 
     def test_formerly_creeping_restricted_solve_converges(self, monkeypatch):
         # gmmai4 under the false null beta_2 = 0 in replication 0 of design
@@ -1026,36 +1088,6 @@ class TestLockstep:
         assert not np.array_equal(out[1].iterates, newton[1].iterates)
         for j in (0, 2):
             self.assert_same(out[j], newton[j])
-
-    def test_failed_stacked_solve_retires_only_its_problem(self, monkeypatch):
-        """A LinAlgError from the stacked solve on one slice retires only
-        that problem, with that error; the rest of the stack runs on."""
-        from qifaux.estimator import _minimize, _model
-
-        assemblers, beta0, start = self.paper_batch("qif", 1003, 3)
-        free = np.arange(2)
-        healthy = self.solve_each_way(assemblers, beta0, start, free)
-        solve, seen = np.linalg.solve, []
-
-        def recording(a, b):
-            seen.append(a.reshape(-1, 2, 2)[0].copy())
-            return solve(a, b)
-
-        def failing(a, b):
-            if any(np.array_equal(m, seen[0]) for m in a.reshape(-1, 2, 2)):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        # the normal matrix of problem 1's first direction marks its slice
-        monkeypatch.setattr(qifaux.estimator.np.linalg, "solve", recording)
-        _minimize(_model(assemblers[1:2], beta0[1:2]), [0], start[1:2], free, FitOptions())
-        monkeypatch.setattr(qifaux.estimator.np.linalg, "solve", failing)
-        out = self.solve_each_way(assemblers, beta0, start, free)
-        assert isinstance(out[1], np.linalg.LinAlgError)
-        assert str(out[1]) == "Singular matrix"
-        for j in (0, 2):
-            assert out[j].converged
-            self.assert_same(out[j], healthy[j])
 
     def test_problem_at_max_iter_beside_converged_ones(self, monkeypatch):
         """With Gauss-Newton steps only, the restricted gmmai4 solve of
@@ -1251,6 +1283,21 @@ class TestProfileTest:
         from_list = profile_test(cfg, ds, [1], [0.0])
         assert from_array.statistic == from_list.statistic
         assert np.array_equal(from_array.beta_restricted, from_list.beta_restricted)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_null_value_rejected(self, value):
+        cfg, ds = paper_problem("qif", seed=1000)
+        with pytest.raises(ValueError, match="constrained values must be finite"):
+            profile_test(cfg, ds, [0], [value])
+
+    @pytest.mark.parametrize("field", ["beta_hat", "iterates"])
+    def test_non_finite_unrestricted_rejected(self, field):
+        cfg, ds = paper_problem("qif", seed=1000)
+        res = fit(cfg, ds)
+        poisoned = getattr(res, field).copy()
+        poisoned.flat[0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            profile_test(cfg, ds, [1], [0.0], unrestricted=replace(res, **{field: poisoned}))
 
     @pytest.mark.parametrize("length", [1, 3])
     def test_unrestricted_of_wrong_length_rejected(self, length):

@@ -19,6 +19,7 @@ from qifaux import (
     build_four_group_aux,
     fit,
     generate_dataset,
+    parse_design_config,
     profile_test,
     qq_data,
     replication_rng,
@@ -76,6 +77,22 @@ class TestGenerateDataset:
             SimulationDesign(n=10, replications=0)
         with pytest.raises(ValueError):
             SimulationDesign(n=10, rho_y=-0.9)  # CS q=3 not PD
+
+    @pytest.mark.parametrize("field", ["n", "replications", "held_out_m", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationDesign(**{"n": 10, field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        design = SimulationDesign(n=np.int64(10), seed=np.uint32(7), replications=np.int32(2))
+        assert design.n == 10 and design.seed == 7 and design.replications == 2
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationDesign(n=10, seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            parse_design_config("n = 10\nseed = -1\n")
 
 
 class TestReplicationStreams:
@@ -217,6 +234,17 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim, "_fit", no_fit)
         with pytest.raises(ValueError, match="constrained indices must lie in 0..1"):
             run_monte_carlo(design, ["qif"], hypotheses=[Hypothesis("bad", (5,), (0.0,))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hypothesis_rejected_before_any_fit(self, monkeypatch, value):
+        design = SimulationDesign(n=60, seed=10, replications=2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called before the hypotheses were checked")
+
+        monkeypatch.setattr(sim, "_fit", no_fit)
+        with pytest.raises(ValueError, match="constrained values must be finite"):
+            run_monte_carlo(design, ["qif"], hypotheses=[Hypothesis("x", (0,), (value,))])
 
     def test_one_gram_pass_for_all_tests_of_a_fit(self, monkeypatch):
         """The profile tests of one fit reuse the fit's own moment model:
