@@ -16,7 +16,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import compress, islice
 
 import numpy as np
 from scipy import special
@@ -33,18 +33,16 @@ from .model import LongitudinalDataset
 from .simulation import MonteCarloSummary
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "."}
-# a body holding one of these takes the exact route: a quote needs the CSV
-# reader, which rejects NUL before Python 3.11, and numpy's parser strips
-# \x1c-\x1f around a number, which int() and float() keep in an ASCII token
-_UNPLAIN = '"\0\x1c\x1d\x1e\x1f'
+# a body holding one of these takes the exact route: the CSV reader rejects
+# NUL before Python 3.11, and numpy's parser strips \x1c-\x1f around a
+# number, which int() and float() keep in an ASCII token
+_UNPLAIN = "\0\x1c\x1d\x1e\x1f"
 # bytes.translate with these turns each digit into "0", keeps the delimiters
 # and "\r" and drops every other byte, so a field with no digit leaves two
 # delimiters side by side
 _DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 _NOT_DIGIT_OR_DELIMITER = bytes(sorted(set(range(256)) - set(b"0123456789,\n\r")))
-# data rows parsed per block: columns are built a block at a time, so the
-# per-row lists live only as long as their block
-BLOCK_ROWS = 8192
+_NOT_QUOTE_OR_DELIMITER = bytes(sorted(set(range(256)) - set(b'",\n\r')))
 
 
 @dataclass(frozen=True)
@@ -78,130 +76,145 @@ def _parse_cell(token, column):
         raise ValueError(f"non-numeric value {token!r} in {column!r}") from None
 
 
-def _parse_block(rows, width, at_sid, at_time, cell_columns, q):
-    """Columns of one block of data rows, cut before its first bad row.
+def _parse_row(width, at_sid, at_time, cell_columns, q, fields):
+    """The id, time index and cells of one data row.
 
-    Each rule is checked only over the rows that passed the rules before
-    it, so the earliest bad row wins and, within a row, the earlier rule.
-    Returns the ids, the times, the (rows, columns) cells and the bad row's
-    ``(index, message)``, or None.
+    A bad row raises ValueError naming its first fault: the field count,
+    the id, the time index, then the cells in column order.
     """
-    error, limit = None, len(rows)
-
-    def fail(i, message):
-        nonlocal error, limit
-        error, limit = (int(i), message), int(i)
-
-    lengths = list(map(len, rows))
-    if lengths.count(width) != limit:
-        i = next(i for i, n in enumerate(lengths) if n != width)
-        fail(i, f"row has {lengths[i]} fields, header has {width}")
-    flat = list(chain.from_iterable(rows[:limit]))
-    ids = list(map(str.strip, flat[at_sid::width]))
-    if "" in ids:
-        fail(ids.index(""), "empty subject id")
-
-    tokens = flat[at_time : limit * width : width]
+    if len(fields) != width:
+        raise ValueError(f"row has {len(fields)} fields, header has {width}")
+    sid = fields[at_sid].strip()
+    if not sid:
+        raise ValueError("empty subject id")
+    # int() keeps \x1c-\x1f around an ASCII token, which str.strip drops
+    token = fields[at_time].strip()
     try:
-        ints = list(map(int, tokens))
+        time = int(token)
     except ValueError:
-        # int() keeps \x1c-\x1f around an ASCII token, which str.strip drops
-        tokens = list(map(str.strip, tokens))
-        rejected = _first_rejected(int, tokens)
-        if rejected is not None:
-            fail(rejected[0], f"non-integer time index {tokens[rejected[0]]!r}")
-        ints = list(map(int, tokens[:limit]))
+        raise ValueError(f"non-integer time index {token!r}") from None
+    if time < 1:
+        raise ValueError(f"time index {time} must be >= 1")
+    if q is not None and time > q:
+        raise ValueError(f"time index {time} exceeds q={q}")
+    return sid, time, [_parse_cell(fields[j], column) for j, column in cell_columns]
+
+
+def _columns(ids, times, cells):
+    """Parsed rows' ids, time indices and cells, the last two as arrays."""
     try:
-        times = np.array(ints, dtype=np.int64)
+        times = np.array(times, dtype=np.int64)
     except OverflowError:
         # exact Python ints, so that huge indices still compare and repeat
-        times = np.array(ints, dtype=object)
-    low = np.flatnonzero(times < 1)
-    if low.size:
-        fail(low[0], f"time index {ints[low[0]]} must be >= 1")
-    if q is not None:
-        high = np.flatnonzero(times[:limit] > q)
-        if high.size:
-            fail(high[0], f"time index {ints[high[0]]} exceeds q={q}")
-
-    columns = []
-    for j, column in cell_columns:
-        tokens = flat[j : limit * width : width]
-        try:
-            values = np.array(list(map(float, tokens)))
-        except ValueError:
-            # a missing token is NaN; anything else that float rejects is bad
-            parse = partial(_parse_cell, column=column)
-            rejected = _first_rejected(parse, tokens)
-            if rejected is not None:
-                fail(rejected[0], str(rejected[1]))
-            values = np.array(list(map(parse, tokens[:limit])))
-        columns.append(values)
-    cells = np.column_stack([values[:limit] for values in columns])
-    cells[~np.isfinite(cells)] = np.nan
-    return ids[:limit], times[:limit], cells, error
+        times = np.array(times, dtype=object)
+    return ids, times, np.array(cells, float)
 
 
-def _parse_plain(text, width, columns, q):
-    """The ids, times and cells of a plain body read by numpy (no error), or None.
+def _parse_rows(reader, parse_row):
+    """The exact route: the reader's rows up to the first bad one, and its error.
 
-    A plain body (see load_dataset) splits into the CSV reader's fields at
-    each comma, and numpy parses a token only to the value the exact route
+    The error is ``(line, message, cause)`` for the first row ``parse_row``
+    rejects or the reader's csv.Error, which ranks after every row read
+    before it.
+    """
+    ids, times, cells, error = [], [], [], None
+    try:
+        for fields in filter(None, reader):
+            sid, time, values = parse_row(fields)
+            ids.append(sid)
+            times.append(time)
+            cells.append(values)
+    except ValueError as err:
+        error = (reader.line_num, str(err), None)
+    except csv.Error as err:
+        error = (reader.line_num, str(err), err)
+    return *_columns(ids, times, cells), error
+
+
+def _parse_plain(text, width, columns, q, parse_row):
+    """The ids, times and cells of a plain body (no error), or None.
+
+    A plain body (see load_dataset) splits into the CSV reader's records at
+    each "\\n" and into its fields at each comma. ``parse_row`` parses its
+    lines with a digitless numeric field, most often a missing-value token,
+    and numpy the others, each token only to the value the exact route
     gives it. Any other body, or a row numpy or a rule rejects, gives None
     and is left to the exact route, which reports the errors.
     """
-    if (
-        any(map(text.__contains__, _UNPLAIN))
-        or len(set(columns)) < len(columns)
-        or not _plain_fields(text, columns[1:])
-    ):
+    if any(map(text.__contains__, _UNPLAIN)) or len(set(columns)) < len(columns):
+        return None
+    found = _plain_fields(text, columns[1:])
+    if found is None:
         return None
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
+    missing, at = found
+    try:
+        rows = [parse_row(fields) for fields in csv.reader(lines[i] for i in missing)]
+    except (ValueError, csv.Error):
+        return None
+    for i in missing:
+        lines[i] = ""  # numpy skips a blank line
     at_sid, at_time, *at_cells = columns
     kinds = {at_time: np.int64, **dict.fromkeys(at_cells, np.float64)}
     dtype = np.dtype([(f"f{j}", kinds.get(j, object)) for j in range(width)])
-    # numpy < 2 only warns on a time such as 1.0, which the exact route rejects
+    # numpy < 2 only warns on a time such as 1.0, which the exact route
+    # rejects; a body whose every row is parse_row's leaves numpy none
     with warnings.catch_warnings():
         warnings.filterwarnings("error", category=DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             table = np.loadtxt(
-                lines, dtype, delimiter=",", comments=None, quotechar=None,
+                lines, dtype, delimiter=",", comments=None, quotechar='"',
                 skiprows=1, ndmin=1,
             )
         except (ValueError, OverflowError, DeprecationWarning):
             return None
-    ids = list(map(str.strip, table[f"f{at_sid}"].tolist()))
-    times = table[f"f{at_time}"]
+    ids, times = table[f"f{at_sid}"], table[f"f{at_time}"]
+    cells = np.column_stack([table[f"f{j}"] for j in at_cells])
+    if rows:
+        # back in file order: numpy's rows fill the places the others leave
+        places = np.delete(np.arange(len(table) + len(rows)), at)
+        order = np.argsort(np.concatenate([places, at]), kind="stable")
+        pairs = zip((ids, times, cells), _columns(*zip(*rows)))
+        ids, times, cells = (np.concatenate(pair)[order] for pair in pairs)
+    ids = list(map(str.strip, ids.tolist()))
     if "" in ids or (times < 1).any() or (q is not None and (times > q).any()):
         return None
-    cells = np.column_stack([table[f"f{j}"] for j in at_cells])
-    cells[~np.isfinite(cells)] = np.nan
     return ids, times, cells, None
 
 
 def _plain_fields(text, numeric):
-    """Whether every \\r ends a line and a data line, and each ``numeric`` field, holds a digit.
+    """The lines with a digitless field in a ``numeric`` column, and their data rows; or None.
 
-    A field with no digit is most often a missing-value token, which numpy
-    rejects only on reaching its row, and a body with no digit has no
-    valid row: the exact route is cheaper for both.
+    None unless the body splits into the CSV reader's records at each
+    "\\n" and into its fields at each comma: every "\\r" ends a line and
+    no quoted field holds a delimiter or line end. A line is counted by its
+    index in ``text.split("\\n")``, the header's being 0, and a data row is
+    a line with a comma, as numpy and the CSV reader skip a blank line. A
+    body with no digit has no valid row: the exact route is cheaper for it.
     """
-    digits = text.encode("utf-8", "surrogatepass").translate(_DIGITS, _NOT_DIGIT_OR_DELIMITER)
+    raw = text.encode("utf-8", "surrogatepass")
+    # the CSV reader quotes a field only from its first byte: if each run of
+    # quotes between delimiters has even length, no quoted field holds a
+    # delimiter and every quote is closed
+    if b'"' in raw and b'"' in raw.translate(None, _NOT_QUOTE_OR_DELIMITER).replace(b'""', b""):
+        return None
+    digits = raw.translate(_DIGITS, _NOT_DIGIT_OR_DELIMITER)
     marks = np.frombuffer(digits, np.uint8)
     cr = np.flatnonzero(marks == ord("\r"))
     if cr.size and (cr[-1] + 1 == marks.size or (marks[cr + 1] != ord("\n")).any()):
-        return False
+        return None
     start = digits.find(b"\n")  # the header's line end
     if start < 0 or digits.find(b"0", start) < 0:
-        return False
+        return None
     marks = marks[start:]
     if marks[-1] != ord("\n"):
         marks = np.append(marks, np.uint8(ord("\n")))
     delimiter = marks != ord("0")
     if not (delimiter[:-1] & delimiter[1:] & (marks[:-1] != ord("\r"))).any():
-        return True
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     # field k lies between delimiters k and k + 1, and its column counts
     # from the last line end at or before delimiter k; a blank line, or the
     # gap between a "\r" and its "\n", holds no field
@@ -210,40 +223,12 @@ def _plain_fields(text, numeric):
     empty = np.flatnonzero((np.diff(ends) == 1) & ~(line_end[:-1] & line_end[1:]))
     line_ends = np.flatnonzero(line_end)
     column = empty - line_ends[np.searchsorted(line_ends, empty, "right") - 1]
-    return not np.isin(column, numeric).any()
-
-
-def _parse_blocks(reader, parse_block):
-    """The ids, times and cells of the exact route's rows, and its first error.
-
-    The error is the first bad row's ``(index, message, cause)``, else the
-    reader's csv.Error, which ranks after every row read before it.
-    """
-    broken = []
-    rows = _rows_until_error(reader, broken)
-    ids, times, cells, error = [], [], [], None
-    while error is None and (block := list(islice(rows, BLOCK_ROWS))):
-        block_ids, block_times, block_cells, error = parse_block(list(filter(None, block)))
-        if error is not None:
-            error = (len(ids) + error[0], error[1], None)
-        ids += block_ids
-        times.append(block_times)
-        cells.append(block_cells)
-    if error is None and broken:
-        error = (len(ids), str(broken[0]), broken[0])
-    if not times:  # no rows, so nothing reads the times or cells
-        return ids, np.zeros(0, np.int64), None, error
-    return ids, np.concatenate(times), np.concatenate(cells), error
-
-
-def _first_rejected(convert, tokens):
-    """The index of the first token ``convert`` rejects and its error, or None."""
-    for i, token in enumerate(tokens):
-        try:
-            convert(token)
-        except ValueError as err:
-            return i, err
-    return None
+    # line k follows the k-th "\n", and the commas between two "\n" make
+    # the line after the first a data row
+    newlines = np.flatnonzero(marks[ends] == ord("\n"))
+    lines = np.unique(np.searchsorted(newlines, empty[np.isin(column, numeric)], "right"))
+    rows = np.cumsum(np.diff(np.cumsum(~line_end)[newlines]) > 0) - 1
+    return lines, rows[lines - 1]
 
 
 def _first_duplicate(slot, time):
@@ -277,14 +262,6 @@ def _line_of(text, row):
     return reader.line_num
 
 
-def _rows_until_error(reader, broken):
-    """The reader's rows; a csv.Error ends them and is kept in ``broken``."""
-    try:
-        yield from reader
-    except csv.Error as err:
-        broken.append(err)
-
-
 def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     """Assemble a balanced panel from a long-format CSV file.
 
@@ -298,17 +275,19 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     within a line the field count, the id, the time index, the cells (in
     column order) and then the duplicate.
 
-    A plain body (no quote, NUL or ``\\x1c``-``\\x1f`` character, no ``\\r``
-    outside a ``\\r\\n``, distinct schema columns, a digit in every field
-    of the time, response and covariate columns and no line longer than the
-    CSV reader's field limit) is read by one call of numpy's C parser.
-    While it runs, the global warning filters turn a DeprecationWarning
-    into an error, in every thread. A body that is not plain, such as one
-    with a missing-value token, or one with a row numpy or a rule rejects,
-    is read by the exact route, the one that reports errors: its rows are
-    parsed a block of ``BLOCK_ROWS`` at a time, column by column; each
-    numeric column is converted with one call and each rule is one check
-    over the block, and only a failed check looks for its row and line.
+    A plain body is read by one call of numpy's C parser. Plain means no
+    NUL or ``\\x1c``-``\\x1f`` character, no ``\\r`` outside a ``\\r\\n``,
+    no quoted field holding a comma or line end, distinct schema columns,
+    a digit in some data row and no line longer than the CSV reader's
+    field limit. Its lines with a time, response or covariate field that
+    holds no digit, such as a missing-value token, are parsed row by row
+    and take their places among numpy's rows. While numpy runs, the global
+    warning filters turn a DeprecationWarning into an error and silence
+    numpy's warning on a body with no row left for it, in every thread. A
+    body that is not plain, or one with a row numpy or a rule rejects, is
+    read by the exact route, the one that reports errors: one loop over the
+    CSV reader's rows that stops at the first bad one. It also loads the
+    valid bodies numpy rejects, such as one with a cell ``1_5``.
     Duplicates are checked over every row up to the first bad one. The
     value array holds only subjects with q rows, the only ones that can be
     complete, so memory is bounded by the rows read whatever the time
@@ -332,18 +311,18 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     for column in needed:
         if column not in position:
             raise MalformedRow(1, f"missing column {column!r} in header")
-    parse_block = partial(
-        _parse_block,
-        width=len(header),
-        at_sid=position[schema.subject],
-        at_time=position[schema.time],
-        cell_columns=[(position[c], c) for c in needed[2:]],
-        q=schema.q,
+    parse_row = partial(
+        _parse_row,
+        len(header),
+        position[schema.subject],
+        position[schema.time],
+        [(position[c], c) for c in needed[2:]],
+        schema.q,
     )
     columns = [position[c] for c in needed]
     ids, time, cells, error = _parse_plain(
-        text, len(header), columns, schema.q
-    ) or _parse_blocks(reader, parse_block)
+        text, len(header), columns, schema.q, parse_row
+    ) or _parse_rows(reader, parse_row)
 
     index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
     slot = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
@@ -351,7 +330,7 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     if row is not None:
         raise UnbalancedSubject(ids[row], _line_of(text, row))
     if error is not None:
-        raise MalformedRow(_line_of(text, error[0]), error[1]) from error[2]
+        raise MalformedRow(*error[:2]) from error[2]
     if not ids:
         raise EmptyDataset("file contains no data rows")
 
@@ -366,8 +345,9 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
         grid = np.full((np.count_nonzero(complete), q, cells.shape[1]), np.nan)
         at = (np.cumsum(complete) - 1)[slot[kept]], time[kept].astype(np.intp) - 1
         grid[at] = cells[kept]
-        # a kept subject fills every time point, so a NaN is a missing cell
-        full = ~np.isnan(grid).any(axis=(1, 2))
+        # a kept subject fills every time point, so a non-finite value is
+        # a missing cell
+        full = np.isfinite(grid).all(axis=(1, 2))
         complete[complete] = full
     if not complete.any():
         raise EmptyDataset("no subject has complete data")

@@ -102,12 +102,18 @@ class SimulationDesign:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if int(self.seed) >= 2**128:  # the width of a Philox key
+            raise ValueError("seed must be less than 2**128")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if len(self.beta_true) != 2:
             raise ValueError("bundled designs use a two-dimensional coefficient")
+        finite = {"rho_x": (self.rho_x,), "rho_y": (self.rho_y,), "beta_true": self.beta_true}
+        for name, values in finite.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for structure, rho in (
             (self.sigma_x_structure, self.rho_x),
             (self.sigma_y_structure, self.rho_y),

@@ -76,7 +76,8 @@ def malformed_files(draw):
     and control or Unicode whitespace characters, and rows may be missing,
     repeated, shuffled, short, long or preceded by blank lines; times and
     cells come from pools of bad, huge, out-of-range, missing, full-width
-    and oddly padded tokens, and q is pinned or inferred.
+    and oddly padded tokens, and q is pinned or inferred. Fields are quoted
+    when they need it, always, or as R writes them (header and ids).
     """
     q = draw(st.integers(1, 3))
     p = draw(st.integers(1, 2))
@@ -108,12 +109,20 @@ def malformed_files(draw):
             row.pop()
     rows = draw(st.permutations(rows))
     end = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from(["minimal", "all", "r"]))
     buf = stdio.StringIO()
     writer = csv.writer(buf, lineterminator=end)
-    writer.writerow(["id", "time", "y", *(f"x{j + 1}" for j in range(p))])
+    quoted = csv.writer(buf, lineterminator=end, quoting=csv.QUOTE_ALL)
+    (writer if quoting == "minimal" else quoted).writerow(
+        ["id", "time", "y", *(f"x{j + 1}" for j in range(p))]
+    )
     for row in rows:
         buf.write(end * draw(st.integers(0, 1)))
-        writer.writerow(row)
+        if quoting == "r":  # as R's write.csv: quoted ids, bare numbers
+            buf.write('"' + row[0].replace('"', '""') + '",')
+            writer.writerow(row[1:])
+        else:
+            (writer if quoting == "minimal" else quoted).writerow(row)
     schema = ColumnSchema(
         covariates=tuple(f"x{j + 1}" for j in range(p)),
         q=draw(st.none() | st.just(q) | st.integers(1, 4)),
@@ -130,6 +139,22 @@ def _outcome(loader, text, schema):
     ds = out.dataset
     arrays = tuple((a.shape, a.tobytes()) for a in (ds.responses, ds.covariates))
     return arrays, ds.subject_ids, out.dropped
+
+
+def _numpy_route(text, schema):
+    """A load's outcome and its count of rows parsed one by one.
+
+    The load must make one np.loadtxt call and never take the exact
+    route's row loop.
+    """
+    with (
+        mock.patch.object(qio, "_parse_rows", side_effect=AssertionError("exact route")),
+        mock.patch.object(qio.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+        mock.patch.object(qio, "_parse_row", wraps=qio._parse_row) as parse_row,
+    ):
+        out = _outcome(load_dataset, text, schema)
+    assert loadtxt.call_count == 1
+    return out, parse_row.call_count
 
 
 class TestLoadDataset:
@@ -348,6 +373,46 @@ class TestLoadDataset:
                     ("a,2,0.2,1e400,", "overflow-cell"), ("a,2,-nan,1.5,", "nan-cell"),
                 ]
             ),
+            *(
+                pytest.param(CLEAN.replace("a,", old), SCHEMA, id=name)
+                for old, name in [
+                    ('"a"b,', "quote-then-text"), ('a"b",', "text-then-quote"),
+                    (' "a",', "space-then-quote"), ('"a""b",', "doubled-quote"),
+                    ('"a" ,', "quote-then-space"), ('"a"b"c,', "quote-after-closing-quote"),
+                    ('"a,b",', "quoted-comma"), ('"a\nb",', "quoted-newline"),
+                    ('"a\r\nb",', "quoted-crlf"), ('"a\rb",', "quoted-cr"),
+                    ('"a,', "unterminated-quote"), ('"""a""",', "quoted-quotes"),
+                ]
+            ),
+            *(
+                pytest.param(CLEAN.replace("a,2,0.2,1.5,", old), SCHEMA, id=name)
+                for old, name in [
+                    ('a,"2",0.2,1.5,', "quoted-time"), ('a," 2 ",0.2,1.5,', "padded-quoted-time"),
+                    ('a,"2" ,0.2,1.5,', "quoted-time-then-space"),
+                    ('a,"2"0,0.2,1.5,', "quoted-time-then-digit"),
+                    ('a,2,"0.2",1.5,', "quoted-cell"), ('a,2," 0.2 ",1.5,', "padded-quoted-cell"),
+                    ('a,2,"0.2"5,1.5,', "quoted-cell-then-digit"),
+                    ('a,2,"0""2",1.5,', "doubled-quote-cell"),
+                    ('a,2,"",1.5,', "empty-quoted-cell"), ('a,2,"NA",1.5,', "quoted-na-cell"),
+                    ('a,2,"1,5",1.5,', "quoted-comma-cell"),
+                ]
+            ),
+            *(
+                pytest.param(
+                    CLEAN.replace("id,time,y,x1,x2", '"id","time","y","x1","x2"')
+                    .replace("a,", '"a",').replace("b,", '"b",')
+                    .replace(old, new).replace("\n", end),
+                    SCHEMA, id=name,
+                )
+                for old, new, end, name in [
+                    ("0.2", "NA", "\n", "r-style-na"), ("-0.5", "NA", "\r\n", "r-style-crlf-na"),
+                    ("0.3", '""', "\n", "r-style-empty-quoted"),
+                    ("1.5", "NA", "\r\n", "r-style-na-covariate"),
+                    ('"b",3', '"b,c",3', "\n", "r-style-quoted-comma"),
+                    ("0.2", "oops", "\n", "r-style-bad-cell"),
+                    ('"a",1', '"a"",1', "\n", "r-style-unbalanced-quote"),
+                ]
+            ),
             pytest.param(CLEAN.replace("\n", "\r\n"), SCHEMA, id="crlf"),
             pytest.param(CLEAN.replace("b,1,", " \nb,1,"), SCHEMA, id="space-line"),
             pytest.param(CLEAN.replace("b,1,", "\t\r\nb,1,"), SCHEMA, id="tab-line"),
@@ -376,22 +441,57 @@ class TestLoadDataset:
         buf = stdio.StringIO()
         write_dataset(ds, buf, SCHEMA)
         lines = buf.getvalue().splitlines(keepends=True)
+        # as R's write.csv writes it: quoted header and ids
+        r_style = ['"id","time","y","x1","x2"\r\n']
+        r_style += ['"{}",{}'.format(*row.split(",", 1)) for row in lines[1:]]
+        # NA cells in one of the 25 subjects (4%), in its first and second rows
+        na = [row.split(",") for row in buf.getvalue().splitlines()]
+        na[1][2] = na[2][4] = "NA"
+        na = [",".join(row) + "\r\n" for row in na]
         bodies = [
-            "".join(lines),
-            "".join(lines).replace("\r\n", "\n"),
-            "".join(lines[:5] + lines[6:]),  # an incomplete subject
-            "".join(lines + lines[3:4]),  # a duplicate
+            ("".join(lines), 0),
+            ("".join(lines).replace("\r\n", "\n"), 0),
+            ("".join(lines[:5] + lines[6:]), 0),  # an incomplete subject
+            ("".join(lines + lines[3:4]), 0),  # a duplicate
+            ("".join(r_style), 0),
+            ("".join(na), 2),
         ]
-        expected = [_outcome(load_dataset_by_rows, text, SCHEMA) for text in bodies]
-        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
-            assert [_outcome(load_dataset, text, SCHEMA) for text in bodies] == expected
-        assert expected[0][1] == tuple(map(str, ds.subject_ids))
-        assert expected[2][2] == ("1",) and expected[3][0] is UnbalancedSubject
+        expected = [
+            (_outcome(load_dataset_by_rows, text, SCHEMA), by_row) for text, by_row in bodies
+        ]
+        assert [_numpy_route(text, SCHEMA) for text, _ in bodies] == expected
+        assert expected[0][0][1] == tuple(map(str, ds.subject_ids)) == expected[4][0][1]
+        assert expected[4][0][0] == expected[0][0][0]
+        assert expected[2][0][2] == ("1",) and expected[3][0][0] is UnbalancedSubject
+        assert expected[5][0][2] == ("0",)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CLEAN.replace("b,1,", '"b",1,'),
+            CLEAN.replace("a,2,0.2,", "a,2,na,"),
+            CLEAN.replace("a,2,0.2,", "a,2,,"),
+            CLEAN.replace("b,3,-0.3,", "b,3,na,"),
+            CLEAN.replace("b,3,-0.3,", "b,3, NULL ,"),
+            CLEAN.replace("b,3,-0.3,-0.5,", "b,3,-0.3,,"),
+            CLEAN.replace("-0.5,1.0\n", "-0.5,."),
+            # the NA row's subject comes first, and a blank line lies before it
+            "id,time,y,x1,x2\nc,1,na,1,1\n" + CLEAN[16:] + "d,1,1,1,1\n",
+            CLEAN.replace("b,1,", "\r\n\nb,1,").replace("b,3,-0.3,", "b,3,na,"),
+        ],
+        ids=[
+            "quoted-id", "na-response", "empty-response", "na-cell", "padded-null-cell",
+            "empty-cell", "dot-at-end", "na-row-first", "na-after-blank-lines",
+        ],
+    )
+    def test_quoted_or_missing_body_takes_the_numpy_route(self, text):
+        by_row = 0 if '"' in text else 1
+        assert _numpy_route(text, SCHEMA) == (_outcome(load_dataset_by_rows, text, SCHEMA), by_row)
 
     @pytest.mark.parametrize(
         "text, schema",
         [
-            (CLEAN.replace("b,1,", '"b",1,'), SCHEMA),
+            # "0.2" also turns b's "-0.2" into a bad cell
             (CLEAN.replace("0.2", "na"), SCHEMA),
             (CLEAN.replace("0.2", ""), SCHEMA),
             (CLEAN.replace("b,3,", "b,0,"), SCHEMA),
@@ -400,33 +500,26 @@ class TestLoadDataset:
             (CLEAN.replace("b,3,-0.3,", "b,3,oops,"), SCHEMA),
             (CLEAN.replace("b,3,", "b,1.0,"), SCHEMA),
             (CLEAN, dataclasses.replace(SCHEMA, q=2)),
+            (CLEAN.replace("b,1,", '"b,c",1,'), SCHEMA),
         ],
         ids=[
-            "quoted-id", "na-cell", "empty-cell", "time-0", "empty-id", "short-row",
-            "non-numeric-cell", "float-time", "time-over-pinned-q",
+            "na-cell", "empty-cell", "time-0", "empty-id", "short-row", "non-numeric-cell",
+            "float-time", "time-over-pinned-q", "quoted-comma",
         ],
     )
     def test_other_bodies_take_the_exact_route(self, text, schema):
-        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
+        with mock.patch.object(qio, "_parse_rows", side_effect=AssertionError("exact route")):
             with pytest.raises(AssertionError, match="exact route"):
                 load_dataset(stdio.StringIO(text), schema)
         assert _outcome(load_dataset, text, schema) == _outcome(load_dataset_by_rows, text, schema)
 
     @pytest.mark.parametrize(
         "text",
-        [
-            CLEAN.replace("b,3,-0.3,", "b,3,na,"),
-            CLEAN.replace("b,3,-0.3,", "b,3, NULL ,"),
-            CLEAN.replace("b,3,-0.3,-0.5,", "b,3,-0.3,,"),
-            CLEAN.replace("-0.5,1.0\n", "-0.5,."),
-            CLEAN.replace("b,3,", "b,,"),
-            "id,time,y,x1,x2\n\r\n\n",
-            "id,time,y,x1,x2",
-        ],
-        ids=["na-cell", "padded-null-cell", "empty-cell", "dot-at-end", "empty-time", "blank-body", "header-only"],
+        [CLEAN.replace("b,3,", "b,,"), "id,time,y,x1,x2\n\r\n\n", "id,time,y,x1,x2"],
+        ids=["empty-time", "blank-body", "header-only"],
     )
     def test_digitless_numeric_field_skips_numpy(self, text):
-        # numpy would reject the row only on reaching it, or warn on no rows
+        # a row that fails before numpy starts, or no rows, on which numpy warns
         with mock.patch.object(qio.np, "loadtxt", side_effect=AssertionError("numpy route")):
             assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
@@ -434,20 +527,19 @@ class TestLoadDataset:
         # the time column comes first, so a blank line's lone empty field is in it
         rows = [row.split(",", 2) for row in CLEAN.splitlines()[1:]]
         text = "time,id,y,x1,x2,note\n" + "".join(f"{t},{i},{rest},\n" for i, t, rest in rows) + "\n\r\n"
-        with mock.patch.object(qio, "_parse_block", side_effect=AssertionError("exact route")):
-            out = _outcome(load_dataset, text, SCHEMA)
-        assert out == _outcome(load_dataset_by_rows, text, SCHEMA)
-        assert out[1] == ("a", "b")
+        out = _numpy_route(text, SCHEMA)
+        assert out == (_outcome(load_dataset_by_rows, text, SCHEMA), 0)
+        assert out[0][1] == ("a", "b")
 
     @pytest.mark.parametrize(
         "first, second",
         [("duplicate", "cell"), ("cell", "duplicate")],
-        ids=["duplicate-in-block1-before-cell-in-block2", "cell-in-block1-before-duplicate-in-block2"],
+        ids=["duplicate-before-cell", "cell-before-duplicate"],
     )
-    def test_error_straddling_a_block_boundary(self, first, second):
-        n = qio.BLOCK_ROWS // 3 + 10
+    def test_earlier_of_duplicate_and_bad_cell_wins(self, first, second):
+        n = 8192 // 3 + 10
         rows = [[f"s{i}", str(t), "0.5", "1.0", "0.0"] for i in range(n) for t in (1, 2, 3)]
-        last = qio.BLOCK_ROWS - 1  # the last row of the first block
+        last = 8192 - 1
         for k, kind in ((last, first), (last + 1, second)):
             if kind == "duplicate":
                 rows[k][:2] = rows[0][:2]
@@ -464,12 +556,10 @@ class TestLoadDataset:
         assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=malformed_files(), block=st.sampled_from([1, 2, 3, 7, qio.BLOCK_ROWS]))
-    def test_matches_row_by_row_reference(self, case, block):
+    @given(case=malformed_files())
+    def test_matches_row_by_row_reference(self, case):
         text, schema = case
-        with mock.patch.object(qio, "BLOCK_ROWS", block):
-            got = _outcome(load_dataset, text, schema)
-        assert got == _outcome(load_dataset_by_rows, text, schema)
+        assert _outcome(load_dataset, text, schema) == _outcome(load_dataset_by_rows, text, schema)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -94,6 +94,25 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             parse_design_config("n = 10\nseed = -1\n")
 
+    @pytest.mark.parametrize(
+        "field, value, key, message",
+        [
+            ("rho_x", float("nan"), "rho_x", "rho_x must be finite"),
+            ("rho_y", float("inf"), "rho_y", "rho_y must be finite"),
+            ("beta_true", (float("nan"), 0.0), None, "beta_true must be finite"),
+            ("seed", 2**128, "seed", r"seed must be less than 2\*\*128"),
+        ],
+        ids=["nan-rho_x", "inf-rho_y", "nan-beta_true", "seed-2**128"],
+    )
+    def test_non_finite_or_too_large_value_names_its_field(self, field, value, key, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SimulationDesign(n=10, **{field: value})
+        if key is not None:  # beta_true is not a design-file key
+            with pytest.raises(ValueError, match=f"^{message}"):
+                parse_design_config(f"n = 10\n{key} = {value}\n")
+        # the largest Philox key still makes a design
+        assert SimulationDesign(n=10, seed=2**128 - 1).seed == 2**128 - 1
+
 
 class TestReplicationStreams:
     def test_streams_differ_across_replications_and_roles(self):
