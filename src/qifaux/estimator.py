@@ -219,33 +219,24 @@ class _Assembler:
         contribs = self.contributions(beta)
         return contribs.mean(axis=0), contribs
 
-    def _jacobians(self, a, deriv):
-        """(n, d, p) per-subject derivative tensor of the contributions.
-
-        QIF blocks keep only -mudot' A^{-1/2} M_l A^{-1/2} mudot; the terms
-        involving second derivatives of mu and derivatives of the variance
-        weights are dropped (they are exactly zero under the identity link
-        and vanish asymptotically otherwise). Auxiliary blocks are exact.
-        Under other links the solver's gradient adds the dropped terms
-        (``derivatives``); its metric and covariance keep this Jacobian.
-        """
-        scaled = a[:, :, None] * deriv
-        # (n, p, L, q): scaled' M_l, then times scaled within each subject
-        left = np.tensordot(scaled, self.basis_stack, axes=(1, 1))
-        qif = -(left.reshape(self.n, -1, self.q) @ scaled)
-        qif = qif.reshape(self.n, self.p, -1, self.p).transpose(0, 2, 1, 3)
-        aux = np.einsum("nk,nj->nkj", self.member, deriv.reshape(self.n, -1))
-        return np.concatenate(
-            [qif.reshape(self.n, -1, self.p), aux.reshape(self.n, -1, self.p)], axis=1
-        )
-
     def blocks(self, beta):
-        """(n, d, p+1) blocks [g_i | dg_i/dbeta] at beta from one (mu, a, d)."""
-        mu, a, deriv = self._link_terms(beta)
-        return np.concatenate(
-            [self._contributions(mu, a, deriv)[:, :, None], self._jacobians(a, deriv)],
-            axis=2,
-        )
+        """(d, p+1, n) identity-link blocks Z_i = [g_i | dg_i/dbeta] at beta,
+        rows as in ``contributions``, the subject index last so that every
+        kernel runs over n. With a = 1 and dmu = x_i, W_i = [y_i - mu_i | -x_i]
+        gives the score rows x_i' M_l W_i, every M_l W_i from one product, and
+        the auxiliary rows member_ik [mu_i - phi_k | x_i]."""
+        n, q, p = self.x.shape
+        n_score = self.basis_stack.shape[0] * p
+        x = np.ascontiguousarray(self.x.transpose(1, 2, 0))
+        mu = np.tensordot(beta, x, axes=(0, 1))
+        w = np.concatenate([(self.y.T - mu)[:, None], -x], axis=1)
+        mw = (self.basis_stack.reshape(-1, q) @ w.reshape(q, -1)).reshape(-1, q, p + 1, n)
+        z = np.empty((n_score + self.phi.size, p + 1, n))
+        np.einsum("san,lscn->lacn", x, mw, out=z[:n_score].reshape(-1, p, p + 1, n))
+        aux = z[n_score:].reshape(-1, q, p + 1, n)
+        np.multiply(self.member.T[:, None], mu - self.phi[:, :, None], out=aux[:, :, 0])
+        np.multiply(self.member.T[:, None, None], x, out=aux[:, :, 1:])
+        return z
 
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
@@ -253,8 +244,12 @@ class _Assembler:
         return self._mean_jacobian(a, deriv)
 
     def _mean_jacobian(self, a, deriv):
-        """Mean of ``_jacobians`` over subjects from one Gram matrix of the
-        A^(-1/2) D_i, without the (n, d, p) tensor."""
+        """Mean over subjects of the truncated contribution Jacobians, from one
+        Gram matrix of the A^(-1/2) D_i. QIF blocks keep only -mudot' A^{-1/2}
+        M_l A^{-1/2} mudot, without the terms in d2mu/deta2 and in the variance
+        weights' derivatives: zero under the identity link, vanishing
+        asymptotically otherwise, where only the solver's gradient adds them
+        (``derivatives``). Auxiliary blocks are exact."""
         scaled = (a[:, :, None] * deriv).reshape(self.n, -1)
         gram = (scaled.T @ scaled / self.n).reshape(self.q, self.p, self.q, self.p)
         qif = -np.tensordot(self.basis_stack, gram, axes=([1, 2], [0, 2]))
@@ -435,22 +430,22 @@ class _AffineMoments:
 
     Z_i = [g_i(beta0) | T_i] is the (d, p+1) block of subject i, and the
     contribution at beta is Z_i w with w = (1, beta - beta0). The mean and
-    Gram matrix of the Z_i give g_n, Sigma_n, G_n and the exact gradient
-    without touching the subjects again. Each problem's pass runs on its own
-    assembler; only its (d, p+1) mean and (d(p+1), d(p+1)) Gram matrix are
-    stacked, along a leading problem axis. Expanding around the start value
-    rather than zero keeps the cancellation in Sigma_n small. The README
-    gives the p at which the Gram product stops paying for itself.
+    Gram matrix of the Z_i, taken over the subject-last ``blocks`` of each
+    problem's assembler and stacked along a leading problem axis, give g_n,
+    Sigma_n, G_n and the exact gradient without touching the subjects again.
+    Expanding around the start value rather than zero keeps the cancellation
+    in Sigma_n small. The README gives the p at which the Gram product stops
+    paying for itself.
     """
 
     def __init__(self, assemblers, beta0):
         grams, means = [], []
         for assembler, start in zip(assemblers, beta0):
             z = assembler.blocks(start)
-            n, d, k = z.shape
-            z = z.reshape(n, -1)
-            grams.append((z.T @ z / n).reshape(-1, k))
-            means.append(z.mean(axis=0).reshape(d, k))
+            d, k, n = z.shape
+            z = z.reshape(-1, n)
+            grams.append((z @ z.T / n).reshape(-1, k))
+            means.append(z.mean(axis=1).reshape(d, k))
         self.z_gram = np.stack(grams)
         self.z_mean = np.stack(means)
         self.beta0 = np.asarray(beta0, dtype=float)

@@ -132,7 +132,7 @@ def _parse_rows(reader, parse_row):
 
 
 def _parse_plain(text, width, columns, q, parse_row):
-    """The ids, times and cells of a plain body (no error), or None.
+    """The ids, times and cells of a plain body, no error and its line finder; or None.
 
     A plain body (see load_dataset) splits into the CSV reader's records at
     each "\\n" and into its fields at each comma. ``parse_row`` parses its
@@ -154,8 +154,9 @@ def _parse_plain(text, width, columns, q, parse_row):
         rows = [parse_row(fields) for fields in csv.reader(lines[i] for i in missing)]
     except (ValueError, csv.Error):
         return None
+    shown = lines.copy()
     for i in missing:
-        lines[i] = ""  # numpy skips a blank line
+        shown[i] = ""  # numpy skips a blank line
     at_sid, at_time, *at_cells = columns
     kinds = {at_time: np.int64, **dict.fromkeys(at_cells, np.float64)}
     dtype = np.dtype([(f"f{j}", kinds.get(j, object)) for j in range(width)])
@@ -166,7 +167,7 @@ def _parse_plain(text, width, columns, q, parse_row):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             table = np.loadtxt(
-                lines, dtype, delimiter=",", comments=None, quotechar='"',
+                shown, dtype, delimiter=",", comments=None, quotechar='"',
                 skiprows=1, ndmin=1,
             )
         except (ValueError, OverflowError, DeprecationWarning):
@@ -182,7 +183,13 @@ def _parse_plain(text, width, columns, q, parse_row):
     ids = list(map(str.strip, ids.tolist()))
     if "" in ids or (times < 1).any() or (q is not None and (times > q).any()):
         return None
-    return ids, times, cells, None
+    return ids, times, cells, None, partial(_plain_line_of, lines)
+
+
+def _plain_line_of(lines, row):
+    """``_line_of`` for a plain body split at "\\n": empty and "\\r" lines hold no row."""
+    numbers = (k for k, line in enumerate(lines, 1) if k > 1 and line not in ("", "\r"))
+    return next(islice(numbers, row, None))
 
 
 def _plain_fields(text, numeric):
@@ -320,15 +327,15 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
         schema.q,
     )
     columns = [position[c] for c in needed]
-    ids, time, cells, error = _parse_plain(
+    ids, time, cells, error, line_of = _parse_plain(
         text, len(header), columns, schema.q, parse_row
-    ) or _parse_rows(reader, parse_row)
+    ) or (*_parse_rows(reader, parse_row), partial(_line_of, text))
 
     index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
     slot = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
     row = _first_duplicate(slot, time)
     if row is not None:
-        raise UnbalancedSubject(ids[row], _line_of(text, row))
+        raise UnbalancedSubject(ids[row], line_of(row))
     if error is not None:
         raise MalformedRow(*error[:2]) from error[2]
     if not ids:
@@ -432,25 +439,22 @@ def standardize_columns(
     covs = dataset.covariates.copy()
     means, sds = {}, {}
     for j in columns:
-        pooled = covs[:, :, j].ravel()
-        mean = pooled.mean()
-        sd = pooled.std(ddof=1)
-        if sd == 0.0:
-            raise ZeroVariance(j)
-        covs[:, :, j] = (covs[:, :, j] - mean) / sd
-        means[j], sds[j] = float(mean), float(sd)
+        covs[:, :, j], means[j], sds[j] = _standardized(covs[:, :, j], j)
     responses = dataset.responses
     response_mean = response_sd = None
     if include_response:
-        pooled = responses.ravel()
-        mean = pooled.mean()
-        sd = pooled.std(ddof=1)
-        if sd == 0.0:
-            raise ZeroVariance("response")
-        responses = (responses - mean) / sd
-        response_mean, response_sd = float(mean), float(sd)
+        responses, response_mean, response_sd = _standardized(responses, "response")
     out = LongitudinalDataset(responses, covs, dataset.subject_ids)
     return out, StandardizationInfo(means, sds, response_mean, response_sd)
+
+
+def _standardized(values, column):
+    """(values - mean) / sd with the mean and sample SD pooled over all of them."""
+    pooled = values.ravel()
+    mean, sd = pooled.mean(), pooled.std(ddof=1)
+    if sd == 0.0:
+        raise ZeroVariance(column)
+    return (values - mean) / sd, float(mean), float(sd)
 
 
 def split_sample(

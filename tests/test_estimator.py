@@ -610,14 +610,26 @@ class TestFit:
                 assert abs(q1 - q2) < 1e-8
 
 
+def identity_jacobians(assembler):
+    """(n, d, p) identity-link contribution Jacobians T_i, written out from
+    the formula: -x_i' M_l x_i for the score rows and member_ik x_i for the
+    auxiliary rows."""
+    x = assembler.x
+    score = -np.einsum("nsa,lst,ntb->nlab", x, assembler.basis_stack, x)
+    aux = np.einsum("nk,ntb->nktb", assembler.member, x)
+    n, p = assembler.n, assembler.p
+    return np.concatenate([score.reshape(n, -1, p), aux.reshape(n, -1, p)], axis=1)
+
+
 def per_subject_half_gradient(assembler, beta, w_inv, frozen):
-    """Half-gradient of the searched objective summed subject by subject.
+    """Half-gradient of the searched objective summed subject by subject,
+    under the identity link.
 
     Frozen weight: G' W g. Continuous updating adds the weight's own
     derivative: (1/n) sum_i (1 - g_i' W g) T_i' W g.
     """
     g, contribs = assembler.moments(beta)
-    tensor = assembler._jacobians(*assembler._link_terms(beta)[1:])
+    tensor = identity_jacobians(assembler)
     u = w_inv @ g
     per_subject = np.einsum("ndp,d->np", tensor, u)
     if frozen:
@@ -677,6 +689,31 @@ class TestSufficientStatistics:
             assert_relative(
                 half_grad[0], per_subject_half_gradient(assembler, beta, w_direct, two_step)
             )
+
+    @pytest.mark.parametrize("structure", [IND, CS, CorrelationStructure.AR1])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("with_aux", [False, True], ids=["score", "aux"])
+    @pytest.mark.parametrize("n", [1, 57], ids=["one_subject", "panel"])
+    def test_blocks_match_contributions_and_jacobians(self, structure, q, p, with_aux, n):
+        """The Gram pass's subject-last blocks: column 0 is each subject's
+        contribution and the others its Jacobian, written out here."""
+        from qifaux.estimator import _Assembler
+
+        rng = np.random.default_rng(1000 * q + 100 * p + 10 * with_aux + n)
+        ds = random_dataset(rng, n=n, q=q, p=p)
+        aux = None
+        if with_aux:
+            # with one subject, one of the two groups is empty
+            aux = AuxiliaryInfo(sign_partition(), tuple(rng.standard_normal(q) for _ in range(2)))
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(structure, q), aux)
+        assembler = _Assembler(cfg, ds)
+        beta = rng.standard_normal(p)
+        z = assembler.blocks(beta)
+        assert z.shape == (cfg.moment_dimension(p), p + 1, n)
+        assert z.flags.c_contiguous
+        assert_relative(z[:, 0, :], assembler.contributions(beta).T, rtol=1e-12)
+        assert_relative(z[:, 1:, :], identity_jacobians(assembler).transpose(1, 2, 0), rtol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(

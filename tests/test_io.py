@@ -489,6 +489,27 @@ class TestLoadDataset:
         assert _numpy_route(text, SCHEMA) == (_outcome(load_dataset_by_rows, text, SCHEMA), by_row)
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            (CLEAN + "b,2,9,9,9\n", 8),
+            (CLEAN.replace("\n", "\r\n") + "b,2,9,9,9\r\n", 8),
+            (CLEAN.replace("b,1,", "\n\nb,1,") + "\n" + "a,3,9,9,9\n", 11),
+            (CLEAN.replace("\n", "\r\n").replace("b,1,", "\r\n\r\nb,1,") + "\r\n" + "a,1,9,9,9", 11),
+            (CLEAN.replace("a,2,0.2,1.5,0.0\n", "\na,2,0.2,1.5,0.0\na,2,7,7,7\n"), 5),
+            # a missing-value line before the duplicate is parsed on its own
+            (CLEAN.replace("a,3,0.3,", "a,3,na,").replace("b,1,", "\r\nb,1,") + "\nb,3,1,1,1\n", 10),
+            (CLEAN.replace("a,", '"a",') + '\n"a",2,9,9,9\n', 9),
+        ],
+        ids=["end", "crlf", "blank-lines", "crlf-blank-lines", "early", "after-na", "quoted-id"],
+    )
+    def test_plain_duplicate_names_its_line(self, text, line):
+        # the line comes from the plain route's own split, not a second read
+        with mock.patch.object(qio, "_line_of", side_effect=AssertionError("second read")):
+            out, _ = _numpy_route(text, SCHEMA)
+        assert out == _outcome(load_dataset_by_rows, text, SCHEMA)
+        assert out[0] is UnbalancedSubject and out[2] == line
+
+    @pytest.mark.parametrize(
         "text, schema",
         [
             # "0.2" also turns b's "-0.2" into a bad cell
