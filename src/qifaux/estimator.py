@@ -163,21 +163,21 @@ class _Assembler:
     ``member`` is the (n, K) subgroup-membership matrix 1{X_i in Omega_k}
     and ``phi`` the (K, q) targets; auxiliary block k of subject i is
     member[i, k] * (mu_i - phi_k), and its Jacobian member[i, k] * dmu_i,
-    with K = 0 when there is no auxiliary information. ``_build_assembler``
-    drops an empty subgroup by deleting its membership column and target
-    row, so moments, weight and Jacobian all lose the same block.
+    with K = 0 when there is no auxiliary information. ``drop_empty``
+    deletes the column and target row of each subgroup nobody falls into,
+    named in ``dropped``, so moments, weight and Jacobian lose the same
+    block. The kernels read the subject-last copies ``x_last`` (q, p, n),
+    ``y_last`` (q, n) and ``member_last`` (K, n), so they run over n.
     """
 
-    def __init__(self, config, dataset):
+    def __init__(self, config, dataset, drop_empty=False):
         self.spec = config.spec
         self.x = dataset.covariates
-        self.y = dataset.responses
         self.n, self.q, self.p = self.x.shape
         self.basis_stack = config.basis.stacked()
+        self.n_score = self.p * self.basis_stack.shape[0]
         if config.basis.q != self.q:
-            raise ValueError(
-                f"basis dimension {config.basis.q} does not match data q={self.q}"
-            )
+            raise ValueError(f"basis dimension {config.basis.q} does not match data q={self.q}")
         aux = config.aux
         if aux is None or aux.n_groups == 0:
             self.phi = np.zeros((0, self.q))
@@ -188,32 +188,40 @@ class _Assembler:
                 raise ValueError("phi vectors must have length q")
             idx = aux.partition.group_indices(dataset)
             self.member = (idx[:, None] == np.arange(aux.n_groups)).astype(float)
+        kept = self.member.any(axis=0) | (not drop_empty)
+        self.dropped = tuple(int(k) for k in np.flatnonzero(~kept))
+        self.member, self.phi = self.member[:, kept], self.phi[kept]
+        self.x_last = np.ascontiguousarray(self.x.transpose(1, 2, 0))
+        self.y_last = np.ascontiguousarray(dataset.responses.T)
+        self.member_last = np.ascontiguousarray(self.member.T)
 
     # -- moment machinery ------------------------------------------------
 
     def _link_terms(self, beta):
-        """(mu, a, d) with a = v(mu)^(-1/2) and d = dmu/dbeta'."""
-        eta = (self.x.reshape(-1, self.p) @ beta).reshape(self.n, self.q)
-        mu = mean_curve(self.spec, eta)
+        """(mu, a, dmu), each (q, n), with a = v(mu)^(-1/2) and dmu = dmu/deta."""
+        mu = mean_curve(self.spec, beta @ self.x_last)
         a = variance_function(self.spec, mu) ** -0.5
-        return mu, a, mean_derivative(self.spec, mu)[:, :, None] * self.x
+        return mu, a, mean_derivative(self.spec, mu)
 
     def _mixed(self, mu, a):
-        """(n, L, q) M_l A^(-1/2) (Y - mu), M_l applied within each subject."""
-        t = a * (self.y - mu)
-        return (t @ self.basis_stack.reshape(-1, self.q).T).reshape(self.n, -1, self.q)
+        """(L, q, n) M_l A^(-1/2) (Y - mu) of every subject, from one product."""
+        t = a * (self.y_last - mu)
+        return (self.basis_stack.reshape(-1, self.q) @ t).reshape(-1, self.q, self.n)
 
     def contributions(self, beta):
         """(n, d) per-subject moment contributions at beta."""
-        return self._contributions(*self._link_terms(beta))
+        return self._contributions(*self._link_terms(beta)).T
 
-    def _contributions(self, mu, a, deriv):
+    def _contributions(self, mu, a, dmu):
+        """(d, n) contributions: score row (l, b) sum_j x_ijb dmu_j a_j
+        (M_l A^(-1/2) r)_j, auxiliary row (k, j) member_ik (mu_ij - phi_kj)."""
         mixed = self._mixed(mu, a)
-        mixed *= a[:, None, :]
-        qif = (mixed @ deriv).reshape(self.n, -1)
-        # member @ phi is each subject's own target, picked exactly
-        aux = np.einsum("nk,nq->nkq", self.member, mu - self.member @ self.phi)
-        return np.concatenate([qif, aux.reshape(self.n, -1)], axis=1)
+        mixed *= a * dmu
+        c = np.empty((self.n_score + self.phi.size, self.n))
+        score, aux = c[: self.n_score], c[self.n_score :].reshape(-1, self.q, self.n)
+        np.einsum("ljn,jan->lan", mixed, self.x_last, out=score.reshape(-1, self.p, self.n))
+        np.multiply(self.member_last[:, None], mu - self.phi[:, :, None], out=aux)
+        return c
 
     def moments(self, beta):
         contribs = self.contributions(beta)
@@ -226,38 +234,38 @@ class _Assembler:
         gives the score rows x_i' M_l W_i, every M_l W_i from one product, and
         the auxiliary rows member_ik [mu_i - phi_k | x_i]."""
         n, q, p = self.x.shape
-        n_score = self.basis_stack.shape[0] * p
-        x = np.ascontiguousarray(self.x.transpose(1, 2, 0))
+        x = self.x_last
         mu = np.tensordot(beta, x, axes=(0, 1))
-        w = np.concatenate([(self.y.T - mu)[:, None], -x], axis=1)
+        w = np.concatenate([(self.y_last - mu)[:, None], -x], axis=1)
         mw = (self.basis_stack.reshape(-1, q) @ w.reshape(q, -1)).reshape(-1, q, p + 1, n)
-        z = np.empty((n_score + self.phi.size, p + 1, n))
-        np.einsum("san,lscn->lacn", x, mw, out=z[:n_score].reshape(-1, p, p + 1, n))
-        aux = z[n_score:].reshape(-1, q, p + 1, n)
-        np.multiply(self.member.T[:, None], mu - self.phi[:, :, None], out=aux[:, :, 0])
-        np.multiply(self.member.T[:, None, None], x, out=aux[:, :, 1:])
+        z = np.empty((self.n_score + self.phi.size, p + 1, n))
+        score, aux = z[: self.n_score], z[self.n_score :].reshape(-1, q, p + 1, n)
+        np.einsum("san,lscn->lacn", x, mw, out=score.reshape(-1, p, p + 1, n))
+        np.multiply(self.member_last[:, None], mu - self.phi[:, :, None], out=aux[:, :, 0])
+        np.multiply(self.member_last[:, None, None], x, out=aux[:, :, 1:])
         return z
 
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
-        _, a, deriv = self._link_terms(beta)
-        return self._mean_jacobian(a, deriv)
+        _, a, dmu = self._link_terms(beta)
+        return self._mean_jacobian(a, dmu)
 
-    def _mean_jacobian(self, a, deriv):
+    def _mean_jacobian(self, a, dmu):
         """Mean over subjects of the truncated contribution Jacobians, from one
         Gram matrix of the A^(-1/2) D_i. QIF blocks keep only -mudot' A^{-1/2}
         M_l A^{-1/2} mudot, without the terms in d2mu/deta2 and in the variance
         weights' derivatives: zero under the identity link, vanishing
         asymptotically otherwise, where only the solver's gradient adds them
         (``derivatives``). Auxiliary blocks are exact."""
-        scaled = (a[:, :, None] * deriv).reshape(self.n, -1)
-        gram = (scaled.T @ scaled / self.n).reshape(self.q, self.p, self.q, self.p)
+        deriv = dmu[:, None] * self.x_last
+        scaled = (a[:, None] * deriv).reshape(-1, self.n)
+        gram = (scaled @ scaled.T / self.n).reshape(self.q, self.p, self.q, self.p)
         qif = -np.tensordot(self.basis_stack, gram, axes=([1, 2], [0, 2]))
-        aux = self.member.T @ deriv.reshape(self.n, -1) / self.n
+        aux = self.member_last @ deriv.reshape(-1, self.n).T / self.n
         return np.concatenate([qif.reshape(-1, self.p), aux.reshape(-1, self.p)])
 
     def derivatives(self, terms, u, continuous):
-        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, d) at beta.
+        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, dmu) at beta.
 
         dg_i/dbeta is the exact contribution Jacobian, and c_i = 1 - g_i' u
         under continuous updating, 1 with a frozen weight. Each factor of
@@ -274,27 +282,23 @@ class _Assembler:
         mu'' and a' terms this is the truncated Jacobian, which gives G_n.
         The cost is O(n q (L + p + K)); no per-subject Jacobian is formed.
         """
-        mu, a, deriv = terms
-        n_score = self.p * self.basis_stack.shape[0]
-        u_aux = u[n_score:].reshape(-1, self.q)
-        # xi[i, l, j] = x_ij' u_l
-        xi = self.x.reshape(-1, self.p) @ u[:n_score].reshape(-1, self.p).T
-        xi = xi.reshape(self.n, self.q, -1).swapaxes(1, 2)
-        dmu = mean_derivative(self.spec, mu)
+        mu, a, dmu = terms
+        u_aux = u[self.n_score :].reshape(-1, self.q)
+        # xi[l, j, i] = x_ij' u_l
+        xi = (u[: self.n_score].reshape(-1, self.p) @ self.x_last).swapaxes(0, 1)
         da = variance_weight_derivative(self.spec, mu)
-        along = np.einsum("nlq,nlq->nq", xi, self._mixed(mu, a))
-        back = ((a * dmu)[:, None, :] * xi).reshape(self.n, -1)
-        back = back @ self.basis_stack.reshape(-1, self.q)
-        aux = self.member @ u_aux
+        along = (xi * self._mixed(mu, a)).sum(axis=0)
+        back = self.basis_stack.reshape(-1, self.q).T @ (a * dmu * xi).reshape(-1, self.n)
+        aux = u_aux.T @ self.member_last
         omega = along * (mean_second_derivative(self.spec, mu) * a + da * dmu**2)
-        omega += dmu * ((da * (self.y - mu) - a) * back + aux)
+        omega += dmu * ((da * (self.y_last - mu) - a) * back + aux)
         if continuous:
             # g_i' u from the same pieces: score blocks, then auxiliary blocks
-            gu = (a * dmu * along + mu * aux).sum(axis=1)
-            gu -= self.member @ (self.phi * u_aux).sum(axis=1)
-            omega *= (1.0 - gu)[:, None]
-        half_grad = omega.reshape(-1) @ self.x.reshape(-1, self.p) / self.n
-        return self._mean_jacobian(a, deriv), half_grad
+            gu = (a * dmu * along + mu * aux).sum(axis=0)
+            gu -= (self.phi * u_aux).sum(axis=1) @ self.member_last
+            omega *= 1.0 - gu
+        half_grad = (self.x_last @ omega[:, :, None]).sum(axis=0)[:, 0] / self.n
+        return self._mean_jacobian(a, dmu), half_grad
 
 
 def _weight_inverse(sigma):
@@ -324,14 +328,10 @@ def _rank_error(rank, p):
 
 def _build_assembler(config, dataset, options):
     """Assembler with the empty-subgroup policy applied."""
-    assembler = _Assembler(config, dataset)
-    kept = assembler.member.any(axis=0)
-    empty = tuple(int(k) for k in np.flatnonzero(~kept))
-    if empty and not options.allow_empty_subgroups:
-        raise EmptySubgroup(empty[0])
-    assembler.member = assembler.member[:, kept]
-    assembler.phi = assembler.phi[kept]
-    return assembler, empty
+    assembler = _Assembler(config, dataset, drop_empty=True)
+    if assembler.dropped and not options.allow_empty_subgroups:
+        raise EmptySubgroup(assembler.dropped[0])
+    return assembler, assembler.dropped
 
 
 # -- public operations ----------------------------------------------------
@@ -501,7 +501,7 @@ class _SubjectMoments:
     with one assembler per problem of the stack.
 
     The half-gradient is exact (``_Assembler.derivatives``); G_n is the
-    truncated mean Jacobian. A point's terms are the (mu, a, d) of
+    truncated mean Jacobian. A point's terms are the (mu, a, dmu) of
     ``_Assembler._link_terms``, one triple per problem.
     """
 
@@ -516,9 +516,9 @@ class _SubjectMoments:
             assembler = self.assemblers[r]
             terms.append(assembler._link_terms(b))
             contribs = assembler._contributions(*terms[-1])
-            g.append(contribs.mean(axis=0))
+            g.append(contribs.mean(axis=1))
             if frozen_inv is None:
-                sigma.append(weight_matrix(contribs))
+                sigma.append(contribs @ contribs.T / assembler.n)
         if frozen_inv is not None:
             return _Point(rows, np.array(g), frozen_inv, None, terms)
         return _Point(rows, np.array(g), *_weight_inverse(np.array(sigma)), terms)
