@@ -214,7 +214,8 @@ class _Assembler:
 
     def _contributions(self, mu, a, dmu):
         """(d, n) contributions: score row (l, b) sum_j x_ijb dmu_j a_j
-        (M_l A^(-1/2) r)_j, auxiliary row (k, j) member_ik (mu_ij - phi_kj)."""
+        (M_l A^(-1/2) r)_j, auxiliary row (k, j) member_ik (mu_ij - phi_kj).
+        a and dmu are (q, n) or scalars that broadcast."""
         mixed = self._mixed(mu, a)
         mixed *= a * dmu
         c = np.empty((self.n_score + self.phi.size, self.n))
@@ -228,20 +229,18 @@ class _Assembler:
         return contribs.mean(axis=0), contribs
 
     def blocks(self, beta):
-        """(d, p+1, n) identity-link blocks Z_i = [g_i | dg_i/dbeta] at beta,
-        rows as in ``contributions``, the subject index last so that every
-        kernel runs over n. With a = 1 and dmu = x_i, W_i = [y_i - mu_i | -x_i]
-        gives the score rows x_i' M_l W_i, every M_l W_i from one product, and
-        the auxiliary rows member_ik [mu_i - phi_k | x_i]."""
+        """(d, p+1, n) identity-link blocks Z_i = [g_i | T_i] at beta, rows as in
+        ``contributions``, subject index last. Column 0 is the contribution
+        kernel with a = dmu = 1. T_i does not depend on beta: score rows
+        -x_i' M_l x_i from one product M_l x_i, auxiliary rows member_ik x_i."""
         n, q, p = self.x.shape
         x = self.x_last
-        mu = np.tensordot(beta, x, axes=(0, 1))
-        w = np.concatenate([(self.y_last - mu)[:, None], -x], axis=1)
-        mw = (self.basis_stack.reshape(-1, q) @ w.reshape(q, -1)).reshape(-1, q, p + 1, n)
         z = np.empty((self.n_score + self.phi.size, p + 1, n))
+        z[:, 0] = self._contributions(beta @ x, 1.0, 1.0)
+        mx = (self.basis_stack.reshape(-1, q) @ x.reshape(q, -1)).reshape(-1, q, p, n)
+        np.negative(mx, out=mx)
         score, aux = z[: self.n_score], z[self.n_score :].reshape(-1, q, p + 1, n)
-        np.einsum("san,lscn->lacn", x, mw, out=score.reshape(-1, p, p + 1, n))
-        np.multiply(self.member_last[:, None], mu - self.phi[:, :, None], out=aux[:, :, 0])
+        np.einsum("san,lscn->lacn", x, mx, out=score.reshape(-1, p, p + 1, n)[:, :, 1:])
         np.multiply(self.member_last[:, None, None], x, out=aux[:, :, 1:])
         return z
 
@@ -428,14 +427,14 @@ class _AffineMoments:
     """Identity-link moments of a stack of problems, each from one Gram pass
     at its own expansion point beta0.
 
-    Z_i = [g_i(beta0) | T_i] is the (d, p+1) block of subject i, and the
-    contribution at beta is Z_i w with w = (1, beta - beta0). The mean and
-    Gram matrix of the Z_i, taken over the subject-last ``blocks`` of each
-    problem's assembler and stacked along a leading problem axis, give g_n,
-    Sigma_n, G_n and the exact gradient without touching the subjects again.
-    Expanding around the start value rather than zero keeps the cancellation
-    in Sigma_n small. The README gives the p at which the Gram product stops
-    paying for itself.
+    Z_i = [g_i(beta0) | T_i] is the (d, p+1) block of subject i, T_i its
+    beta-free Jacobian, and the contribution at beta is Z_i w with
+    w = (1, beta - beta0). The mean and Gram matrix of the Z_i, over the
+    ``blocks`` of each problem's assembler stacked along a leading problem
+    axis, give g_n, Sigma_n, G_n and the exact gradient without touching the
+    subjects again. Expanding around the start value rather than zero keeps
+    the cancellation in Sigma_n small. The README gives the p at which the
+    Gram product stops paying for itself.
     """
 
     def __init__(self, assemblers, beta0):

@@ -714,6 +714,13 @@ class TestSufficientStatistics:
         assert z.flags.c_contiguous
         assert_relative(z[:, 0, :], assembler.contributions(beta).T, rtol=1e-12)
         assert_relative(z[:, 1:, :], identity_jacobians(assembler).transpose(1, 2, 0), rtol=1e-12)
+        # one contribution kernel: column 0 is bit for bit the contributions,
+        # and the Jacobian columns do not move with beta
+        other = rng.standard_normal(p)
+        z_other = assembler.blocks(other)
+        np.testing.assert_array_equal(z[:, 0, :], assembler.contributions(beta).T)
+        np.testing.assert_array_equal(z_other[:, 0, :], assembler.contributions(other).T)
+        np.testing.assert_array_equal(z_other[:, 1:, :], z[:, 1:, :])
 
     @settings(max_examples=25, deadline=None)
     @given(
