@@ -44,7 +44,8 @@ with nothing free.
 
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
-under the identity link, the link terms otherwise), so the gradient at an
+under the identity link; otherwise the link terms and the contributions g_i,
+from which the gradient reads g_i' Sigma^{-1} g_n), so the gradient at an
 accepted point recomputes none of them. Each direction factors the normal
 matrix G_f' W G_f of the free coordinates with one more, which gives the
 rank check, the Gauss-Newton step and, at a fit's solution, the plug-in
@@ -158,22 +159,21 @@ class ProfileTestResult:
 
 
 class _Assembler:
-    """Precomputed arrays for one (config, dataset).
+    """Precomputed arrays for one (config, dataset), subject index last.
 
-    ``member`` is the (n, K) subgroup-membership matrix 1{X_i in Omega_k}
-    and ``phi`` the (K, q) targets; auxiliary block k of subject i is
-    member[i, k] * (mu_i - phi_k), and its Jacobian member[i, k] * dmu_i,
-    with K = 0 when there is no auxiliary information. ``drop_empty``
-    deletes the column and target row of each subgroup nobody falls into,
-    named in ``dropped``, so moments, weight and Jacobian lose the same
-    block. The kernels read the subject-last copies ``x_last`` (q, p, n),
-    ``y_last`` (q, n) and ``member_last`` (K, n), so they run over n.
+    ``member_last`` is the (K, n) subgroup-membership matrix
+    1{X_i in Omega_k} and ``phi`` the (K, q) targets; auxiliary block k of
+    subject i is member_last[k, i] * (mu_i - phi_k), and its Jacobian
+    member_last[k, i] * dmu_i, with K = 0 when there is no auxiliary
+    information. ``drop_empty`` deletes the row and target of each subgroup
+    nobody falls into, named in ``dropped``, so moments, weight and Jacobian
+    lose the same block. With ``x_last`` (q, p, n) and ``y_last`` (q, n),
+    every kernel runs over n.
     """
 
     def __init__(self, config, dataset, drop_empty=False):
         self.spec = config.spec
-        self.x = dataset.covariates
-        self.n, self.q, self.p = self.x.shape
+        self.n, self.q, self.p = dataset.covariates.shape
         self.basis_stack = config.basis.stacked()
         self.n_score = self.p * self.basis_stack.shape[0]
         if config.basis.q != self.q:
@@ -181,19 +181,18 @@ class _Assembler:
         aux = config.aux
         if aux is None or aux.n_groups == 0:
             self.phi = np.zeros((0, self.q))
-            self.member = np.zeros((self.n, 0))
+            member = np.zeros((0, self.n))
         else:
             self.phi = np.stack(aux.phi)
             if self.phi.shape[1] != self.q:
                 raise ValueError("phi vectors must have length q")
             idx = aux.partition.group_indices(dataset)
-            self.member = (idx[:, None] == np.arange(aux.n_groups)).astype(float)
-        kept = self.member.any(axis=0) | (not drop_empty)
+            member = (np.arange(aux.n_groups)[:, None] == idx).astype(float)
+        kept = member.any(axis=1) | (not drop_empty)
         self.dropped = tuple(int(k) for k in np.flatnonzero(~kept))
-        self.member, self.phi = self.member[:, kept], self.phi[kept]
-        self.x_last = np.ascontiguousarray(self.x.transpose(1, 2, 0))
+        self.member_last, self.phi = member[kept], self.phi[kept]
+        self.x_last = np.ascontiguousarray(dataset.covariates.transpose(1, 2, 0))
         self.y_last = np.ascontiguousarray(dataset.responses.T)
-        self.member_last = np.ascontiguousarray(self.member.T)
 
     # -- moment machinery ------------------------------------------------
 
@@ -233,7 +232,7 @@ class _Assembler:
         ``contributions``, subject index last. Column 0 is the contribution
         kernel with a = dmu = 1. T_i does not depend on beta: score rows
         -x_i' M_l x_i from one product M_l x_i, auxiliary rows member_ik x_i."""
-        n, q, p = self.x.shape
+        n, q, p = self.n, self.q, self.p
         x = self.x_last
         z = np.empty((self.n_score + self.phi.size, p + 1, n))
         z[:, 0] = self._contributions(beta @ x, 1.0, 1.0)
@@ -264,12 +263,12 @@ class _Assembler:
         return np.concatenate([qif.reshape(-1, self.p), aux.reshape(-1, self.p)])
 
     def derivatives(self, terms, u, continuous):
-        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, dmu) at beta.
+        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, dmu, g) at beta.
 
         dg_i/dbeta is the exact contribution Jacobian, and c_i = 1 - g_i' u
-        under continuous updating, 1 with a frozen weight. Each factor of
-        g_i' u at time j (mudot_j, a_j and r_j = y_ij - mu_ij) moves with
-        beta only through x_ij' beta, so (dg_i/dbeta)' u = x_i' omega_i with
+        (g_i from g) under continuous updating, 1 with a frozen weight. Each
+        factor of g_i' u at time j (mudot_j, a_j and r_j = y_ij - mu_ij) moves
+        with beta only through x_ij' beta, so (dg_i/dbeta)' u = x_i' omega_i with
 
             omega_j = along_j (mu''_j a_j + a'_j mudot_j^2)
                       + mudot_j ((a'_j r_j - a_j) back_j + aux_j),
@@ -281,21 +280,17 @@ class _Assembler:
         mu'' and a' terms this is the truncated Jacobian, which gives G_n.
         The cost is O(n q (L + p + K)); no per-subject Jacobian is formed.
         """
-        mu, a, dmu = terms
-        u_aux = u[self.n_score :].reshape(-1, self.q)
+        mu, a, dmu, contribs = terms
         # xi[l, j, i] = x_ij' u_l
         xi = (u[: self.n_score].reshape(-1, self.p) @ self.x_last).swapaxes(0, 1)
         da = variance_weight_derivative(self.spec, mu)
         along = (xi * self._mixed(mu, a)).sum(axis=0)
         back = self.basis_stack.reshape(-1, self.q).T @ (a * dmu * xi).reshape(-1, self.n)
-        aux = u_aux.T @ self.member_last
+        aux = u[self.n_score :].reshape(-1, self.q).T @ self.member_last
         omega = along * (mean_second_derivative(self.spec, mu) * a + da * dmu**2)
         omega += dmu * ((da * (self.y_last - mu) - a) * back + aux)
         if continuous:
-            # g_i' u from the same pieces: score blocks, then auxiliary blocks
-            gu = (a * dmu * along + mu * aux).sum(axis=0)
-            gu -= (self.phi * u_aux).sum(axis=1) @ self.member_last
-            omega *= 1.0 - gu
+            omega *= 1.0 - u @ contribs
         half_grad = (self.x_last @ omega[:, :, None]).sum(axis=0)[:, 0] / self.n
         return self._mean_jacobian(a, dmu), half_grad
 
@@ -410,7 +405,8 @@ def initial_estimate(
 class _Point(NamedTuple):
     """Objective evaluations of a stack of problems: their rows in the model,
     g_n, the weight inverses W and their ranks (None for a frozen weight),
-    and the model's terms that the gradient at these points reuses."""
+    and the model's terms that the gradient at these points reuses: the
+    Gram cross product, or per problem the link terms and contributions."""
 
     rows: np.ndarray
     g: np.ndarray
@@ -500,8 +496,8 @@ class _SubjectMoments:
     with one assembler per problem of the stack.
 
     The half-gradient is exact (``_Assembler.derivatives``); G_n is the
-    truncated mean Jacobian. A point's terms are the (mu, a, dmu) of
-    ``_Assembler._link_terms``, one triple per problem.
+    truncated mean Jacobian. A point's terms are, per problem, the link
+    terms (mu, a, dmu) and the contributions, whose g_i' u the gradient reads.
     """
 
     def __init__(self, assemblers):
@@ -513,8 +509,9 @@ class _SubjectMoments:
         terms, g, sigma = [], [], []
         for r, b in zip(rows, beta):
             assembler = self.assemblers[r]
-            terms.append(assembler._link_terms(b))
-            contribs = assembler._contributions(*terms[-1])
+            link = assembler._link_terms(b)
+            contribs = assembler._contributions(*link)
+            terms.append((*link, contribs))
             g.append(contribs.mean(axis=1))
             if frozen_inv is None:
                 sigma.append(contribs @ contribs.T / assembler.n)

@@ -342,6 +342,7 @@ def run_monte_carlo(
     Each replication draws a fresh panel from its own counter-based stream,
     fits every requested method, records INTERVAL_LEVEL Wald-interval
     coverage and the rejection rate of each profile test at TEST_LEVEL.
+    Methods and hypothesis labels must be distinct, methods once normalised.
     Failed replications (non-convergence or estimation errors) are excluded
     with their count reported on the summary. Raises TooManyFailures when a
     method loses more than MAX_FAILURE_SHARE of its replications.
@@ -361,6 +362,11 @@ def run_monte_carlo(
         raise ValueError("n_jobs must be at least 1")
     options = options or FitOptions()
     checked = [(h.label, *_hypothesis(h.indices, h.values, design.p)) for h in hypotheses]
+    labels = [label for label, _, _ in checked]
+    for kind, names in (("method", methods), ("hypothesis label", labels)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{kind} {name!r} is given twice")
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
     reps = design.replications

@@ -169,6 +169,14 @@ def test_simulate_rejects_jobs_below_one(tmp_path, capsys):
     assert "error: n_jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_simulate_rejects_repeated_method(tmp_path, capsys):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    code = main(["simulate", "--config", str(cfg), "--methods", "qif,QIF"])
+    assert code == 1
+    assert "error: method 'qif' is given twice" in capsys.readouterr().err
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     cfg = tmp_path / "design.cfg"
     cfg.write_text(DESIGN)

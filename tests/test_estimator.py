@@ -27,6 +27,7 @@ from qifaux import (
     build_four_group_aux,
     correlation_matrix,
     emit_report,
+    estimate_phi,
     fit,
     four_group_partition,
     generate_dataset,
@@ -156,12 +157,34 @@ class TestObjective:
         cfg = ExtendedScoreConfig(GAUSS, build_basis(IND, 1), None)
         assert objective(cfg, ds, np.array([1.0])) == pytest.approx(1.0)
 
-    def test_nonnegative_at_random_points(self):
-        rng = np.random.default_rng(4)
-        ds = random_dataset(rng, n=60)
-        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), None)
-        for _ in range(10):
-            assert objective(cfg, ds, rng.standard_normal(2)) >= 0.0
+    @pytest.mark.parametrize("groups", [0, 2, 4], ids=["no_aux", "two_groups", "four_groups"])
+    @pytest.mark.parametrize("spec", [GAUSS, BERN], ids=["identity", "logit"])
+    def test_nonnegative_at_random_points(self, spec, groups):
+        """With C the (n, d) contributions, g_n = C'1 / n and
+        Sigma_n = C'C / n, so n Q_n = 1'C (C'C)^+ C'1 = ||P 1||^2 with P the
+        projection onto the columns of C: 0 <= Q_n <= 1, and n Q_n is the
+        squared length of the least-squares fit C x* of the ones vector."""
+        rng = np.random.default_rng(4 + 10 * groups + (spec is BERN))
+        n = 60
+        x = rng.standard_normal((n, 3, 2))
+        if spec is BERN:
+            ds = LongitudinalDataset((rng.random((n, 3)) < 0.5).astype(float), x)
+            phi = tuple(rng.uniform(0.3, 0.7, 3) for _ in range(groups))
+        else:
+            ds = LongitudinalDataset(rng.standard_normal((n, 3)), x)
+            phi = tuple(rng.standard_normal(3) for _ in range(groups))
+        quadrant = SubgroupPartition(4, lambda xs: (xs[:, 0, 0] < 0) + 2 * (xs[:, 0, 1] < 0))
+        partition = {2: sign_partition(), 4: quadrant}.get(groups)
+        aux = AuxiliaryInfo(partition, phi) if groups else None
+        cfg = ExtendedScoreConfig(spec, build_basis(CS, 3), aux)
+        for _ in range(20):
+            beta = rng.standard_normal(2)
+            q_n = objective(cfg, ds, beta)
+            assert q_n >= 0.0
+            assert q_n <= 1.0
+            c = moment_vector(cfg, ds, beta)[1]
+            x_star = np.linalg.lstsq(c, np.ones(n), rcond=None)[0]
+            assert n * q_n == pytest.approx(np.sum((c @ x_star) ** 2), rel=1e-9, abs=0.0)
 
     def test_singular_weight_raises(self):
         # one subject, two parameters: rank-1 weight cannot identify beta
@@ -297,6 +320,40 @@ class TestScoreJacobian:
         jac = score_jacobian(cfg, ds, beta)
         fd = fd_moment_jacobian(cfg, ds, beta)
         assert np.abs(jac - fd).max() / np.abs(fd).max() < 1e-5
+
+
+def subject_objective(cfg, ds):
+    """Q_n as a function of beta, from the per-subject contributions at beta."""
+    from qifaux.estimator import _Assembler, _SubjectMoments
+
+    model = _SubjectMoments([_Assembler(cfg, ds)])
+    return lambda beta: model.evaluate([0], np.asarray(beta, dtype=float)[None]).objective()[0]
+
+
+def simplex_minimum(q_fun, starts, pinned=None, fatol=1e-16):
+    """Smallest q_fun that derivative-free Nelder-Mead reaches from each
+    start over the coordinates that ``pinned`` (index -> value) leaves free.
+    Nelder-Mead stops only once its values agree within fatol, so fatol must
+    exceed the rounding noise of q_fun near the minimum, or it runs to maxiter."""
+    from scipy import optimize
+
+    pinned = pinned or {}
+    best = np.inf
+    for start in starts:
+        beta = np.array(start, dtype=float)
+        beta[list(pinned)] = list(pinned.values())
+        free = np.setdiff1d(np.arange(beta.size), list(pinned))
+
+        def restricted(b):
+            beta[free] = b
+            return q_fun(beta)
+
+        out = optimize.minimize(
+            restricted, beta[free], method="Nelder-Mead",
+            options=dict(xatol=1e-12, fatol=fatol, maxiter=4000),
+        )
+        best = min(best, out.fun)
+    return best
 
 
 class TestFit:
@@ -487,13 +544,13 @@ class TestFit:
         assert tests[0].statistic == tests[1].statistic
 
     def test_matches_independent_simplex_minimizer(self):
-        """Dual route: the Gauss-Newton solution must reach the same
-        objective value as derivative-free Nelder-Mead minimization of the
-        same quadratic form, started from several points."""
-        from scipy import optimize
-
-        from qifaux.estimator import _Assembler, _SubjectMoments
-
+        """Dual route: the solver must reach the smallest Q_n that
+        derivative-free Nelder-Mead finds on the same quadratic form from
+        several starts. The inputs are identity fits, logit qif and gmmai2
+        fits on ``binary_panel`` data, and restricted identity solves of the
+        paper's methods at near nulls, whose free coordinate the same
+        simplex searches. Far nulls are left out: they can give gmmai4 two
+        basins (ROADMAP item 12)."""
         rng = np.random.default_rng(2024)
         for _ in range(8):
             n = int(rng.integers(60, 200))
@@ -512,19 +569,34 @@ class TestFit:
             cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
             res = fit(cfg, ds)
             assert res.converged
-            model = _SubjectMoments([_Assembler(cfg, ds)])
-
-            def q_fun(b):
-                return model.evaluate([0], b[None]).objective()[0]
-
-            best = np.inf
-            for start in (res.beta_hat, beta_true, np.zeros(p)):
-                out = optimize.minimize(
-                    q_fun, start, method="Nelder-Mead",
-                    options=dict(xatol=1e-12, fatol=1e-16, maxiter=4000),
-                )
-                best = min(best, out.fun)
+            best = simplex_minimum(subject_objective(cfg, ds), (res.beta_hat, beta_true, np.zeros(p)))
             assert res.objective <= best + 1e-10
+        # the logit and restricted objectives are noisier than 1e-16 near
+        # their minima
+        starts = (np.array([0.5, -0.5]), np.zeros(2))
+        two = two_group_partition()
+        for _ in range(6):
+            ds = binary_panel(300, rng)
+            phi = tuple(estimate_phi(binary_panel(1000, rng), two)[0])
+            for aux in (None, AuxiliaryInfo(two, phi)):
+                cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
+                res = fit(cfg, ds)
+                assert res.converged
+                best = simplex_minimum(
+                    subject_objective(cfg, ds), (res.beta_hat, *starts), fatol=1e-14
+                )
+                assert res.objective <= best + 1e-10
+        for method in ("qif", "gmmai2", "gmmai4"):
+            for seed in (1000, 1001, 1002):
+                cfg, ds = paper_problem(method, seed, n=150)
+                res = fit(cfg, ds)
+                q_fun = subject_objective(cfg, ds)
+                for index, value in ((0, 0.5), (0, 0.6), (1, 0.0), (1, -0.5)):
+                    test = profile_test(cfg, ds, [index], [value], unrestricted=res)
+                    best = simplex_minimum(
+                        q_fun, (res.beta_hat, *starts), {index: value}, fatol=1e-14
+                    )
+                    assert q_fun(test.beta_restricted) <= best + 1e-10
 
     def test_non_convergence_returns_last_iterate(self, monkeypatch):
         # iteration budget of zero: the fit must hand back the starting
@@ -614,9 +686,9 @@ def identity_jacobians(assembler):
     """(n, d, p) identity-link contribution Jacobians T_i, written out from
     the formula: -x_i' M_l x_i for the score rows and member_ik x_i for the
     auxiliary rows."""
-    x = assembler.x
+    x = assembler.x_last.transpose(2, 0, 1)
     score = -np.einsum("nsa,lst,ntb->nlab", x, assembler.basis_stack, x)
-    aux = np.einsum("nk,ntb->nktb", assembler.member, x)
+    aux = np.einsum("kn,ntb->nktb", assembler.member_last, x)
     n, p = assembler.n, assembler.p
     return np.concatenate([score.reshape(n, -1, p), aux.reshape(n, -1, p)], axis=1)
 

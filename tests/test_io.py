@@ -43,7 +43,7 @@ from qifaux import io as qio
 from qifaux.estimator import ExtendedScoreConfig, fit
 from qifaux.basis import build_basis
 from qifaux.model import MarginalModelSpec
-from qifaux.simulation import AuxMode, MonteCarloSummary, PhiSource, run_monte_carlo
+from qifaux.simulation import AuxMode, Hypothesis, MonteCarloSummary, PhiSource, run_monte_carlo
 from reference_loader import load_dataset_by_rows
 
 SCHEMA = ColumnSchema("id", "time", "y", ("x1", "x2"))
@@ -766,11 +766,22 @@ class TestReports:
 
     def test_monte_carlo_table(self):
         design = SimulationDesign(n=60, seed=36, replications=8)
-        summ = run_monte_carlo(design, ["qif", "gmmai2"])
+        hypothesis = Hypothesis("beta2=0", (1,), (0.0,))
+        summ = run_monte_carlo(design, ["qif", "gmmai2"], hypotheses=[hypothesis])
         text = emit_report(summ, "table")
         assert "bias" in text and "cp" in text and "re" in text
+        assert "excluded replications" not in text
+        lines = text.splitlines()
+        at = lines.index("hypothesis tests")
+        assert lines[at - 1] == "" and len(lines) == at + 3
+        for line, (name, s) in zip(lines[at + 1 :], summ.items()):
+            assert line == f"{name:<10}{'beta2=0':<28}rejection rate {s.power['beta2=0']:.4f}"
         structured = emit_report(summ, "structured")
         assert structured.count("\n") == 2
+        summ["gmmai2"] = dataclasses.replace(summ["gmmai2"], failures=2)
+        text = emit_report(summ, "table")
+        assert f"{'gmmai2':<10}excluded replications: 2" in text.splitlines()
+        assert text.count("excluded replications") == 1
 
     def test_monte_carlo_record_writes_non_finite_values_as_null(self):
         nan, inf = float("nan"), float("inf")

@@ -213,6 +213,32 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="n_jobs must be at least 1"):
             run_monte_carlo(design, ["qif"], n_jobs=n_jobs)
 
+    @pytest.mark.parametrize(
+        "methods, hypotheses, message",
+        [
+            (["qif", "QIF "], (), "method 'qif' is given twice"),
+            (["qif", "gmmai2", "gmmai2"], (), "method 'gmmai2' is given twice"),
+            (
+                ["qif"],
+                (Hypothesis("h", (0,), (0.5,)), Hypothesis("h", (1,), (0.0,))),
+                "hypothesis label 'h' is given twice",
+            ),
+        ],
+        ids=["method_case", "method", "label"],
+    )
+    def test_repeats_rejected_before_any_panel(self, monkeypatch, methods, hypotheses, message):
+        """A repeated method would pool its fits twice (replications 2R,
+        failures -R), and a repeated label would keep only the last test's
+        rejection rate."""
+
+        def no_draw(*args):
+            raise AssertionError("panel drawn before the repeat was checked")
+
+        monkeypatch.setattr(sim, "generate_dataset", no_draw)
+        design = SimulationDesign(n=60, seed=5, replications=3)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(design, methods, hypotheses=hypotheses)
+
     def test_qif_relative_efficiency_is_exactly_one(self):
         design = SimulationDesign(n=60, seed=7, replications=10)
         summ = run_monte_carlo(design, ["qif"])
