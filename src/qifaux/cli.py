@@ -24,43 +24,17 @@ from .model import MarginalModelSpec
 from .simulation import AuxMode, Hypothesis, parse_design_config, qq_data, run_monte_carlo
 
 
-def _add_data_arguments(parser):
-    parser.add_argument("--data", required=True, help="long-format CSV file")
-    parser.add_argument("--id-col", default="id")
-    parser.add_argument("--time-col", default="time")
-    parser.add_argument("--response-col", default="y")
-    parser.add_argument(
-        "--covariate-cols", default="x1,x2", help="comma-separated covariate columns"
-    )
-    parser.add_argument("--q", type=int, default=None, help="observations per subject")
-    parser.add_argument("--link", choices=("identity", "logit"), default="identity")
-    parser.add_argument("--working", default="ind", help="ind, cs or ar1")
-    parser.add_argument("--aux", default=None, help="subgroup definition file")
-    parser.add_argument(
-        "--phi",
-        default=None,
-        help="'holdout' to estimate targets from a held-out split, else a file "
-        "with one comma-separated phi vector per subgroup",
-    )
-    parser.add_argument(
-        "--analysis-size", type=int, default=None,
-        help="analysis subset size when --phi holdout is used",
-    )
-    parser.add_argument(
-        "--standardize", default=None,
-        help="comma-separated covariate columns to standardize, or 'all'",
-    )
-    parser.add_argument("--standardize-response", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--two-step", action="store_true")
-    parser.add_argument("--allow-empty-subgroups", action="store_true")
-    parser.add_argument("--format", choices=("table", "structured"), default="table")
-    parser.add_argument("--out", default=None, help="output file (default stdout)")
+def _comma_list(text):
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _schema_from_args(args) -> ColumnSchema:
-    covariates = tuple(c.strip() for c in args.covariate_cols.split(",") if c.strip())
+    covariates = tuple(_comma_list(args.covariate_cols))
     return ColumnSchema(args.id_col, args.time_col, args.response_col, covariates, args.q)
+
+
+def _fit_options(args) -> FitOptions:
+    return FitOptions(two_step=args.two_step, allow_empty_subgroups=args.allow_empty_subgroups)
 
 
 def _parse_phi_file(path, n_groups, q):
@@ -101,6 +75,12 @@ def _parse_aux_file(path):
 
 def _prepare(args):
     """Shared dataset/config assembly for the fit and test subcommands."""
+    holdout = (args.phi or "").strip().lower() == "holdout"
+    for flag, value in (("--analysis-size", args.analysis_size), ("--seed", args.seed)):
+        if value is not None and not holdout:
+            raise ValueError(f"{flag} requires --phi holdout")
+    if args.standardize_response and not args.standardize:
+        raise ValueError("--standardize-response requires --standardize")
     schema = _schema_from_args(args)
     loaded = load_dataset(args.data, schema)
     dataset = loaded.dataset
@@ -111,7 +91,7 @@ def _prepare(args):
         if args.standardize.strip().lower() == "all":
             columns = list(range(dataset.p))
         else:
-            names = [c.strip() for c in args.standardize.split(",") if c.strip()]
+            names = _comma_list(args.standardize)
             unknown = [c for c in names if c not in schema.covariates]
             if unknown:
                 raise ValueError(
@@ -149,24 +129,20 @@ def _prepare(args):
         partition = _parse_aux_file(args.aux)
         if args.phi is None:
             raise ValueError("--aux requires --phi (a file or 'holdout')")
-        if args.phi.strip().lower() == "holdout":
+        if holdout:
             if args.analysis_size is None:
                 raise ValueError("--phi holdout requires --analysis-size")
-            dataset, holdout = split_sample(dataset, args.analysis_size, args.seed)
-            phis, counts = estimate_phi(holdout, partition)
+            dataset, held_out = split_sample(dataset, args.analysis_size, args.seed or 0)
+            phis, counts = estimate_phi(held_out, partition)
             notes.append(
                 "phi from holdout of "
-                f"{holdout.n} subjects (group counts {counts.tolist()})"
+                f"{held_out.n} subjects (group counts {counts.tolist()})"
             )
             aux = AuxiliaryInfo(partition, tuple(phis))
         else:
             phis = _parse_phi_file(args.phi, partition.n_groups, dataset.q)
             aux = AuxiliaryInfo(partition, phis)
-    options = FitOptions(
-        two_step=args.two_step, allow_empty_subgroups=args.allow_empty_subgroups
-    )
-    config = ExtendedScoreConfig(spec, basis, aux)
-    return dataset, config, options, notes
+    return dataset, ExtendedScoreConfig(spec, basis, aux), notes
 
 
 def _write_output(text, args, notes=()):
@@ -201,17 +177,17 @@ def _parse_constraints(pairs, p):
 
 
 def _cmd_fit(args) -> int:
-    dataset, config, options, notes = _prepare(args)
-    result = fit(config, dataset, options=options)
+    dataset, config, notes = _prepare(args)
+    result = fit(config, dataset, options=_fit_options(args))
     name = "gmmai" if config.aux is not None else "qif"
     _write_output(emit_report({name: result}, args.format), args, notes)
     return 0
 
 
 def _cmd_test(args) -> int:
-    dataset, config, options, notes = _prepare(args)
+    dataset, config, notes = _prepare(args)
     indices, values = _parse_constraints(args.constrain, dataset.p)
-    outcome = profile_test(config, dataset, indices, values, options=options)
+    outcome = profile_test(config, dataset, indices, values, options=_fit_options(args))
     lines = [
         f"statistic {outcome.statistic!r}",
         f"df {outcome.df}",
@@ -243,17 +219,8 @@ def _load_design(args):
 
 def _cmd_simulate(args) -> int:
     design = _load_design(args)
-    methods = (
-        [m.strip() for m in args.methods.split(",") if m.strip()]
-        if args.methods
-        else _default_methods(design)
-    )
-    options = FitOptions(
-        two_step=args.two_step, allow_empty_subgroups=args.allow_empty_subgroups
-    )
-    summaries = run_monte_carlo(
-        design, methods, options=options, n_jobs=args.jobs
-    )
+    methods = _comma_list(args.methods) if args.methods else _default_methods(design)
+    summaries = run_monte_carlo(design, methods, options=_fit_options(args), n_jobs=args.jobs)
     _write_output(emit_report(summaries, args.format), args)
     return 0
 
@@ -269,46 +236,77 @@ def _cmd_qq(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one parent parser per flag group, attached to the subcommands that read it
+    output, report, solver, data, design, constraint = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    output.add_argument("--out", default=None, help="output file (default stdout)")
+    report.add_argument("--format", choices=("table", "structured"), default="table")
+    solver.add_argument("--two-step", action="store_true")
+    solver.add_argument("--allow-empty-subgroups", action="store_true")
+    data.add_argument("--data", required=True, help="long-format CSV file")
+    data.add_argument("--id-col", default="id")
+    data.add_argument("--time-col", default="time")
+    data.add_argument("--response-col", default="y")
+    data.add_argument(
+        "--covariate-cols", default="x1,x2", help="comma-separated covariate columns"
+    )
+    data.add_argument("--q", type=int, default=None, help="observations per subject")
+    data.add_argument("--link", choices=("identity", "logit"), default="identity")
+    data.add_argument("--working", default="ind", help="ind, cs or ar1")
+    data.add_argument("--aux", default=None, help="subgroup definition file")
+    data.add_argument(
+        "--phi",
+        default=None,
+        help="'holdout' to estimate targets from a held-out split, else a file "
+        "with one comma-separated phi vector per subgroup",
+    )
+    data.add_argument(
+        "--analysis-size", type=int, default=None,
+        help="analysis subset size when --phi holdout is used",
+    )
+    data.add_argument(
+        "--standardize", default=None,
+        help="comma-separated covariate columns to standardize, or 'all'",
+    )
+    data.add_argument("--standardize-response", action="store_true")
+    data.add_argument("--seed", type=int, default=None, help="--phi holdout split seed")
+    design.add_argument("--config", required=True, help="key=value design file")
+    design.add_argument("--reps", type=int, default=None)
+    design.add_argument("--seed", type=int, default=None)
+    constraint.add_argument(
+        "--constrain", action="append", required=True, metavar="INDEX=VALUE",
+        help="1-based coefficient index and null value; repeatable",
+    )
+
     parser = argparse.ArgumentParser(
         prog="qifaux",
         description="Marginal-model estimation with working-correlation scores "
         "and subgroup auxiliary information",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser(
+        "fit", parents=[data, solver, report, output],
+        help="estimate coefficients from a data file",
+    ).set_defaults(func=_cmd_fit)
+    sub.add_parser(
+        "test", parents=[data, solver, output, constraint],
+        help="profile chi-square test on a data file",
+    ).set_defaults(func=_cmd_test)
 
-    p_fit = sub.add_parser("fit", help="estimate coefficients from a data file")
-    _add_data_arguments(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
-
-    p_test = sub.add_parser("test", help="profile chi-square test on a data file")
-    _add_data_arguments(p_test)
-    p_test.add_argument(
-        "--constrain", action="append", required=True, metavar="INDEX=VALUE",
-        help="1-based coefficient index and null value; repeatable",
+    p_sim = sub.add_parser(
+        "simulate", parents=[design, solver, report, output],
+        help="run a Monte Carlo study from a config",
     )
-    p_test.set_defaults(func=_cmd_test)
-
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo study from a config")
-    p_sim.add_argument("--config", required=True, help="key=value design file")
     p_sim.add_argument("--methods", default=None, help="comma list: qif,gmmai2,gmmai4")
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.add_argument("--two-step", action="store_true")
-    p_sim.add_argument("--allow-empty-subgroups", action="store_true")
-    p_sim.add_argument("--format", choices=("table", "structured"), default="table")
-    p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_qq = sub.add_parser("qq", help="profile-statistic quantiles vs chi-square")
-    p_qq.add_argument("--config", required=True)
-    p_qq.add_argument("--method", default="qif")
-    p_qq.add_argument(
-        "--constrain", action="append", required=True, metavar="INDEX=VALUE"
+    p_qq = sub.add_parser(
+        "qq", parents=[design, output, constraint],
+        help="profile-statistic quantiles vs chi-square",
     )
-    p_qq.add_argument("--reps", type=int, default=None)
-    p_qq.add_argument("--seed", type=int, default=None)
-    p_qq.add_argument("--out", default=None)
+    p_qq.add_argument("--method", default="qif")
     p_qq.set_defaults(func=_cmd_qq)
     return parser
 

@@ -183,6 +183,30 @@ class TestPartitions:
         with pytest.raises(PartitionViolation, match="outside 0..1"):
             part.group_indices(ds)
 
+    def test_wrong_membership_shape_rejected(self):
+        ds = LongitudinalDataset(np.zeros((2, 2)), np.ones((2, 2, 1)))
+        part = SubgroupPartition(2, lambda xs: np.zeros((len(xs), 1), dtype=int))
+        with pytest.raises(PartitionViolation) as err:
+            part.group_indices(ds)
+        assert (err.type, str(err.value)) == (
+            PartitionViolation, "membership must yield one index per subject"
+        )
+
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ((np.zeros(3),), "need one phi vector per subgroup"),
+            ((np.zeros(3), np.zeros(2)), "phi vectors must share a common length"),
+            ((np.zeros(3), np.array([0.0, np.inf, 0.0])), "phi vectors must be finite"),
+        ],
+        ids=["count", "ragged", "non-finite"],
+    )
+    def test_auxiliary_info_rejects_malformed_phi(self, phi, message):
+        part = SubgroupPartition(2, lambda xs: np.zeros(len(xs), dtype=int))
+        with pytest.raises(ValueError) as err:
+            AuxiliaryInfo(part, phi)
+        assert (err.type, str(err.value)) == (ValueError, message)
+
 
 class TestPredicateGrammar:
     def test_atom_forms(self):
@@ -222,6 +246,11 @@ class TestPredicateGrammar:
         ds = LongitudinalDataset(np.zeros((2, 1)), np.array([[[1.0]], [[-1.0]]]))
         with pytest.raises(PartitionViolation):
             part.group_indices(ds)
+
+    def test_file_of_comments_only_rejected(self):
+        with pytest.raises(ValueError) as err:
+            parse_subgroup_file("# no groups yet\n\n   # still none\n")
+        assert (err.type, str(err.value)) == (ValueError, "subgroup file defines no groups")
 
     @pytest.mark.parametrize("text", ["col[0,1] >= 0", "col[1,0] < 2"])
     def test_zero_cell_index_rejected(self, text):

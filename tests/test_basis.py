@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from qifaux import CorrelationStructure, DimensionTooSmall, build_basis, correlation_matrix
+from qifaux import (
+    BasisSet,
+    CorrelationStructure,
+    DimensionTooSmall,
+    build_basis,
+    correlation_matrix,
+)
 
 from inverse_coefficients import ar1_inverse_coefficients, cs_inverse_coefficients
 
@@ -43,6 +49,29 @@ class TestBuildBasis:
     def test_dimension_too_small(self, structure):
         with pytest.raises(DimensionTooSmall):
             build_basis(structure, 1)
+
+    def test_zero_cluster_size_rejected(self):
+        with pytest.raises(DimensionTooSmall) as err:
+            build_basis(IND, 0)
+        assert (err.type, str(err.value)) == (
+            DimensionTooSmall, "cluster size q must be at least 1"
+        )
+
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            ((), "basis set needs at least one matrix"),
+            ((np.eye(3), np.ones((2, 2))), "basis matrices must be q x q"),
+            ((np.eye(3), np.eye(3, k=1)), "basis matrices must be symmetric"),
+            ((np.eye(3), 2 * np.eye(3)), "basis matrices must have 0/1 entries"),
+            ((np.ones((3, 3)) - np.eye(3),), "first basis matrix must be the identity"),
+        ],
+        ids=["empty", "shape", "asymmetric", "not-0/1", "first-not-identity"],
+    )
+    def test_basis_set_rejects_malformed_matrices(self, matrices, message):
+        with pytest.raises(ValueError) as err:
+            BasisSet(3, matrices)
+        assert (err.type, str(err.value)) == (ValueError, message)
 
     def test_name_parsing_case_insensitive(self):
         assert CorrelationStructure.from_name("CS") is CS

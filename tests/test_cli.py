@@ -1,5 +1,6 @@
 """Command-line subcommands, exercised through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,12 +8,25 @@ import pytest
 
 from qifaux import (
     ColumnSchema,
+    CorrelationStructure,
+    ExtendedScoreConfig,
+    FitOptions,
+    MarginalModelSpec,
     SimulationDesign,
+    build_basis,
+    emit_report,
+    fit,
     generate_dataset,
+    load_dataset,
+    parse_design_config,
     parse_structured_report,
+    profile_test,
     replication_rng,
+    run_monte_carlo,
+    standardize_columns,
     write_dataset,
 )
+from qifaux import cli
 from qifaux.cli import main
 
 SCHEMA = ColumnSchema("id", "time", "y", ("x1", "x2"))
@@ -350,3 +364,244 @@ def test_bad_constraint_token_names_flag(data_file, pair, message, capsys):
     ])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# The tests below pin what each subcommand reads from its flags, through
+# main() and against the library calls the flags stand for.
+
+CS_CONFIG = ExtendedScoreConfig(
+    MarginalModelSpec.gaussian(), build_basis(CorrelationStructure.COMPOUND_SYMMETRY, 3), None
+)
+
+
+def _panel(path):
+    return load_dataset(path, SCHEMA).dataset
+
+
+def test_fit_standardize_all_with_response(data_file, tmp_path, capsys):
+    out = tmp_path / "fit.jsonl"
+    code = main([
+        "fit", "--data", str(data_file), "--working", "cs", "--standardize", "all",
+        "--standardize-response", "--format", "structured", "--out", str(out),
+    ])
+    assert code == 0
+    dataset, info = standardize_columns(_panel(data_file), [0, 1], include_response=True)
+    expected = emit_report({"qif": fit(CS_CONFIG, dataset)}, "structured")
+    assert out.read_text() == expected
+    assert capsys.readouterr().err.splitlines() == [
+        "# standardized (sample SD): "
+        f"x1: mean={info.column_means[0]:.6g} sd={info.column_sds[0]:.6g}, "
+        f"x2: mean={info.column_means[1]:.6g} sd={info.column_sds[1]:.6g}",
+        f"# standardized response: mean={info.response_mean:.6g} sd={info.response_sd:.6g}",
+    ]
+
+
+def test_holdout_without_analysis_size_exits_nonzero(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text(FOUR_GROUPS)
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", "holdout",
+    ])
+    assert code == 1
+    assert "error: --phi holdout requires --analysis-size" in capsys.readouterr().err
+
+
+def test_dropped_subjects_note(data_file, tmp_path, capsys):
+    lines = data_file.read_text().splitlines(keepends=True)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:1] + lines[2:]))
+    code = main(["fit", "--data", str(short), "--working", "cs"])
+    assert code == 0
+    assert capsys.readouterr().err == "# dropped 1 incomplete subjects\n"
+
+
+@pytest.mark.parametrize(
+    "phi_text, message",
+    [
+        ("-0.5,-0.5\n0,0,0\n", "--phi {phi}: line 1: phi vector has 2 entries, need q=3"),
+        ("-0.5,-0.5,-0.5\n", "phi file defines 1 vectors for 2 subgroups"),
+    ],
+    ids=["length", "count"],
+)
+def test_bad_phi_file_shape_exits_nonzero(data_file, tmp_path, capsys, phi_text, message):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,2] == 1\ncol[1,2] == 0\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text(phi_text)
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", str(phi),
+    ])
+    assert code == 1
+    assert f"error: {message.format(phi=phi)}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "qq"])
+def test_constrain_without_equals_exits_nonzero(data_file, tmp_path, capsys, command):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    source = ["--data", str(data_file)] if command == "test" else ["--config", str(cfg)]
+    code = main([command, *source, "--constrain", "1"])
+    assert code == 1
+    assert "error: constraint must look like INDEX=VALUE, got '1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "aux_mode, methods",
+    [("none", ["qif"]), ("four_group", ["qif", "gmmai2", "gmmai4"])],
+)
+def test_simulate_default_methods(tmp_path, aux_mode, methods):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN.replace("two_group", aux_mode).replace("n = 80", "n = 150"))
+    out = tmp_path / "mc.jsonl"
+    code = main([
+        "simulate", "--config", str(cfg), "--reps", "2", "--format", "structured",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert [json.loads(line)["method"] for line in out.read_text().splitlines()] == methods
+
+
+def _commands(data_file, cfg):
+    return {
+        "fit": ["fit", "--data", str(data_file), "--working", "cs"],
+        "test": ["test", "--data", str(data_file), "--working", "cs", "--constrain", "1=0.5"],
+        "simulate": ["simulate", "--config", str(cfg), "--reps", "2"],
+        "qq": ["qq", "--config", str(cfg), "--constrain", "1=0.5", "--reps", "3"],
+    }
+
+
+@pytest.mark.parametrize("command", ["fit", "test", "simulate", "qq"])
+def test_output_goes_to_stdout_without_out(data_file, tmp_path, capsys, command):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    argv = _commands(data_file, cfg)[command]
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text() != ""
+
+
+def test_fit_two_step_reaches_fit_options(data_file, tmp_path):
+    out = tmp_path / "fit.jsonl"
+    code = main([
+        "fit", "--data", str(data_file), "--working", "cs", "--two-step",
+        "--format", "structured", "--out", str(out),
+    ])
+    assert code == 0
+    dataset = _panel(data_file)
+    two_step = fit(CS_CONFIG, dataset, options=FitOptions(two_step=True))
+    assert out.read_text() == emit_report({"qif": two_step}, "structured")
+    assert out.read_text() != emit_report({"qif": fit(CS_CONFIG, dataset)}, "structured")
+
+
+def test_test_two_step_reaches_fit_options(data_file, tmp_path):
+    out = tmp_path / "test.txt"
+    code = main([
+        "test", "--data", str(data_file), "--working", "cs", "--two-step",
+        "--constrain", "1=0.5", "--out", str(out),
+    ])
+    assert code == 0
+    outcome = profile_test(
+        CS_CONFIG, _panel(data_file), (0,), (0.5,), options=FitOptions(two_step=True)
+    )
+    assert out.read_text().splitlines()[0] == f"statistic {outcome.statistic!r}"
+
+
+def test_simulate_two_step_reaches_fit_options(tmp_path):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    out = tmp_path / "mc.jsonl"
+    code = main([
+        "simulate", "--config", str(cfg), "--reps", "3", "--two-step",
+        "--format", "structured", "--out", str(out),
+    ])
+    assert code == 0
+    design = dataclasses.replace(parse_design_config(DESIGN), replications=3)
+    summaries = run_monte_carlo(design, ["qif", "gmmai2"], options=FitOptions(two_step=True))
+    assert out.read_text() == emit_report(summaries, "structured")
+
+
+@pytest.mark.parametrize("command", ["fit", "test"])
+def test_allow_empty_subgroups_reaches_fit_options(data_file, tmp_path, capsys, command):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,1] >= 100\ncol[1,1] < 100\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text("0,0,0\n0,0,0\n")
+    out = tmp_path / "out.txt"
+    argv = _commands(data_file, None)[command] + [
+        "--aux", str(groups), "--phi", str(phi), "--out", str(out),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: subgroup 0 contains no subjects\n"
+    assert main([*argv, "--allow-empty-subgroups"]) == 0
+    if command == "fit":
+        assert main([*argv, "--allow-empty-subgroups", "--format", "structured"]) == 0
+        assert parse_structured_report(out.read_text())["gmmai"].dropped_groups == (0,)
+
+
+def test_simulate_allow_empty_subgroups_reaches_fit_options(tmp_path, monkeypatch):
+    seen = []
+
+    def record(design, methods, options, n_jobs):
+        seen.append(options)
+        return {}
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record)
+    monkeypatch.setattr(cli, "emit_report", lambda summaries, format: "")
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    assert main(["simulate", "--config", str(cfg), "--allow-empty-subgroups"]) == 0
+    assert seen == [FitOptions(allow_empty_subgroups=True)]
+
+
+@pytest.mark.parametrize("command", ["fit", "test"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--analysis-size", "30"], "--analysis-size requires --phi holdout"),
+        (["--seed", "9"], "--seed requires --phi holdout"),
+        (["--standardize-response"], "--standardize-response requires --standardize"),
+    ],
+    ids=["analysis-size", "seed", "standardize-response"],
+)
+def test_flag_outside_its_mode_exits_nonzero(data_file, capsys, command, flags, message):
+    """A flag read only in another mode is refused rather than ignored."""
+    code = main(_commands(data_file, None)[command] + flags)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_seed_with_phi_file_exits_nonzero(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("col[1,2] == 1\ncol[1,2] == 0\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text("-0.5,-0.5,-0.5\n0,0,0\n")
+    code = main([
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", str(phi),
+        "--seed", "3",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed requires --phi holdout\n"
+
+
+def test_holdout_split_seed_defaults_to_zero(data_file, tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_text(FOUR_GROUPS)
+    argv = [
+        "fit", "--data", str(data_file), "--aux", str(groups), "--phi", "holdout",
+        "--analysis-size", "120", "--format", "structured", "--out",
+    ]
+    outputs = []
+    for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+        out = tmp_path / f"fit{len(outputs)}.jsonl"
+        assert main([*argv, str(out), *seed]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_test_rejects_format(data_file):
+    """`test` writes one fixed text layout, so it takes no --format."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(_commands(data_file, None)["test"] + ["--format", "structured"])
+    assert exit_info.value.code == 2

@@ -475,6 +475,23 @@ class TestFit:
         with pytest.raises(ValueError, match="init must be finite"):
             fit(cfg, ds, init=[value, 0.0])
 
+    @pytest.mark.parametrize(
+        "basis_q, phi, init, message",
+        [
+            (4, None, None, "basis dimension 4 does not match data q=3"),
+            (3, (np.zeros(2), np.zeros(2)), None, "phi vectors must have length q"),
+            (3, None, np.zeros(3), "init must have shape (2,)"),
+        ],
+        ids=["basis-q", "phi-length", "init-shape"],
+    )
+    def test_mismatched_shapes_rejected(self, basis_q, phi, init, message):
+        ds = random_dataset(np.random.default_rng(3))
+        aux = None if phi is None else AuxiliaryInfo(sign_partition(), phi)
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, basis_q), aux)
+        with pytest.raises(ValueError) as err:
+            fit(cfg, ds, init=init)
+        assert (err.type, str(err.value)) == (ValueError, message)
+
     @pytest.mark.parametrize("link", ["identity", "logit"])
     def test_covariance_is_the_inverse_normal_matrix(self, link):
         """Oracle: the covariance equals inv(G' W G) / n with G and W built
@@ -1585,6 +1602,12 @@ class TestIntervalsAndEfficiency:
         assert hi == pytest.approx(0.5784, abs=5e-5)
         lo2, hi2 = wald_interval(fixed, 1)
         assert lo2 == hi2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0])
+    def test_wald_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError) as err:
+            wald_interval(self._result(), 0, level)
+        assert (err.type, str(err.value)) == (ValueError, "level must be in (0, 1)")
 
     def test_relative_efficiency(self):
         res = self._result()

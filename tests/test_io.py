@@ -225,6 +225,13 @@ class TestLoadDataset:
             load_dataset(stdio.StringIO(text), SCHEMA)
         assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(EmptyDataset) as err:
+            load_dataset(path, SCHEMA)
+        assert (err.type, str(err.value)) == (EmptyDataset, "file has no header")
+
     def test_time_beyond_pinned_q(self):
         schema = ColumnSchema("id", "time", "y", ("x1", "x2"), q=2)
         with pytest.raises(MalformedRow):
@@ -633,6 +640,16 @@ class TestLoadDataset:
             write_dataset(ds, buf, SCHEMA)
         assert buf.getvalue() == ""
 
+    def test_write_rejects_schema_of_other_width(self):
+        ds = LongitudinalDataset(np.zeros((2, 2)), np.ones((2, 2, 3)))
+        buf = stdio.StringIO()
+        with pytest.raises(ValueError) as err:
+            write_dataset(ds, buf, SCHEMA)
+        assert (err.type, str(err.value)) == (
+            ValueError, "schema covariate count must match dataset"
+        )
+        assert buf.getvalue() == ""
+
 
 class TestStandardize:
     def test_constant_column_rejected(self):
@@ -807,6 +824,20 @@ class TestReports:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(self._fit_results(), "yaml")
+
+    @pytest.mark.parametrize(
+        "results, error, message",
+        [
+            ({}, ValueError, "results must be a non-empty mapping or FitResult"),
+            ([], ValueError, "results must be a non-empty mapping or FitResult"),
+            ({"qif": 1.5}, TypeError, "cannot report values of type float"),
+        ],
+        ids=["empty", "list", "float"],
+    )
+    def test_unreportable_results_rejected(self, results, error, message):
+        with pytest.raises(error) as err:
+            emit_report(results)
+        assert (err.type, str(err.value)) == (error, message)
 
 
 class TestDesignConfig:

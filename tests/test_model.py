@@ -153,6 +153,9 @@ class TestSpec:
         assert MarginalModelSpec() == MarginalModelSpec.gaussian()
 
 
+NDIM_MESSAGE = "responses must be (n, q) and covariates (n, q, p)"
+
+
 class TestDataset:
     def test_shape_consistency(self):
         with pytest.raises(ValueError):
@@ -164,6 +167,24 @@ class TestDataset:
         x[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             LongitudinalDataset(y, x)
+
+    @pytest.mark.parametrize(
+        "y, x, ids, message",
+        [
+            (np.zeros(3), np.zeros((3, 2, 1)), (), NDIM_MESSAGE),
+            (np.zeros((3, 2)), np.zeros((3, 2)), (), NDIM_MESSAGE),
+            (np.zeros((0, 2)), np.zeros((0, 2, 1)), (), "dataset needs at least one subject"),
+            (
+                np.zeros((2, 2)), np.zeros((2, 2, 1)), ("a",),
+                "subject_ids length must equal number of subjects",
+            ),
+        ],
+        ids=["responses-ndim", "covariates-ndim", "no-subjects", "ids-length"],
+    )
+    def test_malformed_dataset_rejected(self, y, x, ids, message):
+        with pytest.raises(ValueError) as err:
+            LongitudinalDataset(y, x, ids)
+        assert (err.type, str(err.value)) == (ValueError, message)
 
     def test_roundtrip_through_subjects(self):
         rng = np.random.default_rng(4)

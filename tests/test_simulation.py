@@ -11,6 +11,7 @@ import qifaux.simulation as sim
 from qifaux import (
     CorrelationStructure,
     ExtendedScoreConfig,
+    MalformedRow,
     MarginalModelSpec,
     PhiSource,
     SimulationDesign,
@@ -112,6 +113,21 @@ class TestGenerateDataset:
                 parse_design_config(f"n = 10\n{key} = {value}\n")
         # the largest Philox key still makes a design
         assert SimulationDesign(n=10, seed=2**128 - 1).seed == 2**128 - 1
+
+    @pytest.mark.parametrize("beta_true", [(0.5,), (0.5, -0.5, 0.0)])
+    def test_beta_true_of_other_length_rejected(self, beta_true):
+        with pytest.raises(ValueError) as err:
+            SimulationDesign(n=10, beta_true=beta_true)
+        assert (err.type, str(err.value)) == (
+            ValueError, "bundled designs use a two-dimensional coefficient"
+        )
+
+    def test_design_line_without_equals_rejected(self):
+        with pytest.raises(MalformedRow) as err:
+            parse_design_config("n = 10\nreps 5\n")
+        assert (err.type, str(err.value)) == (
+            MalformedRow, "line 2: expected key=value, got 'reps 5'"
+        )
 
 
 class TestReplicationStreams:
@@ -238,6 +254,11 @@ class TestRunMonteCarlo:
         design = SimulationDesign(n=60, seed=5, replications=3)
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(design, methods, hypotheses=hypotheses)
+
+    def test_no_methods_rejected(self):
+        with pytest.raises(ValueError) as err:
+            run_monte_carlo(SimulationDesign(n=60, seed=5, replications=2), [])
+        assert (err.type, str(err.value)) == (ValueError, "need at least one method")
 
     def test_qif_relative_efficiency_is_exactly_one(self):
         design = SimulationDesign(n=60, seed=7, replications=10)
