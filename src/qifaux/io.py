@@ -43,6 +43,7 @@ _UNPLAIN = "\0\x1c\x1d\x1e\x1f"
 _DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 _NOT_DIGIT_OR_DELIMITER = bytes(sorted(set(range(256)) - set(b"0123456789,\n\r")))
 _NOT_QUOTE_OR_DELIMITER = bytes(sorted(set(range(256)) - set(b'",\n\r')))
+_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,17 +102,32 @@ def _parse_row(width, at_sid, at_time, cell_columns, q, fields):
 
 
 def _columns(ids, times, cells):
-    """Parsed rows' ids, time indices and cells, the last two as arrays."""
+    """Parsed rows' ids, time indices and cells, as arrays."""
     try:
         times = np.array(times, dtype=np.int64)
     except OverflowError:
         # exact Python ints, so that huge indices still compare and repeat
         times = np.array(times, dtype=object)
-    return ids, times, np.array(cells, float)
+    return np.array(ids, dtype=object), times, np.array(cells, float)
+
+
+def _subjects(ids):
+    """The stripped ids by first appearance, and each row's index; one lookup per run of ids."""
+    change = np.ones(len(ids), bool)
+    change[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(change)
+    heads = list(map(str.strip, ids[starts].tolist()))
+    subjects = dict.fromkeys(heads)
+    if len(subjects) == len(heads):  # each subject's rows are one run
+        slots = np.arange(len(heads))
+    else:
+        index = {sid: k for k, sid in enumerate(subjects)}
+        slots = np.fromiter(map(index.__getitem__, heads), np.intp, len(heads))
+    return list(subjects), np.repeat(slots, np.diff(starts, append=len(ids)))
 
 
 def _parse_rows(reader, parse_row):
-    """The exact route: the reader's rows up to the first bad one, and its error.
+    """The exact route: the subjects, times and cells up to the first bad row, and its error.
 
     The error is ``(line, message, cause)`` for the first row ``parse_row``
     rejects or the reader's csv.Error, which ranks after every row read
@@ -128,33 +144,39 @@ def _parse_rows(reader, parse_row):
         error = (reader.line_num, str(err), None)
     except csv.Error as err:
         error = (reader.line_num, str(err), err)
-    return *_columns(ids, times, cells), error
+    ids, times, cells = _columns(ids, times, cells)
+    return _subjects(ids), times, cells, error
 
 
-def _parse_plain(text, width, columns, q, parse_row):
-    """The ids, times and cells of a plain body, no error and its line finder; or None.
+def _parse_plain(text, raw, width, columns, q, parse_row):
+    """The subjects, times and cells of a plain body, no error and its line finder; or None.
 
     A plain body (see load_dataset) splits into the CSV reader's records at
     each "\\n" and into its fields at each comma. ``parse_row`` parses its
     lines with a digitless numeric field, most often a missing-value token,
     and numpy the others, each token only to the value the exact route
     gives it. Any other body, or a row numpy or a rule rejects, gives None
-    and is left to the exact route, which reports the errors.
+    and is left to the exact route, which reports the errors. ``raw`` is
+    ``text`` as UTF-8 bytes.
     """
     if any(map(text.__contains__, _UNPLAIN)) or len(set(columns)) < len(columns):
         return None
-    found = _plain_fields(text, columns[1:])
+    found = _plain_fields(raw, columns[1:])
     if found is None:
         return None
     lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    # no line is over the limit if each whole block of step characters has a "\n"
+    limit = csv.field_size_limit()
+    step = limit // 2 + 1
+    blocks = range(0, len(text) - step + 1, step)
+    if not all(text.find("\n", k, k + step) + 1 for k in blocks) and max(map(len, lines)) > limit:
         return None
     missing, at = found
     try:
         rows = [parse_row(fields) for fields in csv.reader(lines[i] for i in missing)]
     except (ValueError, csv.Error):
         return None
-    shown = lines.copy()
+    shown = lines.copy() if missing.size else lines
     for i in missing:
         shown[i] = ""  # numpy skips a blank line
     at_sid, at_time, *at_cells = columns
@@ -180,10 +202,10 @@ def _parse_plain(text, width, columns, q, parse_row):
         order = np.argsort(np.concatenate([places, at]), kind="stable")
         pairs = zip((ids, times, cells), _columns(*zip(*rows)))
         ids, times, cells = (np.concatenate(pair)[order] for pair in pairs)
-    ids = list(map(str.strip, ids.tolist()))
-    if "" in ids or (times < 1).any() or (q is not None and (times > q).any()):
+    names, slot = _subjects(ids)
+    if "" in names or (times < 1).any() or (q is not None and (times > q).any()):
         return None
-    return ids, times, cells, None, partial(_plain_line_of, lines)
+    return (names, slot), times, cells, None, partial(_plain_line_of, lines)
 
 
 def _plain_line_of(lines, row):
@@ -192,7 +214,7 @@ def _plain_line_of(lines, row):
     return next(islice(numbers, row, None))
 
 
-def _plain_fields(text, numeric):
+def _plain_fields(raw, numeric):
     """The lines with a digitless field in a ``numeric`` column, and their data rows; or None.
 
     None unless the body splits into the CSV reader's records at each
@@ -201,20 +223,26 @@ def _plain_fields(text, numeric):
     index in ``text.split("\\n")``, the header's being 0, and a data row is
     a line with a comma, as numpy and the CSV reader skip a blank line. A
     body with no digit has no valid row: the exact route is cheaper for it.
+    ``raw`` is the body as UTF-8 bytes.
     """
-    raw = text.encode("utf-8", "surrogatepass")
     # the CSV reader quotes a field only from its first byte: if each run of
     # quotes between delimiters has even length, no quoted field holds a
     # delimiter and every quote is closed
-    if b'"' in raw and b'"' in raw.translate(None, _NOT_QUOTE_OR_DELIMITER).replace(b'""', b""):
+    quoted = b'"' in raw
+    if quoted and b'"' in raw.translate(None, _NOT_QUOTE_OR_DELIMITER).replace(b'""', b""):
         return None
+    start = raw.find(b"\n")  # the header's line end
+    if start < 0:
+        return None
+    if not quoted and _every_field_has_a_digit(raw, start):
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     digits = raw.translate(_DIGITS, _NOT_DIGIT_OR_DELIMITER)
     marks = np.frombuffer(digits, np.uint8)
     cr = np.flatnonzero(marks == ord("\r"))
     if cr.size and (cr[-1] + 1 == marks.size or (marks[cr + 1] != ord("\n")).any()):
         return None
-    start = digits.find(b"\n")  # the header's line end
-    if start < 0 or digits.find(b"0", start) < 0:
+    start = digits.find(b"\n")
+    if digits.find(b"0", start) < 0:
         return None
     marks = marks[start:]
     if marks[-1] != ord("\n"):
@@ -238,13 +266,25 @@ def _plain_fields(text, numeric):
     return lines, rows[lines - 1]
 
 
-def _first_duplicate(slot, time):
-    """Index of the first row repeating an earlier row's (slot, time), or None."""
-    order = np.lexsort((time, slot))
-    slot, time = slot[order], time[order]
-    again = (slot[1:] == slot[:-1]) & (time[1:] == time[:-1])
-    # lexsort is stable: within a repeated pair the first row sorts first
-    return int(order[1:][again].min()) if again.any() else None
+def _every_field_has_a_digit(raw, start):
+    """Whether each field after the line end at ``start`` has a digit and each "\\r" ends a line.
+
+    A digitless field puts a non-digit (its last byte, or the delimiter
+    before it) before a byte below "-" (the comma or line end after it).
+    So does each "\\r\\n"; any other such pair only makes the answer
+    False more often. Pieces of the body keep the temporaries in cache.
+    """
+    if raw.find(b"\r", 0, start) not in (-1, start - 1) or not raw.endswith(b"\n"):
+        return False
+    body = np.frombuffer(raw, np.uint8)[start:]
+    for k in range(0, body.size - 1, _PIECE):
+        y = body[k + 1:k + 1 + _PIECE]
+        x = body[k:k + y.size]
+        cr = x == ord("\r")
+        pairs = np.count_nonzero((x - np.uint8(ord("0")) > 9) & (y < ord("-")))
+        if not pairs == np.count_nonzero(cr & (y == ord("\n"))) == np.count_nonzero(cr):
+            return False
+    return body.size > 1
 
 
 def _lines(text):
@@ -302,9 +342,11 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     """
     if hasattr(path, "read"):
         text = path.read()
+        raw = text.encode("utf-8", "surrogatepass")
     else:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        text = raw.decode("utf-8")
     reader = csv.reader(_lines(text))
     try:
         header = next(reader, None)
@@ -327,31 +369,31 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
         schema.q,
     )
     columns = [position[c] for c in needed]
-    ids, time, cells, error, line_of = _parse_plain(
-        text, len(header), columns, schema.q, parse_row
+    (subjects, slot), time, cells, error, line_of = _parse_plain(
+        text, raw, len(header), columns, schema.q, parse_row
     ) or (*_parse_rows(reader, parse_row), partial(_line_of, text))
 
-    index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
-    slot = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
-    row = _first_duplicate(slot, time)
-    if row is not None:
-        raise UnbalancedSubject(ids[row], line_of(row))
+    # one stable sort by (slot, time) finds the duplicates and lays out the grid
+    order = np.lexsort((time, slot))
+    by_slot, by_time = slot[order], time[order]
+    again = (by_slot[1:] == by_slot[:-1]) & (by_time[1:] == by_time[:-1])
+    if again.any():
+        # within a repeated pair the first row sorts first
+        row = int(order[1:][again].min())
+        raise UnbalancedSubject(subjects[slot[row]], line_of(row))
     if error is not None:
         raise MalformedRow(*error[:2]) from error[2]
-    if not ids:
+    if not subjects:
         raise EmptyDataset("file contains no data rows")
 
     q = schema.q if schema.q is not None else int(time.max())
     # with duplicates rejected and 1 <= t <= q, only a subject with q rows
-    # can be complete, so only those get a slot in the grid: it never holds
-    # more values than the rows read, whatever the time indices are
-    complete = np.zeros(len(index), bool)
-    if q <= len(ids):
-        complete = np.bincount(slot, minlength=len(index)) == q
-        kept = complete[slot]
-        grid = np.full((np.count_nonzero(complete), q, cells.shape[1]), np.nan)
-        at = (np.cumsum(complete) - 1)[slot[kept]], time[kept].astype(np.intp) - 1
-        grid[at] = cells[kept]
+    # can be complete, and its rows sort into one block of q in time order:
+    # the grid holds only those, never more values than the rows read
+    complete = np.zeros(len(subjects), bool)
+    if q <= len(time):
+        complete = np.bincount(slot, minlength=len(subjects)) == q
+        grid = cells[order[complete[by_slot]]].reshape(-1, q, cells.shape[1])
         # a kept subject fills every time point, so a non-finite value is
         # a missing cell
         full = np.isfinite(grid).all(axis=(1, 2))
@@ -359,9 +401,9 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     if not complete.any():
         raise EmptyDataset("no subject has complete data")
     dataset = LongitudinalDataset(
-        grid[full, :, 0], grid[full, :, 1:], tuple(compress(index, complete))
+        grid[full, :, 0], grid[full, :, 1:], tuple(compress(subjects, complete))
     )
-    return LoadResult(dataset, tuple(compress(index, ~complete)))
+    return LoadResult(dataset, tuple(compress(subjects, ~complete)))
 
 
 def write_dataset(dataset: LongitudinalDataset, path, schema: ColumnSchema | None = None):
@@ -466,6 +508,8 @@ def split_sample(
         raise InvalidSize(
             f"analysis size must be in 1..{n - 1}, got {analysis_size}"
         )
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     perm = np.random.default_rng(seed).permutation(n)
     analysis_idx = np.sort(perm[:analysis_size])
     holdout_idx = np.sort(perm[analysis_size:])

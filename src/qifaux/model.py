@@ -75,6 +75,8 @@ class LongitudinalDataset:
             )
         if y.shape[0] < 1:
             raise ValueError("dataset needs at least one subject")
+        if x.shape[2] < 1:
+            raise ValueError("dataset needs at least one covariate")
         if not (np.isfinite(y).all() and np.isfinite(x).all()):
             raise ValueError("responses and covariates must be finite")
         object.__setattr__(self, "responses", y)

@@ -251,6 +251,27 @@ def test_predicate_outside_data_exits_nonzero(data_file, tmp_path, capsys):
     assert "error: predicate col[5,1] >= 0" in capsys.readouterr().err
 
 
+def test_no_covariates_exits_nonzero(data_file, capsys):
+    code = main(["fit", "--data", str(data_file), "--covariate-cols", ""])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: dataset needs at least one covariate" in err
+    assert "Traceback" not in err
+
+
+def test_holdout_negative_seed_exits_nonzero(data_file, tmp_path, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text(FOUR_GROUPS)
+    code = main([
+        "fit", "--data", str(data_file), "--working", "cs", "--aux", str(groups),
+        "--phi", "holdout", "--analysis-size", "120", "--seed", "-1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be non-negative" in err
+    assert "Traceback" not in err
+
+
 def test_bad_working_structure_exits_nonzero(data_file, capsys):
     code = main(["fit", "--data", str(data_file), "--working", "toeplitz"])
     assert code == 1

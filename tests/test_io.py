@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import io as stdio
 import json
+import os
 import string
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -56,6 +58,7 @@ b,1,-0.1,0.5,1.0
 b,2,-0.2,0.0,1.0
 b,3,-0.3,-0.5,1.0
 """
+NUMERIC_IDS = CLEAN.replace("a,", "1,").replace("b,", "2,")
 
 _ID_TOKENS = st.text('ab ,"\n#\x0b\x0c\x1c\x85\xa0\u2028', max_size=3)
 _TIME_TOKENS = [
@@ -155,6 +158,11 @@ def _numpy_route(text, schema):
         out = _outcome(load_dataset, text, schema)
     assert loadtxt.call_count == 1
     return out, parse_row.call_count
+
+
+def _from_file(loader, path):
+    """A loader for _outcome that reads ``path`` in place of the text it is given."""
+    return lambda _source, schema: loader(path, schema)
 
 
 class TestLoadDataset:
@@ -551,6 +559,24 @@ class TestLoadDataset:
         with mock.patch.object(qio.np, "loadtxt", side_effect=AssertionError("numpy route")):
             assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            NUMERIC_IDS.replace("2,2,-0.2,", "2,2,-0.2\r5,"),
+            "id,time,y,x1,x2\r\r\n" + NUMERIC_IDS[16:],
+            "id,time,y,x1,x2\r\n",
+        ],
+        ids=["bare-cr-in-field", "cr-cr-lf-header", "header-line-only"],
+    )
+    def test_bare_carriage_return_or_empty_body_skips_numpy(self, text):
+        # every field holds a digit, so only the "\r" and row checks see these
+        with mock.patch.object(qio.np, "loadtxt", side_effect=AssertionError("numpy route")):
+            assert _outcome(load_dataset, text, SCHEMA) == _outcome(load_dataset_by_rows, text, SCHEMA)
+
+    def test_digitless_last_field_without_line_end_is_parsed_by_row(self):
+        text = NUMERIC_IDS.replace("-0.5,1.0\n", "-0.5,NA")
+        assert _numpy_route(text, SCHEMA) == (_outcome(load_dataset_by_rows, text, SCHEMA), 1)
+
     def test_digitless_id_and_unused_field_keep_the_numpy_route(self):
         # the time column comes first, so a blank line's lone empty field is in it
         rows = [row.split(",", 2) for row in CLEAN.splitlines()[1:]]
@@ -588,6 +614,39 @@ class TestLoadDataset:
     def test_matches_row_by_row_reference(self, case):
         text, schema = case
         assert _outcome(load_dataset, text, schema) == _outcome(load_dataset_by_rows, text, schema)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=malformed_files())
+    def test_file_matches_stringio(self, case):
+        # the file is read as bytes, and its "\r\n" line ends survive
+        text, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            out = _outcome(_from_file(load_dataset, path), text, schema)
+        assert out == _outcome(load_dataset, text, schema)
+
+    def test_invalid_utf8_file_raises(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(CLEAN.encode().replace(b"b,2,", b"b\xff,2,"))
+        with pytest.raises(UnicodeDecodeError):
+            load_dataset(path, SCHEMA)
+
+    def test_shuffled_crlf_file_matches_reference(self, tmp_path):
+        # subjects' rows are scattered, so each id appears in many runs
+        ds = generate_dataset(SimulationDesign(n=500, seed=36), replication_rng(36, 0, 0))
+        buf = stdio.StringIO()
+        write_dataset(ds, buf, SCHEMA)
+        header, *rows = buf.getvalue().splitlines(keepends=True)
+        rows = [rows[i] for i in np.random.default_rng(36).permutation(len(rows))]
+        path = tmp_path / "panel.csv"
+        path.write_bytes("".join([header, *rows]).encode())
+        out = _outcome(_from_file(load_dataset, path), "", SCHEMA)
+        assert out == _outcome(_from_file(load_dataset_by_rows, path), "", SCHEMA)
+        assert header.endswith("\r\n") and out[2] == ()
+        assert out[1] == tuple(dict.fromkeys(row.split(",", 1)[0] for row in rows))
+        assert sorted(out[1], key=int) == list(map(str, ds.subject_ids))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -730,6 +789,13 @@ class TestSplitSample:
         for bad in (0, 10, 11):
             with pytest.raises(InvalidSize):
                 split_sample(ds, bad, seed=0)
+
+    def test_negative_seed_rejected(self):
+        design = SimulationDesign(n=10, seed=34, replications=1)
+        ds = generate_dataset(design, replication_rng(34, 0, 0))
+        with pytest.raises(ValueError) as err:
+            split_sample(ds, 4, seed=-1)
+        assert (err.type, str(err.value)) == (ValueError, "seed must be non-negative")
 
 
 class TestReports:

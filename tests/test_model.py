@@ -174,12 +174,13 @@ class TestDataset:
             (np.zeros(3), np.zeros((3, 2, 1)), (), NDIM_MESSAGE),
             (np.zeros((3, 2)), np.zeros((3, 2)), (), NDIM_MESSAGE),
             (np.zeros((0, 2)), np.zeros((0, 2, 1)), (), "dataset needs at least one subject"),
+            (np.zeros((3, 2)), np.zeros((3, 2, 0)), (), "dataset needs at least one covariate"),
             (
                 np.zeros((2, 2)), np.zeros((2, 2, 1)), ("a",),
                 "subject_ids length must equal number of subjects",
             ),
         ],
-        ids=["responses-ndim", "covariates-ndim", "no-subjects", "ids-length"],
+        ids=["responses-ndim", "covariates-ndim", "no-subjects", "no-covariates", "ids-length"],
     )
     def test_malformed_dataset_rejected(self, y, x, ids, message):
         with pytest.raises(ValueError) as err:
