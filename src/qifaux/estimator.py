@@ -27,10 +27,12 @@ evaluation, so its advantage narrows as p grows. Other links recompute the
 per-subject contributions at each evaluation and take the same gradient
 with the exact contribution Jacobian, contracted with Sigma^{-1} g_n before
 the sum over subjects. The Gauss-Newton metric and the plug-in covariance
-use the truncated mean Jacobian G_n under both links; restricted
-identity-link CUE solves step with the exact, n-free Hessian where it is
-positive definite, as that metric misses the weight-derivative curvature a
-false null brings.
+use the truncated mean Jacobian G_n under both links. Continuously-updated
+solves step with the exact Hessian where it is positive definite, as that
+metric misses the weight-derivative curvature that a false null or
+strongly-off auxiliary targets bring: restricted identity-link solves with
+the n-free Hessian of the Gram pass, logit fits and restricted solves with
+one assembled from the terms of the gradient they just computed.
 
 Each problem's search is one serial loop (``_search``), and the solver
 drives the loops of a stack of problems that share one method in lockstep:
@@ -44,12 +46,13 @@ with nothing free.
 
 Each evaluation factors Sigma_n with one symmetric eigendecomposition and
 returns a record of the terms the gradient needs (the Gram cross product
-under the identity link; otherwise the link terms and the contributions g_i,
-from which the gradient reads g_i' Sigma^{-1} g_n), so the gradient at an
-accepted point recomputes none of them. Each direction factors the normal
-matrix G_f' W G_f of the free coordinates with one more, which gives the
-rank check, the Gauss-Newton step and, at a fit's solution, the plug-in
-covariance; a Newton step factors H_ff the same way.
+under the identity link; otherwise the link terms, the score products
+M_l A^(-1/2) (Y_i - mu_i) and the contributions g_i, from which the gradient
+reads g_i' Sigma^{-1} g_n), so the gradient at an accepted point recomputes
+none of them, and the logit Hessian there reuses the gradient's terms. Each
+direction factors the normal matrix G_f' W G_f of the free coordinates with
+one more, which gives the rank check, the Gauss-Newton step and, at a fit's
+solution, the plug-in covariance; a Newton step factors H_ff the same way.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,11 +84,10 @@ from .model import (
     Link,
     LongitudinalDataset,
     MarginalModelSpec,
+    link_derivatives,
     mean_curve,
     mean_derivative,
-    mean_second_derivative,
     variance_function,
-    variance_weight_derivative,
 )
 
 # Pseudo-inverse cutoff for Sigma_n: eigenvalues of magnitude at most
@@ -197,10 +200,13 @@ class _Assembler:
     # -- moment machinery ------------------------------------------------
 
     def _link_terms(self, beta):
-        """(mu, a, dmu), each (q, n), with a = v(mu)^(-1/2) and dmu = dmu/deta."""
+        """(mu, a, dmu, mixed) at beta: the means, a = v(mu)^(-1/2) and
+        dmu = dmu/deta, each (q, n), and the (L, q, n) products ``_mixed``,
+        which the contributions and the gradient share."""
         mu = mean_curve(self.spec, beta @ self.x_last)
-        a = variance_function(self.spec, mu) ** -0.5
-        return mu, a, mean_derivative(self.spec, mu)
+        dmu = mean_derivative(self.spec, mu)
+        a = 1.0 / np.sqrt(variance_function(self.spec, mu, dmu))
+        return mu, a, dmu, self._mixed(mu, a)
 
     def _mixed(self, mu, a):
         """(L, q, n) M_l A^(-1/2) (Y - mu) of every subject, from one product."""
@@ -211,15 +217,15 @@ class _Assembler:
         """(n, d) per-subject moment contributions at beta."""
         return self._contributions(*self._link_terms(beta)).T
 
-    def _contributions(self, mu, a, dmu):
+    def _contributions(self, mu, a, dmu, mixed):
         """(d, n) contributions: score row (l, b) sum_j x_ijb dmu_j a_j
-        (M_l A^(-1/2) r)_j, auxiliary row (k, j) member_ik (mu_ij - phi_kj).
-        a and dmu are (q, n) or scalars that broadcast."""
-        mixed = self._mixed(mu, a)
-        mixed *= a * dmu
+        mixed[l, j], auxiliary row (k, j) member_ik (mu_ij - phi_kj), with
+        mixed = ``_mixed(mu, a)``. a and dmu are (q, n) or scalars that
+        broadcast."""
         c = np.empty((self.n_score + self.phi.size, self.n))
         score, aux = c[: self.n_score], c[self.n_score :].reshape(-1, self.q, self.n)
-        np.einsum("ljn,jan->lan", mixed, self.x_last, out=score.reshape(-1, self.p, self.n))
+        out = score.reshape(-1, self.p, self.n)
+        np.einsum("ljn,jan->lan", mixed * (a * dmu), self.x_last, out=out)
         np.multiply(self.member_last[:, None], mu - self.phi[:, :, None], out=aux)
         return c
 
@@ -235,7 +241,8 @@ class _Assembler:
         n, q, p = self.n, self.q, self.p
         x = self.x_last
         z = np.empty((self.n_score + self.phi.size, p + 1, n))
-        z[:, 0] = self._contributions(beta @ x, 1.0, 1.0)
+        eta = beta @ x
+        z[:, 0] = self._contributions(eta, 1.0, 1.0, self._mixed(eta, 1.0))
         mx = (self.basis_stack.reshape(-1, q) @ x.reshape(q, -1)).reshape(-1, q, p, n)
         np.negative(mx, out=mx)
         score, aux = z[: self.n_score], z[self.n_score :].reshape(-1, q, p + 1, n)
@@ -245,54 +252,117 @@ class _Assembler:
 
     def jacobian(self, beta):
         """(d, p) derivative matrix G_n of the mean moment vector."""
-        _, a, dmu = self._link_terms(beta)
-        return self._mean_jacobian(a, dmu)
+        _, a, dmu, _ = self._link_terms(beta)
+        return self._mean_jacobian(self._times_x(a * dmu), self._times_x(dmu))
 
-    def _mean_jacobian(self, a, dmu):
-        """Mean over subjects of the truncated contribution Jacobians, from one
-        Gram matrix of the A^(-1/2) D_i. QIF blocks keep only -mudot' A^{-1/2}
-        M_l A^{-1/2} mudot, without the terms in d2mu/deta2 and in the variance
-        weights' derivatives: zero under the identity link, vanishing
-        asymptotically otherwise, where only the solver's gradient adds them
+    def _times_x(self, weights):
+        """(..., q, p, n) products weights[..., j, i] x_ij of (..., q, n)
+        weights, one multiplication per covariate: broadcasting over the
+        covariate axis instead runs numpy's loops at half the speed."""
+        out = np.empty(weights.shape[:-1] + (self.p, self.n))
+        for b in range(self.p):
+            np.multiply(weights, self.x_last[:, b], out=out[..., b, :])
+        return out
+
+    def _mean_jacobian(self, scaled, deriv):
+        """Mean over subjects of the truncated contribution Jacobians, from
+        the (q, p, n) products deriv = D_i (D_i = mudot_i x_i) and
+        scaled = A_i^(-1/2) D_i of every subject, with one Gram matrix of
+        the latter. QIF blocks keep only -mudot' A^{-1/2} M_l A^{-1/2} mudot,
+        without the terms in d2mu/deta2 and in the variance weights'
+        derivatives: zero under the identity link, vanishing asymptotically
+        otherwise, where only the solver's gradient and Hessian add them
         (``derivatives``). Auxiliary blocks are exact."""
-        deriv = dmu[:, None] * self.x_last
-        scaled = (a[:, None] * deriv).reshape(-1, self.n)
+        scaled = scaled.reshape(-1, self.n)
         gram = (scaled @ scaled.T / self.n).reshape(self.q, self.p, self.q, self.p)
         qif = -np.tensordot(self.basis_stack, gram, axes=([1, 2], [0, 2]))
         aux = self.member_last @ deriv.reshape(-1, self.n).T / self.n
         return np.concatenate([qif.reshape(-1, self.p), aux.reshape(-1, self.p)])
 
+    @cached_property
+    def x_outer(self):
+        """(p^2, q n) products x_ijb x_ijc, rows (b, c) and columns (j, i):
+        one product with it sums (q, n) weights times x_ij x_ij' over
+        subjects and times."""
+        x = self.x_last.transpose(1, 0, 2)
+        return (x[:, None] * x).reshape(self.p**2, -1)
+
     def derivatives(self, terms, u, continuous):
-        """(G_n, (1/n) sum_i c_i (dg_i/dbeta)' u) from the (mu, a, dmu, g) at beta.
+        """(G_n, (1/n) sum_i c_i J_i' u, hessian) from the terms
+        (mu, a, dmu, mixed, g) at beta.
 
-        dg_i/dbeta is the exact contribution Jacobian, and c_i = 1 - g_i' u
-        (g_i from g) under continuous updating, 1 with a frozen weight. Each
-        factor of g_i' u at time j (mudot_j, a_j and r_j = y_ij - mu_ij) moves
-        with beta only through x_ij' beta, so (dg_i/dbeta)' u = x_i' omega_i with
+        J_i = dg_i/dbeta is the exact contribution Jacobian, and
+        c_i = 1 - g_i' u (g_i from g) under continuous updating, 1 with a
+        frozen weight. g_i' u moves with beta only through each
+        eta_ij = x_ij' beta: with w = a mudot and t = a r (r = y_i - mu_i),
 
-            omega_j = along_j (mu''_j a_j + a'_j mudot_j^2)
-                      + mudot_j ((a'_j r_j - a_j) back_j + aux_j),
+            g_i' u = w' N0 t + sum_k member_ik u_k' (mu_i - phi_k),
+            N0[j, k] = sum_l (x_ij' u_l) M_l[j, k],
 
-        where mu'' = d2mu/deta2, a' = d v^(-1/2) / dmu,
-        along_j = sum_l (x_ij' u_l) (M_l A^(-1/2) r)_j,
-        back = sum_l M_l' A^(-1/2) D_i u_l and aux = sum_k member_ik u_k
-        over the score and auxiliary blocks u_l and u_k of u. Without the
-        mu'' and a' terms this is the truncated Jacobian, which gives G_n.
-        The cost is O(n q (L + p + K)); no per-subject Jacobian is formed.
+        so J_i' u = x_i' omega_i with
+
+            omega_j = w'_j along_j + t'_j back_j + mudot_j aux_j,
+
+        where ' is d/deta (w' = a' mudot + a mu'', t' = a' r - w),
+        along = N0 t = sum_l (x_ij' u_l) mixed[l],
+        back = N0' w = sum_l M_l' A^(-1/2) D_i u_l and
+        aux = sum_k member_ik u_k. Without the mu'' and a' terms this is the
+        truncated Jacobian, which gives G_n. The cost is O(n q (L + p + K));
+        no per-subject Jacobian is formed.
+
+        ``hessian(W)``, with u = W g, is the exact Hessian of Q_n / 2 under
+        continuous updating, from the same terms:
+
+            H = B' W B - V + S,  B = (1/n) sum_i (c_i J_i - g_i u' J_i),
+            V = (1/n) sum_i J_i' u u' J_i,  S = (1/n) sum_i c_i x_i' Psi_i x_i,
+
+        with Psi_i the Hessian of g_i' u in eta_i at fixed u:
+        diag(w'' along + t'' back + mu'' aux) + N + N', where
+        N[j, k] = w'_j t'_k N0[j, k]. Its sums over subjects are products
+        over n: of (q, n) weights with ``x_outer`` for the diagonal terms,
+        and of A^(-1/2) D_i and w' (x_i u_l) x_i with c_i t' x_i for the
+        terms in M_l.
         """
-        mu, a, dmu, contribs = terms
+        mu, a, dmu, mixed, contribs = terms
+        n, q, p = self.n, self.q, self.p
+        x = self.x_last
+        mu2, mu3, da, dda = link_derivatives(self.spec, mu, dmu, a)
+        r = self.y_last - mu
+        w = a * dmu
+        dw = da * dmu + a * mu2
+        dt = da * r - w
         # xi[l, j, i] = x_ij' u_l
-        xi = (u[: self.n_score].reshape(-1, self.p) @ self.x_last).swapaxes(0, 1)
-        da = variance_weight_derivative(self.spec, mu)
-        along = (xi * self._mixed(mu, a)).sum(axis=0)
-        back = self.basis_stack.reshape(-1, self.q).T @ (a * dmu * xi).reshape(-1, self.n)
-        aux = u[self.n_score :].reshape(-1, self.q).T @ self.member_last
-        omega = along * (mean_second_derivative(self.spec, mu) * a + da * dmu**2)
-        omega += dmu * ((da * (self.y_last - mu) - a) * back + aux)
-        if continuous:
-            omega *= 1.0 - u @ contribs
-        half_grad = (self.x_last @ omega[:, :, None]).sum(axis=0)[:, 0] / self.n
-        return self._mean_jacobian(a, dmu), half_grad
+        xi = (u[: self.n_score].reshape(-1, p) @ x).swapaxes(0, 1)
+        along = np.einsum("ljn,ljn->jn", xi, mixed)
+        back = self.basis_stack.reshape(-1, q).T @ (w * xi).reshape(-1, n)
+        aux = u[self.n_score :].reshape(-1, q).T @ self.member_last
+        # column i is J_i' u
+        jtu = np.einsum("jbn,jn->bn", x, dw * along + dt * back + dmu * aux)
+        c = 1.0 - u @ contribs if continuous else np.ones(n)
+        scaled, deriv = self._times_x(w), self._times_x(dmu)
+
+        def hessian(w_inv):
+            basis = self.basis_stack
+            ddw = dda * dmu + 2.0 * da * mu2 + a * mu3
+            ddt = dda * r - 2.0 * da * dmu - a * mu2
+            # weights of x_ij x_ij': c w' mixed[l] for the score rows of
+            # sum_i c_i J_i, then c diag(Psi_i)
+            weights = np.empty((len(basis) + 1, q, n))
+            np.multiply(c * dw, mixed, out=weights[:-1])
+            np.multiply(c, ddw * along + ddt * back + mu2 * aux, out=weights[-1])
+            diagonal = (weights.reshape(len(basis) + 1, -1) @ self.x_outer.T).reshape(-1, p, p)
+            # products with c_i t' x_i, contracted with M_l[j, k]: of
+            # A^(-1/2) D_i for the score rows, of w' (x_i u_l) x_i for N
+            right = self._times_x(c * dt).reshape(-1, n)
+            paired = (scaled.reshape(-1, n) @ right.T).reshape(q, p, q, p)
+            pairs = self._times_x(dw * xi).reshape(len(basis), -1, n) @ right.T
+            off = np.tensordot(basis, pairs.reshape(-1, q, p, q, p), axes=([0, 1, 2], [0, 1, 3]))
+            score = diagonal[:-1] + np.tensordot(basis, paired, axes=([1, 2], [0, 2]))
+            aux_rows = (self.member_last * c) @ deriv.reshape(-1, n).T
+            b = np.concatenate([score.reshape(-1, p), aux_rows.reshape(-1, p)]) - contribs @ jtu.T
+            return (b.T @ w_inv @ b / n + diagonal[-1] + off + off.T - jtu @ jtu.T) / n
+
+        return self._mean_jacobian(scaled, deriv), jtu @ c / n, hessian
 
 
 def _weight_inverse(sigma):
@@ -433,6 +503,9 @@ class _AffineMoments:
     Gram product stops paying for itself.
     """
 
+    # Newton steps in restricted solves only, of any length (``_direction``)
+    newton_bound = None
+
     def __init__(self, assemblers, beta0):
         grams, means = [], []
         for assembler, start in zip(assemblers, beta0):
@@ -495,13 +568,21 @@ class _SubjectMoments:
     """Per-subject contributions at every evaluation, for non-identity links,
     with one assembler per problem of the stack.
 
-    The half-gradient is exact (``_Assembler.derivatives``); G_n is the
-    truncated mean Jacobian. A point's terms are, per problem, the link
-    terms (mu, a, dmu) and the contributions, whose g_i' u the gradient reads.
+    The half-gradient and the Hessian are exact (``_Assembler.derivatives``);
+    G_n is the truncated mean Jacobian. A point's terms are, per problem, the
+    link terms (mu, a, dmu, mixed) and the contributions, whose g_i' u the
+    gradient reads.
     """
+
+    # Newton steps in fits too, each at most this many times as long as the
+    # Gauss-Newton step (``_direction``)
+    newton_bound = 10.0
 
     def __init__(self, assemblers):
         self.assemblers = assemblers
+        # (point, u, per-problem Hessians) of the last continuously-updated
+        # ``derivatives``, which the Hessian at that point reuses
+        self._kept = None, None, ()
 
     def evaluate(self, rows, beta, frozen_inv=None):
         """``_Point`` of problems ``rows`` at the rows of beta; its rank is
@@ -522,13 +603,23 @@ class _SubjectMoments:
     def derivatives(self, point, u, continuous):
         """(G_n, exact half-gradient of the searched objective) of each
         problem of ``point``, with u = W g; see ``_Assembler.derivatives``."""
-        jac, half_grad = zip(
+        jac, half_grad, hessians = zip(
             *(
                 self.assemblers[r].derivatives(t, v, continuous)
                 for r, t, v in zip(point.rows, point.terms, u)
             )
         )
+        if continuous:
+            self._kept = point, u, hessians
         return np.array(jac), np.array(half_grad)
+
+    def hessian(self, point, u):
+        """Exact Hessian of Q_n / 2 of each problem of ``point`` under
+        continuous updating, with u = W g, from the terms ``derivatives``
+        kept at that point."""
+        if self._kept[0] is not point or self._kept[1] is not u:
+            self.derivatives(point, u, True)
+        return np.array([hessian(w) for hessian, w in zip(self._kept[2], point.w_inv)])
 
 
 class _Solution(NamedTuple):
@@ -551,11 +642,21 @@ def _direction(model, point, free, continuous):
 
     One ``eigh`` V Lambda V' of each normal matrix G_f' W G_f gives the rank
     check, the inverse V Lambda^-1 V' and the Gauss-Newton step
-    -V Lambda^-1 V' h_f. The step is Newton's, from the ``eigh`` of the exact
-    H_ff, for a continuously-updated restricted solve whose H_ff has a
-    positive smallest eigenvalue. Fits keep Gauss-Newton: Newton moves their
-    estimates by up to 1.8e-7, beyond the benchmark reference (ROADMAP item
-    3). Each slice of a stacked ``eigh`` is its own LAPACK call, and the
+    -V Lambda^-1 V' h_f. Under continuous updating the step is Newton's,
+    from the ``eigh`` of the exact H_ff, where H_ff has a positive smallest
+    eigenvalue, in the solves the model's ``newton_bound`` admits:
+
+    * None (identity link): restricted solves only, as Newton steps move
+      fits' estimates by up to 1.8e-7, beyond the benchmark reference
+      (ROADMAP item 3);
+    * a number (logit link): fits too, but a Newton step whose largest
+      coordinate exceeds ``newton_bound`` times the Gauss-Newton step's is
+      refused: far from the minimum H_ff can be positive definite along a
+      path to where the CUE objective levels off at a higher value. Where
+      even that longest step would be below STEP_TOL, the search stops
+      whichever step it gets, so no Hessian is formed.
+
+    Each slice of a stacked ``eigh`` is its own LAPACK call, and the
     checks and the choice of step are array operations on each problem's
     own slice, as when it is solved alone; a problem that fails its rank
     check gets unit eigenvalues as a stand-in, and only its error counts.
@@ -584,16 +685,38 @@ def _direction(model, point, free, continuous):
     }
     lam[failed] = 1.0
     normal_inv = (vec / lam[:, None, :]) @ vec.swapaxes(1, 2)
-    if continuous and 0 < free.size < jac.shape[2] and hasattr(model, "hessian"):
-        hess = model.hessian(point, u)[:, free][:, :, free]
-        # Newton where H_ff is positive definite; a non-finite H_ff has the
-        # zero matrix as its stand-in, so it takes Gauss-Newton
-        usable = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
-        h_lam, h_vec = np.linalg.eigh(np.where(usable, hess, 0.0))
-        newton = h_lam[:, :1] > 0.0
-        lam, vec = np.where(newton, h_lam, lam), np.where(newton[:, :, None], h_vec, vec)
-    step = vec @ (vec.swapaxes(1, 2) @ score / lam[:, :, None])
+    if not (continuous and free.size and hasattr(model, "hessian")):
+        return normal_inv, -_solve(lam, vec, score)[..., 0], grad_norm, errors
+    if model.newton_bound is None:
+        if free.size < jac.shape[2]:
+            h_lam, h_vec = _hessian_eigh(model, point, u, free)
+            newton = h_lam[:, :1] > 0.0
+            lam, vec = np.where(newton, h_lam, lam), np.where(newton[:, :, None], h_vec, vec)
+        return normal_inv, -_solve(lam, vec, score)[..., 0], grad_norm, errors
+    gauss_newton = _solve(lam, vec, score)
+    reach = model.newton_bound * np.abs(gauss_newton).max(axis=(1, 2))
+    if (reach < STEP_TOL).all():
+        return normal_inv, -gauss_newton[..., 0], grad_norm, errors
+    h_lam, h_vec = _hessian_eigh(model, point, u, free)
+    newton = h_lam[:, 0] > 0.0
+    newton_step = _solve(np.where(newton[:, None], h_lam, 1.0), h_vec, score)
+    newton &= np.abs(newton_step).max(axis=(1, 2)) <= reach
+    step = np.where(newton[:, None, None], newton_step, gauss_newton)
     return normal_inv, -step[..., 0], grad_norm, errors
+
+
+def _hessian_eigh(model, point, u, free):
+    """Eigenpairs of each problem's H_ff, in ascending order, from one
+    ``eigh``; a non-finite H_ff has the zero matrix as its stand-in, whose
+    eigenvalues are not positive, so it takes Gauss-Newton."""
+    hess = model.hessian(point, u)[:, free][:, :, free]
+    usable = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
+    return np.linalg.eigh(np.where(usable, hess, 0.0))
+
+
+def _solve(lam, vec, rhs):
+    """V Lambda^-1 V' rhs of each problem, from its eigenpairs."""
+    return vec @ (vec.swapaxes(1, 2) @ rhs / lam[:, :, None])
 
 
 def _model(assemblers, beta0):
@@ -685,7 +808,11 @@ def _minimize(model, rows, beta0, free, options):
     ``eigh`` of each (``_direction``), both positive definite, so it is
     always a descent direction and the fixed point is a stationary point of
     the minimized objective (continuously-updating Q_n, or the frozen-weight
-    form in two-step mode) of ``model``, from ``_model``.
+    form in two-step mode) of ``model``, from ``_model``. Continuously-updated
+    solves take the Hessian's step where ``_direction`` admits it: logit fits
+    and restricted solves, within the model's ``newton_bound``, and
+    restricted identity-link solves; identity-link fits and two-step solves
+    take Gauss-Newton steps.
     """
     rows = np.asarray(rows)
     continuous = not options.two_step

@@ -10,9 +10,9 @@ variance function: v = 1 under the identity link and v(mu) = mu (1 - mu)
 under the logit link. The dispersion never enters estimation: it would
 only rescale the score blocks, and the continuously-updating objective is
 invariant to rescaling a moment block.
-The inverse link, its derivative and the variance function are defined
-here and nowhere else; each acts elementwise on stacked arrays such as the
-(n, q) means.
+The inverse link, its derivatives, the variance function and the
+derivatives of its weight v^(-1/2) are defined here and nowhere else; each
+acts elementwise on stacked arrays such as the (n, q) means.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 # Linear predictors beyond this magnitude give Bernoulli means that are
 # indistinguishable from 0/1 in double precision.
 LOGIT_CLAMP = 30.0
 
-# Floor/ceiling applied to Bernoulli means before inverting the variance.
+# Floor/ceiling applied to Bernoulli means before inverting the variance,
+# and the variance mu (1 - mu) at that clamp.
 MEAN_CLAMP = 1e-10
+VARIANCE_FLOOR = MEAN_CLAMP * (1.0 - MEAN_CLAMP)
 
 
 class Link(Enum):
@@ -110,8 +111,12 @@ def mean_curve(spec: MarginalModelSpec, eta: np.ndarray) -> np.ndarray:
     """Inverse link applied to an array of linear predictors."""
     if spec.link is Link.IDENTITY:
         return np.asarray(eta, dtype=float)
-    eta = np.clip(eta, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return expit(eta)
+    # 1 / (1 + exp(-eta)) of the clipped eta, in place on one copy
+    mu = np.array(eta, dtype=float)
+    np.clip(mu, -LOGIT_CLAMP, LOGIT_CLAMP, out=mu)
+    np.exp(np.negative(mu, out=mu), out=mu)
+    mu += 1.0
+    return np.divide(1.0, mu, out=mu)
 
 
 def mean_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
@@ -121,25 +126,30 @@ def mean_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     return mu * (1.0 - mu)
 
 
-def mean_second_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
-    """d^2 mu / d eta^2 at the means mu, elementwise."""
-    if spec.link is Link.IDENTITY:
-        return np.zeros_like(mu)
-    return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
+def variance_function(spec: MarginalModelSpec, mu: np.ndarray, dmu=None) -> np.ndarray:
+    """v(mu) without the dispersion factor, clamped away from zero.
 
-
-def variance_function(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
-    """v(mu) without the dispersion factor, clamped away from zero."""
+    The logit link is canonical, v = dmu/deta, so ``dmu``, the
+    ``mean_derivative`` at mu when the caller has it, saves recomputing it;
+    mu (1 - mu) falls below VARIANCE_FLOOR exactly where mu leaves the clamp.
+    """
     if spec.link is Link.IDENTITY:
         return np.ones_like(mu)
-    mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
-    return mu * (1.0 - mu)
+    return np.maximum(mean_derivative(spec, mu) if dmu is None else dmu, VARIANCE_FLOOR)
 
 
-def variance_weight_derivative(spec: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
-    """d v(mu)^(-1/2) / d mu elementwise; 0 where the clamp on mu binds."""
+def link_derivatives(spec: MarginalModelSpec, mu, dmu, a):
+    """(mu'', mu''', a', a''): the second and third derivatives of the mean
+    and the first two of the variance weight a = v(mu)^(-1/2), all in eta,
+    elementwise at the means mu, from dmu = ``mean_derivative`` and a there.
+    a' and a'' are 0 where the clamp on mu binds.
+
+    Under the logit link mu'' = dmu (1 - 2 mu) and mu''' = dmu (1 - 6 dmu);
+    inside the clamp a^2 dmu = 1, so a' = -a (1 - 2 mu) / 2 and a'' = a / 4.
+    """
     if spec.link is Link.IDENTITY:
-        return np.zeros_like(mu)
-    inside = (mu > MEAN_CLAMP) & (mu < 1.0 - MEAN_CLAMP)
-    slope = -0.5 * variance_function(spec, mu) ** -1.5 * (1.0 - 2.0 * mu)
-    return np.where(inside, slope, 0.0)
+        zero = np.zeros_like(mu)
+        return zero, zero, zero, zero
+    slope = 1.0 - 2.0 * mu
+    inside = a * (dmu > VARIANCE_FLOOR)
+    return dmu * slope, dmu * (1.0 - 6.0 * dmu), -0.5 * inside * slope, 0.25 * inside

@@ -330,6 +330,39 @@ def subject_objective(cfg, ds):
     return lambda beta: model.evaluate([0], np.asarray(beta, dtype=float)[None]).objective()[0]
 
 
+def simplex_identity_problems(rng):
+    """The simplex oracle's eight identity-link fits, as (config, dataset,
+    true beta): random q, p and panel, two sign groups with targets near
+    their means."""
+    for _ in range(8):
+        n = int(rng.integers(60, 200))
+        q = int(rng.integers(2, 4))
+        p = int(rng.integers(1, 4))
+        x = rng.standard_normal((n, q, p))
+        beta_true = rng.standard_normal(p)
+        y = x @ beta_true + rng.standard_normal((n, q))
+        positive = x[:, 0, 0] >= 0
+        phi = (
+            (x @ beta_true)[positive].mean(axis=0) + 0.05 * rng.standard_normal(q),
+            (x @ beta_true)[~positive].mean(axis=0) + 0.05 * rng.standard_normal(q),
+        )
+        aux = AuxiliaryInfo(sign_partition(), phi)
+        cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
+        yield cfg, LongitudinalDataset(y, x), beta_true
+
+
+def simplex_logit_problems(rng):
+    """The simplex oracle's twelve logit fits, as (config, dataset): qif,
+    then gmmai2 with targets from a held-out panel, on each of six
+    ``binary_panel`` panels of 300 subjects."""
+    two = two_group_partition()
+    for _ in range(6):
+        ds = binary_panel(300, rng)
+        phi = tuple(estimate_phi(binary_panel(1000, rng), two)[0])
+        for aux in (None, AuxiliaryInfo(two, phi)):
+            yield ExtendedScoreConfig(BERN, build_basis(CS, 3), aux), ds
+
+
 def simplex_minimum(q_fun, starts, pinned=None, fatol=1e-16):
     """Smallest q_fun that derivative-free Nelder-Mead reaches from each
     start over the coordinates that ``pinned`` (index -> value) leaves free.
@@ -569,40 +602,23 @@ class TestFit:
         simplex searches. Far nulls are left out: they can give gmmai4 two
         basins (ROADMAP item 12)."""
         rng = np.random.default_rng(2024)
-        for _ in range(8):
-            n = int(rng.integers(60, 200))
-            q = int(rng.integers(2, 4))
-            p = int(rng.integers(1, 4))
-            x = rng.standard_normal((n, q, p))
-            beta_true = rng.standard_normal(p)
-            y = x @ beta_true + rng.standard_normal((n, q))
-            ds = LongitudinalDataset(y, x)
-            positive = x[:, 0, 0] >= 0
-            phi = (
-                (x @ beta_true)[positive].mean(axis=0) + 0.05 * rng.standard_normal(q),
-                (x @ beta_true)[~positive].mean(axis=0) + 0.05 * rng.standard_normal(q),
-            )
-            aux = AuxiliaryInfo(sign_partition(), phi)
-            cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, q), aux)
+        for cfg, ds, beta_true in simplex_identity_problems(rng):
             res = fit(cfg, ds)
             assert res.converged
-            best = simplex_minimum(subject_objective(cfg, ds), (res.beta_hat, beta_true, np.zeros(p)))
+            best = simplex_minimum(
+                subject_objective(cfg, ds), (res.beta_hat, beta_true, np.zeros(ds.p))
+            )
             assert res.objective <= best + 1e-10
         # the logit and restricted objectives are noisier than 1e-16 near
         # their minima
         starts = (np.array([0.5, -0.5]), np.zeros(2))
-        two = two_group_partition()
-        for _ in range(6):
-            ds = binary_panel(300, rng)
-            phi = tuple(estimate_phi(binary_panel(1000, rng), two)[0])
-            for aux in (None, AuxiliaryInfo(two, phi)):
-                cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
-                res = fit(cfg, ds)
-                assert res.converged
-                best = simplex_minimum(
-                    subject_objective(cfg, ds), (res.beta_hat, *starts), fatol=1e-14
-                )
-                assert res.objective <= best + 1e-10
+        for cfg, ds in simplex_logit_problems(rng):
+            res = fit(cfg, ds)
+            assert res.converged
+            best = simplex_minimum(
+                subject_objective(cfg, ds), (res.beta_hat, *starts), fatol=1e-14
+            )
+            assert res.objective <= best + 1e-10
         for method in ("qif", "gmmai2", "gmmai4"):
             for seed in (1000, 1001, 1002):
                 cfg, ds = paper_problem(method, seed, n=150)
@@ -898,7 +914,9 @@ class TestExactGradient:
     @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
     def test_identity_half_gradient_equals_gram_path(self, p, two_step):
         """One closed form serves both links: under the identity link the
-        per-subject half-gradient is the Gram path's."""
+        per-subject half-gradient, and under continuous updating the
+        per-subject Hessian, whose second-order terms all vanish, are the
+        Gram path's."""
         from qifaux.estimator import _AffineMoments, _SubjectMoments, _build_assembler
 
         rng = np.random.default_rng(40 + 2 * p + two_step)
@@ -917,11 +935,14 @@ class TestExactGradient:
             point = subject.evaluate([0], beta, frozen_inv)
             u = (point.w_inv[0] @ point.g[0])[None]
             jac, half_grad = subject.derivatives(point, u, not two_step)
-            jac_gram, half_grad_gram = gram.derivatives(
-                gram.evaluate([0], beta, frozen_inv), u, not two_step
-            )
+            gram_point = gram.evaluate([0], beta, frozen_inv)
+            jac_gram, half_grad_gram = gram.derivatives(gram_point, u, not two_step)
             assert_relative(jac, jac_gram, rtol=1e-12)
             assert_relative(half_grad, half_grad_gram, rtol=1e-12)
+            if not two_step:
+                assert_relative(
+                    subject.hessian(point, u), gram.hessian(gram_point, u), rtol=1e-12
+                )
 
     @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
     def test_logit_link_terms_once_per_evaluation(self, monkeypatch, two_step):
@@ -1049,6 +1070,16 @@ class TestLogitCalibration:
         assert abs(rejected / reps - 0.05) <= 2 * mc_se
         assert abs(covered / reps - 0.95) <= 2 * mc_se
 
+    def test_fits_converge_within_six_iterations(self):
+        """The logit fits take Newton steps: every qif fit on the panels
+        above (seed 23, n = 300, R = 300) converges within 6 iterations,
+        where Gauss-Newton steps took up to 18."""
+        rng = np.random.default_rng(23)
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), None)
+        for _ in range(300):
+            res = fit(cfg, binary_panel(300, rng))
+            assert res.converged and res.iterations <= 6
+
 
 def paper_problem(method, seed, r=0, n=300):
     """Replication r of the paper's design as run_monte_carlo builds it."""
@@ -1158,14 +1189,22 @@ class TestNewtonStep:
         assert creeping.iterations == qifaux.estimator.MAX_ITER
         assert sol.objective < creeping.objective
 
-    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
-    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4", "logit"])
+    @pytest.mark.parametrize(
+        "method, two_step",
+        [
+            pytest.param(method, two_step, id=f"{method}-{'two_step' if two_step else 'cue'}")
+            for method in ("qif", "gmmai2", "gmmai4", "logit")
+            for two_step in (False, True)
+            # test_logit_cue_solves_take_bounded_newton_steps
+            if method != "logit" or two_step
+        ],
+    )
     def test_fits_and_other_profile_tests_take_gauss_newton_steps(
         self, monkeypatch, method, two_step
     ):
-        """Newton steps are for continuously-updated identity-link
-        restricted solves only: fits, two-step profile tests and logit
-        profile tests equal the Gauss-Newton-only solver bit for bit."""
+        """Identity-link fits and every two-step solve take Gauss-Newton
+        steps only: fits and profile tests equal the Gauss-Newton-only
+        solver bit for bit."""
         if method == "logit":
             rng = np.random.default_rng(11)
             ds = logistic_panel(rng)
@@ -1194,6 +1233,104 @@ class TestNewtonStep:
         if with_test:
             np.testing.assert_array_equal(test.beta_restricted, ref_test.beta_restricted)
             assert test.statistic == ref_test.statistic
+
+
+    @pytest.mark.parametrize("with_aux", [False, True], ids=["qif", "gmmai2"])
+    def test_logit_hessian_matches_central_differences(self, with_aux):
+        """The per-subject model's exact Hessian of Q_n / 2 under the logit
+        link, at several beta away from the optimum, against central
+        differences of its exact half-gradient."""
+        from qifaux.estimator import _SubjectMoments, _build_assembler
+
+        rng = np.random.default_rng(50 + with_aux)
+        ds = binary_panel(400, rng)
+        aux = None
+        if with_aux:
+            aux = AuxiliaryInfo(two_group_partition(), (np.full(3, 0.4), np.full(3, 0.6)))
+        cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
+        model = _SubjectMoments([_build_assembler(cfg, ds, FitOptions())[0]])
+
+        def half_grad(beta):
+            point = model.evaluate([0], beta[None])
+            return model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)[1][0]
+
+        h = 1e-5
+        for _ in range(4):
+            beta = np.array([0.5, -0.5]) + 0.3 * rng.standard_normal(2)
+            point = model.evaluate([0], beta[None])
+            hess = model.hessian(point, (point.w_inv[0] @ point.g[0])[None])[0]
+            fd = np.column_stack(
+                [(half_grad(beta + e) - half_grad(beta - e)) / (2 * h) for e in h * np.eye(2)]
+            )
+            assert_relative(hess, fd, rtol=1e-6)
+            assert_relative(hess, hess.T, rtol=1e-12)
+
+    def test_logit_cue_solves_take_bounded_newton_steps(self, monkeypatch):
+        """A continuously-updated logit fit and profile test step to
+        -solve(H_ff, h_f) where H_ff is positive definite and that step's
+        largest coordinate is at most ``newton_bound`` times the
+        Gauss-Newton step's, and take the Gauss-Newton step elsewhere,
+        without a Hessian where even that longest step would end the
+        search. On this panel, with targets away from the subgroup means,
+        the fit meets an indefinite H_ff, then a Newton step too long to
+        take, before its Newton steps."""
+        from qifaux.estimator import _SubjectMoments
+
+        rng = np.random.default_rng(11)
+        ds = logistic_panel(rng)
+        phi = tuple(rng.uniform(0.35, 0.65, 3) for _ in range(2))
+        cfg = ExtendedScoreConfig(
+            BERN, build_basis(CS, 3), AuxiliaryInfo(two_group_partition(), phi)
+        )
+        seen = []
+
+        def recording(model, point, free, continuous):
+            out = _direction(model, point, free, continuous)
+            seen.append((model, point, free, out[1]))
+            return out
+
+        monkeypatch.setattr(qifaux.estimator, "_direction", recording)
+        res = fit(cfg, ds)
+        profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        branches = set()
+        for model, point, free, step in seen:
+            u = (point.w_inv[0] @ point.g[0])[None]
+            h_f = model.derivatives(point, u, True)[1][0, free]
+            hess = model.hessian(point, u)[0][np.ix_(free, free)]
+            newton = -np.linalg.solve(hess, h_f)
+            gauss_newton = gauss_newton_direction(model, point, free, True)[1][0]
+            bound = _SubjectMoments.newton_bound * np.abs(gauss_newton).max()
+            if bound < qifaux.estimator.STEP_TOL:
+                np.testing.assert_array_equal(step[0], gauss_newton)
+                branches.add("search ends")
+            elif np.linalg.eigvalsh(hess).min() <= 0.0 or np.abs(newton).max() > bound:
+                np.testing.assert_array_equal(step[0], gauss_newton)
+                branches.add("indefinite" if np.linalg.eigvalsh(hess).min() <= 0.0 else "too long")
+            else:
+                assert_relative(step[0], newton, rtol=1e-9)
+                branches.add("fit" if free.size == 2 else "restricted")
+        assert branches == {"fit", "restricted", "indefinite", "too long", "search ends"}
+
+    def test_bounded_newton_step_stays_off_the_plateau(self, monkeypatch):
+        """The simplex oracle's last logit input (gmmai2 on its sixth
+        panel): at the fit's second iterate H is barely positive definite
+        and its Newton step is hundreds of times the Gauss-Newton step,
+        towards where the CUE objective levels off. Refused, the fit
+        converges to the local minimum Nelder-Mead finds, Q_n = 0.091303;
+        taken, it runs off to |beta| in the thousands."""
+        from qifaux.estimator import _SubjectMoments
+
+        rng = np.random.default_rng(2024)
+        # the identity inputs come first in the oracle's stream
+        for _ in simplex_identity_problems(rng):
+            pass
+        cfg, ds = list(simplex_logit_problems(rng))[-1]
+        res = fit(cfg, ds)
+        assert res.converged
+        assert abs(res.objective - 0.091303) < 1e-6
+        assert np.abs(res.beta_hat).max() < 1.0
+        monkeypatch.setattr(_SubjectMoments, "newton_bound", 1e6)
+        assert np.abs(fit(cfg, ds).beta_hat).max() > 1e3
 
 
 class TestLockstep:

@@ -9,10 +9,9 @@ from qifaux import Link, LongitudinalDataset, MarginalModelSpec
 from qifaux.model import (
     MEAN_CLAMP,
     mean_curve,
+    link_derivatives,
     mean_derivative,
-    mean_second_derivative,
     variance_function,
-    variance_weight_derivative,
 )
 
 GAUSS = MarginalModelSpec.gaussian()
@@ -108,8 +107,21 @@ class TestVarianceInvSqrt:
         np.testing.assert_allclose(a[0, 0], 10.0 / 3.0, rtol=1e-12)
 
 
+def link_derivatives_at(spec, eta):
+    """``link_derivatives`` (mu'', mu''', a', a'') at the linear predictors eta."""
+    mu = mean_curve(spec, eta)
+    dmu = mean_derivative(spec, mu)
+    return link_derivatives(spec, mu, dmu, variance_function(spec, mu) ** -0.5)
+
+
+def weight_at(spec, eta):
+    """The variance weight a = v(mu)^(-1/2) at the linear predictors eta."""
+    return variance_function(spec, mean_curve(spec, eta)) ** -0.5
+
+
 class TestSecondOrderTerms:
-    """The two derivatives the exact logit gradient adds to the Jacobian."""
+    """The derivatives in eta the exact logit gradient and Hessian add to
+    the Jacobian, each against central differences of the one below it."""
 
     @pytest.mark.parametrize("spec", [GAUSS, BERN])
     def test_mean_second_derivative_matches_central_differences(self, spec):
@@ -119,23 +131,29 @@ class TestSecondOrderTerms:
             mean_derivative(spec, mean_curve(spec, eta + h))
             - mean_derivative(spec, mean_curve(spec, eta - h))
         ) / (2 * h)
-        analytic = mean_second_derivative(spec, mean_curve(spec, eta))
-        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+        mu2, mu3, _, _ = link_derivatives_at(spec, eta)
+        np.testing.assert_allclose(mu2, fd, rtol=1e-6, atol=1e-9)
+        above, below = link_derivatives_at(spec, eta + h), link_derivatives_at(spec, eta - h)
+        fd = (above[0] - below[0]) / (2 * h)
+        np.testing.assert_allclose(mu3, fd, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("spec", [GAUSS, BERN])
     def test_variance_weight_derivative_matches_central_differences(self, spec):
         mu = np.random.default_rng(7).uniform(0.05, 0.95, (4, 3))
+        eta = np.log(mu / (1.0 - mu))
         h = 1e-5
-        fd = (
-            variance_function(spec, mu + h) ** -0.5 - variance_function(spec, mu - h) ** -0.5
-        ) / (2 * h)
-        np.testing.assert_allclose(
-            variance_weight_derivative(spec, mu), fd, rtol=1e-6, atol=1e-8
-        )
+        fd = (weight_at(spec, eta + h) - weight_at(spec, eta - h)) / (2 * h)
+        _, _, da, dda = link_derivatives_at(spec, eta)
+        np.testing.assert_allclose(da, fd, rtol=1e-6, atol=1e-8)
+        above, below = link_derivatives_at(spec, eta + h), link_derivatives_at(spec, eta - h)
+        fd = (above[2] - below[2]) / (2 * h)
+        np.testing.assert_allclose(dda, fd, rtol=1e-6, atol=1e-8)
 
     def test_variance_weight_derivative_is_zero_beyond_mean_clamp(self):
         mu = np.array([0.0, MEAN_CLAMP / 2, 1.0 - MEAN_CLAMP / 2, 1.0])
-        assert np.array_equal(variance_weight_derivative(BERN, mu), np.zeros(4))
+        a = variance_function(BERN, mu) ** -0.5
+        for slope in link_derivatives(BERN, mu, mean_derivative(BERN, mu), a)[2:]:
+            assert np.array_equal(slope, np.zeros(4))
         # the clamped weight is flat there, so central differences agree
         h = MEAN_CLAMP / 4
         fd = (variance_function(BERN, mu + h) ** -0.5 - variance_function(BERN, mu - h) ** -0.5)
