@@ -44,15 +44,19 @@ leaves. ``fit`` and ``profile_test`` are the batch of one; the Monte Carlo
 harness solves a method's replications together. A joint null is a solve
 with nothing free.
 
-Each evaluation factors Sigma_n with one symmetric eigendecomposition and
-returns a record of the terms the gradient needs (the Gram cross product
-under the identity link; otherwise the link terms, the score products
+Each evaluation inverts Sigma_n directly (``_weight_inverse``), under the
+identity link padded first along the null directions that the Gram pass
+finds once (``_AffineMoments``); only a weight that loses rank beyond
+them takes a symmetric eigendecomposition. Each evaluation returns a
+record of the terms the gradient needs (the Gram cross product under the
+identity link; otherwise the link terms, the score products
 M_l A^(-1/2) (Y_i - mu_i) and the contributions g_i, from which the gradient
 reads g_i' Sigma^{-1} g_n), so the gradient at an accepted point recomputes
 none of them, and the logit Hessian there reuses the gradient's terms. Each
 direction factors the normal matrix G_f' W G_f of the free coordinates with
-one more, which gives the rank check, the Gauss-Newton step and, at a fit's
-solution, the plug-in covariance; a Newton step factors H_ff the same way.
+one symmetric eigendecomposition, which gives the rank check, the
+Gauss-Newton step and, at a fit's solution, the plug-in covariance; a
+Newton step factors H_ff the same way.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -91,7 +95,8 @@ from .model import (
 )
 
 # Pseudo-inverse cutoff for Sigma_n: eigenvalues of magnitude at most
-# WEIGHT_RCOND times the largest magnitude are treated as zero.
+# WEIGHT_RCOND times the largest magnitude are treated as zero. A direct
+# inverse is kept only where this cutoff would drop none of them.
 WEIGHT_RCOND = 1e-10
 # Solver budget and stopping rules: stop when the largest step
 # coordinate or the objective decrease falls below its tolerance.
@@ -331,8 +336,10 @@ class _Assembler:
         w = a * dmu
         dw = da * dmu + a * mu2
         dt = da * r - w
-        # xi[l, j, i] = x_ij' u_l
-        xi = (u[: self.n_score].reshape(-1, p) @ x).swapaxes(0, 1)
+        # xi[l, j, i] = x_ij' u_l, C-contiguous so that its products reshape
+        # without a copy
+        xi = np.empty((len(self.basis_stack), q, n))
+        np.matmul(u[: self.n_score].reshape(-1, p), x, out=xi.swapaxes(0, 1))
         along = np.einsum("ljn,ljn->jn", xi, mixed)
         back = self.basis_stack.reshape(-1, q).T @ (w * xi).reshape(-1, n)
         aux = u[self.n_score :].reshape(-1, q).T @ self.member_last
@@ -365,7 +372,45 @@ class _Assembler:
         return self._mean_jacobian(scaled, deriv), jtu @ c / n, hessian
 
 
-def _weight_inverse(sigma):
+def _weight_inverse(sigma, pad=None, nulls=0):
+    """Inverses and ranks of a stack (..., d, d) of symmetric weights.
+
+    ``pad`` is s N N' for the orthonormal columns N of each weight's known
+    null space (``nulls`` of them) and a scale s > 0, so the padded weight
+    Sigma + s N N' has inverse Sigma^+ + N N' / s, and rank d - nulls. A
+    slice whose padded weight has ||.||_F ||.^-1||_F below 1 / WEIGHT_RCOND
+    keeps that ``np.linalg.inv``: the cutoff of ``_pseudo_inverse`` would
+    have kept every eigenvalue. Every other slice, ill-conditioned, exactly
+    singular or not finite, takes the ``_pseudo_inverse`` of its unpadded
+    weight. Each slice's route and result depend on that slice alone.
+    """
+    d = sigma.shape[-1]
+    stack = sigma.reshape(-1, d, d)
+    padded = stack if pad is None else stack + pad.reshape(-1, d, d)
+    try:
+        inverse = np.linalg.inv(padded)
+    except np.linalg.LinAlgError:
+        # numpy raises for the whole stack when one slice is exactly singular
+        inverse = np.stack([_inverse_or_nan(m) for m in padded])
+    rank = np.full(len(stack), d) - nulls
+    # squared Frobenius norms; inf and NaN fail the comparison
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (padded * padded).sum(axis=(1, 2)) * (inverse * inverse).sum(axis=(1, 2))
+    singular = ~(bound < WEIGHT_RCOND**-2)
+    if singular.any():
+        inverse[singular], rank[singular] = _pseudo_inverse(stack[singular])
+    return inverse.reshape(sigma.shape), rank.reshape(sigma.shape[:-2])
+
+
+def _inverse_or_nan(matrix):
+    """``np.linalg.inv`` of one matrix, NaN where it is exactly singular."""
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.full_like(matrix, np.nan)
+
+
+def _pseudo_inverse(sigma):
     """Pseudo-inverses and ranks of a stack (..., d, d) of symmetric weights.
 
     One eigendecomposition per matrix; eigenvalues of magnitude at most
@@ -501,6 +546,12 @@ class _AffineMoments:
     subjects again. Expanding around the start value rather than zero keeps
     the cancellation in Sigma_n small. The README gives the p at which the
     Gram product stops paying for itself.
+
+    The same pass finds each problem's structural null directions N, the
+    eigenvectors of Sigma_Z = (1/n) sum_i Z_i Z_i' under the WEIGHT_RCOND
+    cutoff: v' Z_i = 0 gives v' g_i(beta) = 0 at every beta. Evaluations
+    invert Sigma_n + s N N' (``pad``, s = trace Sigma_n(beta0) / d) with
+    rank d - |N| (``nulls``); N' annihilates g_n, G_n and the Hessian's B.
     """
 
     # Newton steps in restricted solves only, of any length (``_direction``)
@@ -517,6 +568,13 @@ class _AffineMoments:
         self.z_gram = np.stack(grams)
         self.z_mean = np.stack(means)
         self.beta0 = np.asarray(beta0, dtype=float)
+        d, k = self.z_mean.shape[1:]
+        gram = self.z_gram.reshape(-1, d, k, d, k)
+        lam, vec = np.linalg.eigh(np.einsum("rajbj->rab", gram))
+        null = np.abs(lam) <= WEIGHT_RCOND * np.abs(lam).max(axis=1, keepdims=True)
+        scale = np.einsum("raa->r", gram[:, :, 0, :, 0]) / d
+        self.nulls = null.sum(axis=1)
+        self.pad = (vec * (scale[:, None] * null)[:, None, :]) @ vec.swapaxes(1, 2)
 
     def evaluate(self, rows, beta, frozen_inv=None):
         """``_Point`` of problems ``rows`` at the rows of beta. Under
@@ -532,7 +590,7 @@ class _AffineMoments:
             return _Point(rows, g, frozen_inv, None, None)
         cross = (self.z_gram[rows] @ w[:, :, None]).reshape(-1, d, k, d)
         sigma = (w[:, None, None, :] @ cross)[:, :, 0, :]
-        return _Point(rows, g, *_weight_inverse(sigma), cross)
+        return _Point(rows, g, *_weight_inverse(sigma, self.pad[rows], self.nulls[rows]), cross)
 
     def derivatives(self, point, u, continuous):
         """(G_n, half-gradient of the searched objective) of each problem of

@@ -264,6 +264,55 @@ class TestWeightInverse:
             assert alone_rank == rank[j]
             np.testing.assert_array_equal(inverse[j], alone)
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+    def test_each_slice_takes_its_own_route(self, padded, monkeypatch):
+        """A stack of full-rank, proportional-rows, ill-conditioned and
+        exactly singular weights, on which ``np.linalg.inv`` raises: each
+        slice comes out bit for bit as when inverted alone, with the
+        oracle's rank. Padded with its known null direction, the
+        proportional slice takes the inverse route, whose inverse is the
+        pseudo-inverse plus the pad's own inverse."""
+        from qifaux.estimator import _pseudo_inverse, _weight_inverse
+
+        rng = np.random.default_rng(8)
+        d = 6
+        full = [self.contributions(rng, d, False) for _ in range(2)]
+        proportional = self.contributions(rng, d, True)
+        ill = self.contributions(rng, d, False)
+        ill[:, 3] *= 1e-6
+        singular = self.contributions(rng, d, False)
+        singular[:, 2] = 0.0
+        sigma = np.stack(
+            [weight_matrix(c) for c in (full[0], proportional, ill, singular, full[1])]
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(sigma)
+        pad, nulls = np.zeros_like(sigma), np.zeros(5, dtype=int)
+        if padded:
+            # v' g_i = 0 for v along (2.5, -1, 0, ...), at scale 3
+            null = np.zeros(d)
+            null[:2] = 2.5, -1.0
+            null /= np.linalg.norm(null)
+            pad[1], nulls[1] = 3.0 * np.outer(null, null), 1
+        routes = []
+
+        def counted(stack):
+            routes.append(len(stack))
+            return _pseudo_inverse(stack)
+
+        monkeypatch.setattr(qifaux.estimator, "_pseudo_inverse", counted)
+        inverse, rank = _weight_inverse(sigma, pad, nulls)
+        # the ill-conditioned and the singular slice, and the unpadded
+        # proportional one, take the pseudo-inverse
+        assert routes == [3 - padded]
+        for j in range(5):
+            alone, alone_rank = _weight_inverse(sigma[j], pad[j], nulls[j])
+            np.testing.assert_array_equal(inverse[j], alone)
+            assert rank[j] == alone_rank == self.oracle(sigma[j])[1]
+        np.testing.assert_array_equal(rank, [d, d - 1, d - 1, d - 1, d])
+        if padded:
+            assert_relative(inverse[1] - pad[1] / 9.0, self.oracle(sigma[1])[0], rtol=1e-10)
+
 
 def fd_moment_jacobian(cfg, ds, beta, h=1e-6):
     p = ds.p
@@ -1498,6 +1547,112 @@ class TestLockstep:
             alone = fit(cfg, ds)
             for field in ("beta_hat", "covariance", "objective", "iterations", "iterates"):
                 np.testing.assert_array_equal(getattr(out.result, field), getattr(alone, field))
+
+
+class TestWeightRoute:
+    """The identity-link weight is padded along its structural null
+    direction and inverted directly; the pseudo-inverse is left for slices
+    that lose rank beyond it."""
+
+    @staticmethod
+    def count_pseudo_inverses(monkeypatch):
+        """Calls of ``_weight_inverse`` and of ``_pseudo_inverse`` from here on."""
+        counts = {"weight": 0, "pseudo": 0}
+        weight, pseudo = qifaux.estimator._weight_inverse, qifaux.estimator._pseudo_inverse
+
+        def counted_weight(*args):
+            counts["weight"] += 1
+            return weight(*args)
+
+        def counted_pseudo(sigma):
+            counts["pseudo"] += 1
+            return pseudo(sigma)
+
+        monkeypatch.setattr(qifaux.estimator, "_weight_inverse", counted_weight)
+        monkeypatch.setattr(qifaux.estimator, "_pseudo_inverse", counted_pseudo)
+        return counts
+
+    def test_paper_design_takes_the_inverse_route(self, monkeypatch):
+        """Every stacked evaluation of a Monte Carlo study on the paper's
+        design, fits and both profile tests of all three methods, inverts
+        directly; each problem has one structural null direction."""
+        from qifaux.estimator import _fit
+        from qifaux.simulation import Hypothesis, run_monte_carlo
+
+        counts = self.count_pseudo_inverses(monkeypatch)
+        design = SimulationDesign(n=300, beta_true=(0.5, -0.5), seed=1003, replications=4)
+        hypotheses = (Hypothesis("b1", (0,), (0.5,)), Hypothesis("b2", (1,), (0.0,)))
+        summaries = run_monte_carlo(design, ("qif", "gmmai2", "gmmai4"), hypotheses)
+        assert all(s.failures == 0 for s in summaries.values())
+        assert counts["weight"] > 0 and counts["pseudo"] == 0
+        for method, d in (("qif", 4), ("gmmai2", 10), ("gmmai4", 16)):
+            problems = [paper_problem(method, 1003, r) for r in range(4)]
+            outcomes = _fit([c for c, _ in problems], [ds for _, ds in problems], FitOptions())
+            model = outcomes[0].model
+            np.testing.assert_array_equal(model.nulls, [1, 1, 1, 1])
+            betas = np.array([out.result.beta_hat for out in outcomes])
+            np.testing.assert_array_equal(model.evaluate(np.arange(4), betas).rank, d - 1)
+            assert all(out.result.weight_rank_deficient for out in outcomes)
+        assert counts["pseudo"] == 0
+
+    def test_logit_panel_takes_the_inverse_route(self, monkeypatch):
+        """Logit weights have full rank: qif and gmmai2 fits and their
+        profile tests invert directly, with no pad."""
+        counts = self.count_pseudo_inverses(monkeypatch)
+        rng = np.random.default_rng(31)
+        two = two_group_partition()
+        ds = binary_panel(300, rng)
+        phi = tuple(estimate_phi(binary_panel(1000, rng), two)[0])
+        for aux in (None, AuxiliaryInfo(two, phi)):
+            cfg = ExtendedScoreConfig(BERN, build_basis(CS, 3), aux)
+            for options in (FitOptions(), FitOptions(two_step=True)):
+                res = fit(cfg, ds, options=options)
+                assert res.converged and not res.weight_rank_deficient
+                profile_test(cfg, ds, [1], [-0.5], options=options, unrestricted=res)
+        assert counts["weight"] > 0 and counts["pseudo"] == 0
+
+    @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
+    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4"])
+    def test_padded_inverse_matches_the_pseudo_inverse(self, method, two_step):
+        """At random beta, Q_n, the half-gradient, G' W G and (under
+        continuous updating) the exact Hessian from the padded inverse agree
+        with the ones from the pseudo-inverse of the unpadded Sigma_n."""
+        from qifaux.estimator import _AffineMoments, _build_assembler
+
+        cfg, ds = paper_problem(method, seed=1007)
+        assembler, _ = _build_assembler(cfg, ds, FitOptions())
+        beta0 = initial_estimate(cfg, ds)
+        model = _AffineMoments([assembler], beta0[None])
+        rng = np.random.default_rng(len(method) + 10 * two_step)
+        frozen = oracle_frozen = None
+        if two_step:
+            start = model.evaluate([0], beta0[None])
+            frozen = start.w_inv
+            oracle_frozen = TestWeightInverse.oracle(offset_sigma(model, beta0))[0][None]
+        for _ in range(5):
+            beta = beta0 + 0.5 * rng.standard_normal(2)
+            padded = model.evaluate([0], beta[None], frozen)
+            if two_step:
+                oracle_w = oracle_frozen
+            else:
+                oracle_w = TestWeightInverse.oracle(offset_sigma(model, beta))[0][None]
+            oracle = padded._replace(w_inv=oracle_w)
+            values = []
+            for point in (padded, oracle):
+                u = (point.w_inv @ point.g[:, :, None])[..., 0]
+                jac, half_grad = model.derivatives(point, u, not two_step)
+                terms = [point.objective(), half_grad, jac.swapaxes(1, 2) @ point.w_inv @ jac]
+                if not two_step:
+                    terms.append(model.hessian(point, u))
+                values.append(terms)
+            for actual, expected in zip(*values):
+                assert_relative(actual, expected, rtol=1e-12)
+
+
+def offset_sigma(model, beta):
+    """Sigma_n at beta of problem 0 of an ``_AffineMoments``, unpadded."""
+    offset = np.concatenate(([1.0], beta - model.beta0[0]))
+    return offset @ model.evaluate([0], beta[None]).terms[0]
 
 
 class TestInitialEstimate:
