@@ -547,50 +547,71 @@ class _AffineMoments:
     the cancellation in Sigma_n small. The README gives the p at which the
     Gram product stops paying for itself.
 
-    The same pass finds each problem's structural null directions N, the
-    eigenvectors of Sigma_Z = (1/n) sum_i Z_i Z_i' under the WEIGHT_RCOND
-    cutoff: v' Z_i = 0 gives v' g_i(beta) = 0 at every beta. Evaluations
-    invert Sigma_n + s N N' (``pad``, s = trace Sigma_n(beta0) / d) with
-    rank d - |N| (``nulls``); N' annihilates g_n, G_n and the Hessian's B.
+    Per problem, ``z_all`` holds the mean (d rows) above the Gram matrix
+    (d (p+1) d rows), each row paired with the (p+1) columns of w, so one
+    product with w gives g_n and the cross product of ``evaluate``;
+    ``z_mean`` and ``z_gram`` are views of it. ``t_pairs`` lays the T-T
+    block of the Gram matrix out as (d^2, p^2), rows (a, b) and columns
+    (j, k), so V = (1/n) sum_i T_i' u u' T_i is one product with u (x) u.
+    Every per-problem array is indexed by a slice, without a copy, when the
+    requested rows are consecutive (``_rows``).
+
+    The same pass finds each problem's structural null directions N, for
+    which v' Z_i = 0 gives v' g_i(beta) = 0 at every beta. Their count is
+    that of the eigenvalues under the WEIGHT_RCOND cutoff of Sigma_Z =
+    (1/n) sum_i Z_i Z_i' equilibrated first per column of Z (each of the
+    p+1 column blocks scaled to unit trace) and then per row (unit
+    diagonal), so it does not depend on the units of the covariates or of
+    the response; a true null stays exactly null under that scaling. N is
+    as many eigenvectors of smallest magnitude of the raw Sigma_Z.
+    Evaluations invert Sigma_n + s N N' (``pad``, s = trace Sigma_n(beta0)
+    / d) with rank d - |N| (``nulls``); N' annihilates g_n, G_n and the
+    Hessian's B.
     """
 
     # Newton steps in restricted solves only, of any length (``_direction``)
     newton_bound = None
 
     def __init__(self, assemblers, beta0):
-        grams, means = [], []
-        for assembler, start in zip(assemblers, beta0):
+        d = assemblers[0].n_score + assemblers[0].phi.size
+        k = assemblers[0].p + 1
+        self.z_all = np.empty((len(assemblers), d + d * k * d, k))
+        self.z_mean, self.z_gram = self.z_all[:, :d], self.z_all[:, d:]
+        for z_all, assembler, start in zip(self.z_all, assemblers, beta0):
             z = assembler.blocks(start)
-            d, k, n = z.shape
+            n = z.shape[-1]
             z = z.reshape(-1, n)
-            grams.append((z @ z.T / n).reshape(-1, k))
-            means.append(z.mean(axis=1).reshape(d, k))
-        self.z_gram = np.stack(grams)
-        self.z_mean = np.stack(means)
+            z_all[d:] = (z @ z.T / n).reshape(-1, k)
+            z_all[:d] = z.mean(axis=1).reshape(d, k)
         self.beta0 = np.asarray(beta0, dtype=float)
-        d, k = self.z_mean.shape[1:]
         gram = self.z_gram.reshape(-1, d, k, d, k)
+        t_gram = gram[:, :, 1:, :, 1:].transpose(0, 1, 3, 2, 4)
+        self.t_pairs = t_gram.reshape(-1, d * d, (k - 1) ** 2)
         lam, vec = np.linalg.eigh(np.einsum("rajbj->rab", gram))
-        null = np.abs(lam) <= WEIGHT_RCOND * np.abs(lam).max(axis=1, keepdims=True)
+        self.nulls = _null_count(np.einsum("rajbj->rjab", gram))
+        # the nulls smallest magnitudes of the raw eigenvalues
+        null = np.argsort(np.argsort(np.abs(lam), axis=1), axis=1) < self.nulls[:, None]
         scale = np.einsum("raa->r", gram[:, :, 0, :, 0]) / d
-        self.nulls = null.sum(axis=1)
         self.pad = (vec * (scale[:, None] * null)[:, None, :]) @ vec.swapaxes(1, 2)
 
     def evaluate(self, rows, beta, frozen_inv=None):
         """``_Point`` of problems ``rows`` at the rows of beta. Under
         continuous updating its terms are cross[r, a, j, b] =
         (1/n) sum_i Z_i[a, j] g_i(beta)[b] of each problem, and
-        Sigma_n = w' cross."""
+        Sigma_n = w' cross; g_n and cross come from one product of
+        ``z_all`` with w."""
+        at = _rows(rows)
         d, k = self.z_mean.shape[1:]
         w = np.empty((len(rows), k))
         w[:, 0] = 1.0
-        w[:, 1:] = beta - self.beta0[rows]
-        g = (self.z_mean[rows] @ w[:, :, None])[..., 0]
+        w[:, 1:] = beta - self.beta0[at]
         if frozen_inv is not None:
-            return _Point(rows, g, frozen_inv, None, None)
-        cross = (self.z_gram[rows] @ w[:, :, None]).reshape(-1, d, k, d)
+            return _Point(rows, (self.z_mean[at] @ w[:, :, None])[..., 0], frozen_inv, None, None)
+        product = (self.z_all[at] @ w[:, :, None])[..., 0]
+        cross = product[:, d:].reshape(-1, d, k, d)
         sigma = (w[:, None, None, :] @ cross)[:, :, 0, :]
-        return _Point(rows, g, *_weight_inverse(sigma, self.pad[rows], self.nulls[rows]), cross)
+        inverse = _weight_inverse(sigma, self.pad[at], self.nulls[at])
+        return _Point(rows, product[:, :d], *inverse, cross)
 
     def derivatives(self, point, u, continuous):
         """(G_n, half-gradient of the searched objective) of each problem of
@@ -601,7 +622,7 @@ class _AffineMoments:
         (1/n) sum_i (g_i' u) T_i' u; ``point`` must then be a
         continuously-updated evaluation, which carries the cross product.
         """
-        jac = self.z_mean[point.rows][:, :, 1:]
+        jac = self.z_mean[_rows(point.rows)][:, :, 1:]
         half_grad = (jac.swapaxes(1, 2) @ u[:, :, None])[..., 0]
         if continuous:
             weighted = (point.terms @ u[:, None, :, None])[..., 0]
@@ -611,15 +632,43 @@ class _AffineMoments:
     def hessian(self, point, u):
         """Exact Hessian B' W B - V of Q_n / 2 of each problem under
         continuous updating, in O(d^2 p^2 + d^3): u = W g has Jacobian W B,
-        B = G - (dSigma/dbeta) u, and V = (1/n) sum_i T_i' u u' T_i."""
-        d, k = self.z_mean.shape[1:]
+        B = G - (dSigma/dbeta) u, whose u' cross term is one product, and
+        V = (1/n) sum_i T_i' u u' T_i, one product of u (x) u with
+        ``t_pairs``."""
+        at = _rows(point.rows)
+        r, d, k, _ = point.terms.shape
         cross = point.terms[:, :, 1:, :]
-        jac = self.z_mean[point.rows][:, :, 1:]
-        b = jac - (cross @ u[:, None, :, None])[..., 0] - np.einsum("rakb,ra->rbk", cross, u)
-        t_gram = self.z_gram[point.rows].reshape(-1, d, k, d, k)[:, :, 1:, :, 1:]
-        return b.swapaxes(1, 2) @ point.w_inv @ b - np.einsum(
-            "ra,rajbk,rb->rjk", u, t_gram, u
-        )
+        back = (u[:, None, :] @ point.terms.reshape(r, d, k * d)).reshape(r, k, d)[:, 1:]
+        b = self.z_mean[at][:, :, 1:] - (cross @ u[:, None, :, None])[..., 0] - back.swapaxes(1, 2)
+        pairs = (u[:, :, None] * u[:, None, :]).reshape(r, 1, d * d)
+        v = (pairs @ self.t_pairs[at]).reshape(r, k - 1, k - 1)
+        return b.swapaxes(1, 2) @ point.w_inv @ b - v
+
+
+def _null_count(blocks):
+    """Eigenvalues under the WEIGHT_RCOND cutoff of each problem's sum of
+    the (p+1) blocks (..., j, d, d), once each block is scaled to unit trace
+    and the sum then to unit diagonal; a zero block or row stays zero."""
+    r, k, d, _ = blocks.shape
+    traces = np.einsum("rjaa->rj", blocks)
+    scaled = (_reciprocal(traces)[:, None, :] @ blocks.reshape(r, k, d * d)).reshape(r, d, d)
+    root = _reciprocal(np.sqrt(np.einsum("raa->ra", scaled)))
+    mags = np.abs(np.linalg.eigvalsh(scaled * root[:, :, None] * root[:, None, :]))
+    return (mags <= WEIGHT_RCOND * mags.max(axis=1, keepdims=True)).sum(axis=1)
+
+
+def _reciprocal(values):
+    """1 / values, 0 where a value is not positive."""
+    return np.divide(1.0, values, out=np.zeros_like(values), where=values > 0)
+
+
+def _rows(rows):
+    """Index of the problems ``rows`` of a stack: a slice, which indexes
+    without a copy, where they are consecutive, else the rows."""
+    listed = np.asarray(rows).tolist()
+    if listed and listed == list(range(listed[0], listed[-1] + 1)):
+        return slice(listed[0], listed[-1] + 1)
+    return rows
 
 
 class _SubjectMoments:
@@ -706,7 +755,8 @@ def _direction(model, point, free, continuous):
 
     * None (identity link): restricted solves only, as Newton steps move
       fits' estimates by up to 1.8e-7, beyond the benchmark reference
-      (ROADMAP item 3);
+      (ROADMAP item 3); G_f' W G_f and H_ff then go through one stacked
+      ``eigh``;
     * a number (logit link): fits too, but a Newton step whose largest
       coordinate exceeds ``newton_bound`` times the Gauss-Newton step's is
       refused: far from the minimum H_ff can be positive definite along a
@@ -717,7 +767,8 @@ def _direction(model, point, free, continuous):
     Each slice of a stacked ``eigh`` is its own LAPACK call, and the
     checks and the choice of step are array operations on each problem's
     own slice, as when it is solved alone; a problem that fails its rank
-    check gets unit eigenvalues as a stand-in, and only its error counts.
+    check gets unit eigenvalues as a stand-in, and only its error counts
+    (the dict is built only when some problem fails, else it is empty).
     With no free coordinate the check passes, no Hessian is formed and the
     step is empty.
     """
@@ -730,46 +781,53 @@ def _direction(model, point, free, continuous):
     # eigh does not raise on NaN or inf input: reject it first, and give
     # eigh a finite stand-in for it
     finite = np.isfinite(normal).all(axis=(1, 2))
-    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], normal, 1.0))
+    if not finite.all():
+        normal = np.where(finite[:, None, None], normal, 1.0)
+    newton = continuous and free.size and hasattr(model, "hessian")
+    # a restricted identity-link round: one eigh for both matrices
+    paired = newton and model.newton_bound is None and free.size < jac.shape[2]
+    if paired:
+        lam, vec = np.linalg.eigh(np.concatenate([normal, _free_hessian(model, point, u, free)]))
+        r = len(normal)
+        lam, h_lam, vec, h_vec = lam[:r], lam[r:], vec[:r], vec[r:]
+    else:
+        lam, vec = np.linalg.eigh(normal)
     mags = np.abs(lam)
     failed = ~finite | (mags.min(axis=1, initial=np.inf) <= mags.max(axis=1, initial=0.0) * 1e-13)
-    errors = {
-        i: RankDeficient(
-            "moment Jacobian is rank deficient for the free coordinates"
-            if finite[i]
-            else "normal matrix of the free coordinates is not finite"
-        )
-        for i in np.flatnonzero(failed).tolist()
-    }
-    lam[failed] = 1.0
+    errors = {}
+    if failed.any():
+        errors = {
+            i: RankDeficient(
+                "moment Jacobian is rank deficient for the free coordinates"
+                if finite[i]
+                else "normal matrix of the free coordinates is not finite"
+            )
+            for i in np.flatnonzero(failed).tolist()
+        }
+        lam[failed] = 1.0
     normal_inv = (vec / lam[:, None, :]) @ vec.swapaxes(1, 2)
-    if not (continuous and free.size and hasattr(model, "hessian")):
-        return normal_inv, -_solve(lam, vec, score)[..., 0], grad_norm, errors
-    if model.newton_bound is None:
-        if free.size < jac.shape[2]:
-            h_lam, h_vec = _hessian_eigh(model, point, u, free)
-            newton = h_lam[:, :1] > 0.0
-            lam, vec = np.where(newton, h_lam, lam), np.where(newton[:, :, None], h_vec, vec)
+    if not newton or model.newton_bound is None:
+        if paired:
+            use = h_lam[:, :1] > 0.0
+            lam, vec = np.where(use, h_lam, lam), np.where(use[:, :, None], h_vec, vec)
         return normal_inv, -_solve(lam, vec, score)[..., 0], grad_norm, errors
     gauss_newton = _solve(lam, vec, score)
     reach = model.newton_bound * np.abs(gauss_newton).max(axis=(1, 2))
     if (reach < STEP_TOL).all():
         return normal_inv, -gauss_newton[..., 0], grad_norm, errors
-    h_lam, h_vec = _hessian_eigh(model, point, u, free)
-    newton = h_lam[:, 0] > 0.0
-    newton_step = _solve(np.where(newton[:, None], h_lam, 1.0), h_vec, score)
-    newton &= np.abs(newton_step).max(axis=(1, 2)) <= reach
-    step = np.where(newton[:, None, None], newton_step, gauss_newton)
+    h_lam, h_vec = np.linalg.eigh(_free_hessian(model, point, u, free))
+    use = h_lam[:, 0] > 0.0
+    newton_step = _solve(np.where(use[:, None], h_lam, 1.0), h_vec, score)
+    use &= np.abs(newton_step).max(axis=(1, 2)) <= reach
+    step = np.where(use[:, None, None], newton_step, gauss_newton)
     return normal_inv, -step[..., 0], grad_norm, errors
 
 
-def _hessian_eigh(model, point, u, free):
-    """Eigenpairs of each problem's H_ff, in ascending order, from one
-    ``eigh``; a non-finite H_ff has the zero matrix as its stand-in, whose
-    eigenvalues are not positive, so it takes Gauss-Newton."""
+def _free_hessian(model, point, u, free):
+    """Each problem's H_ff; a non-finite H_ff has the zero matrix as its
+    stand-in, whose eigenvalues are not positive, so it takes Gauss-Newton."""
     hess = model.hessian(point, u)[:, free][:, :, free]
-    usable = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
-    return np.linalg.eigh(np.where(usable, hess, 0.0))
+    return np.where(np.isfinite(hess).all(axis=(1, 2))[:, None, None], hess, 0.0)
 
 
 def _solve(lam, vec, rhs):
@@ -940,14 +998,23 @@ def fit(
     rather than an exception; rank failures raise RankDeficient and a
     weight matrix with rank below p raises SingularWeightMatrix.
     """
-    return _value(_fit([config], [dataset], options or FitOptions(), init)[0]).result
+    starts = None
+    if init is not None:
+        starts = [np.asarray(init, dtype=float)]
+        if starts[0].shape != (dataset.p,):
+            raise ValueError(f"init must have shape ({dataset.p},)")
+        if not np.isfinite(starts[0]).all():
+            raise ValueError("init must be finite")
+    return _value(_fit([config], [dataset], options or FitOptions(), starts)[0]).result
 
 
-def _fit(configs, datasets, options, init=None):
+def _fit(configs, datasets, options, starts=None):
     """``fit`` of each problem (configs[i], datasets[i]), in lockstep.
 
     Problems whose moments stack (one link, basis, p and count of kept
-    subgroups) are solved together, each expanded at its own start. Returns
+    subgroups) are solved together, each expanded at its own start:
+    ``starts[i]`` where given (a start value, or the QifauxError that
+    computing it raised), else the problem's ``initial_estimate``. Returns
     per problem its ``_Fitted``, or the QifauxError that stopped it.
     """
     outcomes = [None] * len(configs)
@@ -955,14 +1022,10 @@ def _fit(configs, datasets, options, init=None):
     for i, (config, dataset) in enumerate(zip(configs, datasets)):
         try:
             assembler, dropped = _build_assembler(config, dataset, options)
-            if init is None:
+            if starts is None:
                 beta0 = initial_estimate(config, dataset)
             else:
-                beta0 = np.asarray(init, dtype=float)
-                if beta0.shape != (dataset.p,):
-                    raise ValueError(f"init must have shape ({dataset.p},)")
-                if not np.isfinite(beta0).all():
-                    raise ValueError("init must be finite")
+                beta0 = _value(starts[i])
         except QifauxError as err:
             outcomes[i] = err
             continue

@@ -31,6 +31,7 @@ from .estimator import (
     _hypothesis,
     _profile_tests,
     _wald_bounds,
+    initial_estimate,
 )
 from .model import LongitudinalDataset, MarginalModelSpec
 
@@ -311,21 +312,26 @@ def _method_aux(method: str, design: SimulationDesign, r: int) -> AuxiliaryInfo 
     return build_four_group_aux(design, replication_rng(design.seed, r, _ROLE_HOLDOUT))
 
 
-def _method_records(method, design, replications, datasets, basis, spec, hypotheses, options):
-    """The FitResults of one method's converged fits on the panels of
-    ``replications``, then per hypothesis the ProfileTestResults of the tests
-    on them that did not fail: one lockstep fit batch, then one lockstep test
-    batch per hypothesis."""
-    configs = [
-        ExtendedScoreConfig(spec, basis, _method_aux(method, design, r)) for r in replications
-    ]
+def _start(config, dataset):
+    """The independence start of a panel, or the QifauxError it raises."""
+    try:
+        return initial_estimate(config, dataset)
+    except QifauxError as err:
+        return err
+
+
+def _method_records(configs, datasets, starts, n, hypotheses, options):
+    """The FitResults of the converged fits of each configs[i] on
+    datasets[i] from starts[i], then per hypothesis the ProfileTestResults
+    of the tests on them that did not fail: one lockstep fit batch, then one
+    lockstep test batch per hypothesis; n is the panels' subject count."""
     fitted = [
-        out for out in _fit(configs, datasets, options)
+        out for out in _fit(configs, datasets, options, starts=starts)
         if not isinstance(out, Exception) and out.result.converged
     ]
     records = [[f.result for f in fitted]]
     for _, indices, values in hypotheses:
-        results = _profile_tests(fitted, design.n, indices, values, options)
+        results = _profile_tests(fitted, n, indices, values, options)
         records.append([out for out in results if not isinstance(out, QifauxError)])
     return records
 
@@ -348,9 +354,12 @@ def run_monte_carlo(
     method loses more than MAX_FAILURE_SHARE of its replications.
 
     Replications run in chunks of CHUNK, and only their fit and test results
-    are kept, so memory is bounded by one chunk. Per chunk, a method's fits
+    are kept, so memory is bounded by one chunk. Per chunk, each panel's
+    independence start is computed once for every method, a method's fits
     are solved in lockstep, then each hypothesis's tests on its converged
     fits; with n_jobs > 1 the methods of a chunk run in that many threads.
+    Constant targets (gmmai2's, and gmmai4's under TRUE_VALUES) are built
+    once per study; held-out targets are drawn per replication.
     """
     methods = [m.strip().lower() for m in methods]
     if not methods:
@@ -370,11 +379,21 @@ def run_monte_carlo(
     spec = MarginalModelSpec.gaussian()
     basis = build_basis(design.working, design.q)
     reps = design.replications
+    independence = ExtendedScoreConfig(spec, basis)
+    # a method's config when its targets are the same in every replication
+    shared = {
+        method: None
+        if method == "gmmai4" and design.phi_source is PhiSource.HELD_OUT
+        else ExtendedScoreConfig(spec, basis, _method_aux(method, design, 0))
+        for method in methods
+    }
 
     def work(method):
-        return _method_records(
-            method, design, replications, datasets, basis, spec, checked, options
-        )
+        configs = [
+            shared[method] or ExtendedScoreConfig(spec, basis, _method_aux(method, design, r))
+            for r in replications
+        ]
+        return _method_records(configs, datasets, starts, design.n, checked, options)
 
     records = {method: [[] for _ in range(1 + len(checked))] for method in methods}
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -385,6 +404,8 @@ def run_monte_carlo(
                 generate_dataset(design, replication_rng(design.seed, r, _ROLE_DATA))
                 for r in replications
             ]
+            # the identity-link start does not depend on the method
+            starts = [_start(independence, data) for data in datasets]
             for method, chunk in zip(methods, each(work, methods)):
                 for kept, new in zip(records[method], chunk):
                     kept += new

@@ -191,9 +191,9 @@ class TestRunMonteCarlo:
         batches, panels = [], []
         fit_, draw = sim._fit, sim.generate_dataset
 
-        def recording_fit(configs, datasets, options):
+        def recording_fit(configs, datasets, options, starts=None):
             batches.append(len(configs))
-            return fit_(configs, datasets, options)
+            return fit_(configs, datasets, options, starts=starts)
 
         def recording_draw(design, rng):
             assert sum(ref() is not None for ref in panels) < sim.CHUNK
@@ -279,7 +279,7 @@ class TestRunMonteCarlo:
     def test_too_many_failures(self, monkeypatch):
         design = SimulationDesign(n=60, seed=9, replications=10)
 
-        def always_diverges(configs, datasets, options):
+        def always_diverges(configs, datasets, options, starts=None):
             return [sim.QifauxError("forced failure") for _ in configs]
 
         monkeypatch.setattr(sim, "_fit", always_diverges)
@@ -393,6 +393,48 @@ class TestRunMonteCarlo:
                     res = fit(cfg, ds)
                     out = profile_test(cfg, ds, hyp.indices, hyp.values, unrestricted=res)
                     assert got[r] == out.statistic
+
+    @pytest.mark.parametrize("phi_source", [PhiSource.TRUE_VALUES, PhiSource.HELD_OUT])
+    def test_shared_starts_and_targets_change_no_result(self, monkeypatch, phi_source):
+        """Each panel's start is computed once for all methods, and constant
+        targets once per study; held-out targets are drawn per replication.
+        Across chunks of two, every estimate equals the public fit of its
+        panel and every statistic the public profile test, bit for bit."""
+        calls = {"start": 0, "gmmai2": 0, "gmmai4": 0}
+        start, two, four = sim.initial_estimate, sim.build_two_group_aux, sim.build_four_group_aux
+
+        def counting(key, function):
+            def counted(*args):
+                calls[key] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(sim, "CHUNK", 2)
+        monkeypatch.setattr(sim, "initial_estimate", counting("start", start))
+        monkeypatch.setattr(sim, "build_two_group_aux", counting("gmmai2", two))
+        monkeypatch.setattr(sim, "build_four_group_aux", counting("gmmai4", four))
+        design = SimulationDesign(
+            n=300, seed=1003, replications=5, phi_source=phi_source, held_out_m=400
+        )
+        summaries = run_monte_carlo(design, sim.METHODS, hypotheses=PAPER_HYPOTHESES)
+        held_out = phi_source is PhiSource.HELD_OUT
+        assert calls == {"start": 5, "gmmai2": 1, "gmmai4": 5 if held_out else 1}
+
+        basis = build_basis(design.working, design.q)
+        for method in sim.METHODS:
+            summary = summaries[method]
+            assert summary.failures == 0
+            for r in range(design.replications):
+                ds = generate_dataset(design, replication_rng(design.seed, r, 0))
+                cfg = ExtendedScoreConfig(
+                    MarginalModelSpec.gaussian(), basis, sim._method_aux(method, design, r)
+                )
+                res = fit(cfg, ds)
+                np.testing.assert_array_equal(summary.estimates[r], res.beta_hat)
+                for hyp in PAPER_HYPOTHESES:
+                    out = profile_test(cfg, ds, hyp.indices, hyp.values, unrestricted=res)
+                    assert summary.statistics[hyp.label][r] == out.statistic
 
 
 class TestQQData:
