@@ -52,11 +52,12 @@ record of the terms the gradient needs (the Gram cross product under the
 identity link; otherwise the link terms, the score products
 M_l A^(-1/2) (Y_i - mu_i) and the contributions g_i, from which the gradient
 reads g_i' Sigma^{-1} g_n), so the gradient at an accepted point recomputes
-none of them, and the logit Hessian there reuses the gradient's terms. Each
-direction factors the normal matrix G_f' W G_f of the free coordinates with
-one symmetric eigendecomposition, which gives the rank check, the
-Gauss-Newton step and, at a fit's solution, the plug-in covariance; a
-Newton step factors H_ff the same way.
+none of them, and ``derivatives`` returns with it a callable that forms
+the exact Hessian from the same terms. Each direction factors the normal
+matrix G_f' W G_f of the free coordinates with one symmetric
+eigendecomposition, which gives the rank check, the Gauss-Newton step and,
+at a fit's solution, the plug-in covariance; a Newton step calls that
+callable and factors H_ff the same way.
 
 Targeting the exact minimizer matters in finite samples: the fixed point
 of the plain iteration G_n' Sigma_n^{-1} g_n = 0 retains a bias of order
@@ -446,12 +447,21 @@ def _build_assembler(config, dataset, options):
 # -- public operations ----------------------------------------------------
 
 
+def _coefficients(beta, p, name):
+    """beta as a float array, which must be a finite vector of length p."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (p,):
+        raise ValueError(f"{name} must have shape ({p},)")
+    if not np.isfinite(beta).all():
+        raise ValueError(f"{name} must be finite")
+    return beta
+
+
 def moment_vector(
     config: ExtendedScoreConfig, dataset: LongitudinalDataset, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean moment vector g_n and the (n, d) per-subject contributions."""
-    beta = np.asarray(beta, dtype=float)
-    return _Assembler(config, dataset).moments(beta)
+    return _Assembler(config, dataset).moments(_coefficients(beta, dataset.p, "beta"))
 
 
 def weight_matrix(per_subject_contributions: np.ndarray) -> np.ndarray:
@@ -464,7 +474,7 @@ def objective(
     config: ExtendedScoreConfig, dataset: LongitudinalDataset, beta: np.ndarray
 ) -> float:
     """Quadratic form g_n' Sigma_n^+ g_n; warns when Sigma_n lost rank."""
-    beta = np.asarray(beta, dtype=float)
+    beta = _coefficients(beta, dataset.p, "beta")
     point = _SubjectMoments([_Assembler(config, dataset)]).evaluate([0], beta[None])
     error = _rank_error(point.rank[0], dataset.p)
     if error is not None:
@@ -482,8 +492,7 @@ def score_jacobian(
     config: ExtendedScoreConfig, dataset: LongitudinalDataset, beta: np.ndarray
 ) -> np.ndarray:
     """(d, p) derivative matrix G_n of the mean moment vector."""
-    beta = np.asarray(beta, dtype=float)
-    return _Assembler(config, dataset).jacobian(beta)
+    return _Assembler(config, dataset).jacobian(_coefficients(beta, dataset.p, "beta"))
 
 
 def initial_estimate(
@@ -542,10 +551,11 @@ class _AffineMoments:
     beta-free Jacobian, and the contribution at beta is Z_i w with
     w = (1, beta - beta0). The mean and Gram matrix of the Z_i, over the
     ``blocks`` of each problem's assembler stacked along a leading problem
-    axis, give g_n, Sigma_n, G_n and the exact gradient without touching the
-    subjects again. Expanding around the start value rather than zero keeps
-    the cancellation in Sigma_n small. The README gives the p at which the
-    Gram product stops paying for itself.
+    axis, give g_n, Sigma_n, G_n, the exact gradient and Hessian (the
+    callable ``derivatives`` returns) without touching the subjects again.
+    Expanding around the start value rather than zero keeps the cancellation
+    in Sigma_n small. The README gives the p at which the Gram product stops
+    paying for itself.
 
     Per problem, ``z_all`` holds the mean (d rows) above the Gram matrix
     (d (p+1) d rows), each row paired with the (p+1) columns of w, so one
@@ -614,35 +624,36 @@ class _AffineMoments:
         return _Point(rows, product[:, :d], *inverse, cross)
 
     def derivatives(self, point, u, continuous):
-        """(G_n, half-gradient of the searched objective) of each problem of
-        ``point``, with u = W g.
+        """(G_n, half-gradient of the searched objective, hessian) of each
+        problem of ``point``, with u = W g.
 
-        With a frozen weight the half-gradient is G' u. Under continuous
-        updating the weight's own beta-dependence subtracts
-        (1/n) sum_i (g_i' u) T_i' u; ``point`` must then be a
-        continuously-updated evaluation, which carries the cross product.
-        """
-        jac = self.z_mean[_rows(point.rows)][:, :, 1:]
-        half_grad = (jac.swapaxes(1, 2) @ u[:, :, None])[..., 0]
-        if continuous:
-            weighted = (point.terms @ u[:, None, :, None])[..., 0]
-            half_grad -= (u[:, None, :] @ weighted)[:, 0, 1:]
-        return jac, half_grad
-
-    def hessian(self, point, u):
-        """Exact Hessian B' W B - V of Q_n / 2 of each problem under
-        continuous updating, in O(d^2 p^2 + d^3): u = W g has Jacobian W B,
+        With a frozen weight the half-gradient is G' u and ``hessian`` None.
+        Under continuous updating the weight's own beta-dependence subtracts
+        (1/n) sum_i (g_i' u) T_i' u, and ``hessian()`` is the exact Hessian
+        B' W B - V of Q_n / 2, in O(d^2 p^2 + d^3): u = W g has Jacobian W B,
         B = G - (dSigma/dbeta) u, whose u' cross term is one product, and
         V = (1/n) sum_i T_i' u u' T_i, one product of u (x) u with
-        ``t_pairs``."""
+        ``t_pairs``. ``point`` must then be a continuously-updated
+        evaluation, which carries the cross product.
+        """
         at = _rows(point.rows)
-        r, d, k, _ = point.terms.shape
-        cross = point.terms[:, :, 1:, :]
-        back = (u[:, None, :] @ point.terms.reshape(r, d, k * d)).reshape(r, k, d)[:, 1:]
-        b = self.z_mean[at][:, :, 1:] - (cross @ u[:, None, :, None])[..., 0] - back.swapaxes(1, 2)
-        pairs = (u[:, :, None] * u[:, None, :]).reshape(r, 1, d * d)
-        v = (pairs @ self.t_pairs[at]).reshape(r, k - 1, k - 1)
-        return b.swapaxes(1, 2) @ point.w_inv @ b - v
+        jac = self.z_mean[at][:, :, 1:]
+        half_grad = (jac.swapaxes(1, 2) @ u[:, :, None])[..., 0]
+        if not continuous:
+            return jac, half_grad, None
+        weighted = (point.terms @ u[:, None, :, None])[..., 0]
+        half_grad -= (u[:, None, :] @ weighted)[:, 0, 1:]
+
+        def hessian():
+            r, d, k, _ = point.terms.shape
+            cross = point.terms[:, :, 1:, :]
+            back = (u[:, None, :] @ point.terms.reshape(r, d, k * d)).reshape(r, k, d)[:, 1:]
+            b = jac - (cross @ u[:, None, :, None])[..., 0] - back.swapaxes(1, 2)
+            pairs = (u[:, :, None] * u[:, None, :]).reshape(r, 1, d * d)
+            v = (pairs @ self.t_pairs[at]).reshape(r, k - 1, k - 1)
+            return b.swapaxes(1, 2) @ point.w_inv @ b - v
+
+        return jac, half_grad, hessian
 
 
 def _null_count(blocks):
@@ -678,7 +689,7 @@ class _SubjectMoments:
     The half-gradient and the Hessian are exact (``_Assembler.derivatives``);
     G_n is the truncated mean Jacobian. A point's terms are, per problem, the
     link terms (mu, a, dmu, mixed) and the contributions, whose g_i' u the
-    gradient reads.
+    gradient reads; ``derivatives`` returns the Hessian as a callable.
     """
 
     # Newton steps in fits too, each at most this many times as long as the
@@ -687,9 +698,6 @@ class _SubjectMoments:
 
     def __init__(self, assemblers):
         self.assemblers = assemblers
-        # (point, u, per-problem Hessians) of the last continuously-updated
-        # ``derivatives``, which the Hessian at that point reuses
-        self._kept = None, None, ()
 
     def evaluate(self, rows, beta, frozen_inv=None):
         """``_Point`` of problems ``rows`` at the rows of beta; its rank is
@@ -708,25 +716,23 @@ class _SubjectMoments:
         return _Point(rows, np.array(g), *_weight_inverse(np.array(sigma)), terms)
 
     def derivatives(self, point, u, continuous):
-        """(G_n, exact half-gradient of the searched objective) of each
-        problem of ``point``, with u = W g; see ``_Assembler.derivatives``."""
+        """(G_n, exact half-gradient of the searched objective, hessian) of
+        each problem of ``point``, with u = W g; see ``_Assembler.derivatives``.
+        ``hessian()`` stacks each problem's exact Hessian of Q_n / 2 under
+        continuous updating; with a frozen weight ``hessian`` is None."""
         jac, half_grad, hessians = zip(
             *(
                 self.assemblers[r].derivatives(t, v, continuous)
                 for r, t, v in zip(point.rows, point.terms, u)
             )
         )
-        if continuous:
-            self._kept = point, u, hessians
-        return np.array(jac), np.array(half_grad)
+        if not continuous:
+            return np.array(jac), np.array(half_grad), None
 
-    def hessian(self, point, u):
-        """Exact Hessian of Q_n / 2 of each problem of ``point`` under
-        continuous updating, with u = W g, from the terms ``derivatives``
-        kept at that point."""
-        if self._kept[0] is not point or self._kept[1] is not u:
-            self.derivatives(point, u, True)
-        return np.array([hessian(w) for hessian, w in zip(self._kept[2], point.w_inv)])
+        def hessian():
+            return np.array([h(w) for h, w in zip(hessians, point.w_inv)])
+
+        return np.array(jac), np.array(half_grad), hessian
 
 
 class _Solution(NamedTuple):
@@ -750,7 +756,8 @@ def _direction(model, point, free, continuous):
     One ``eigh`` V Lambda V' of each normal matrix G_f' W G_f gives the rank
     check, the inverse V Lambda^-1 V' and the Gauss-Newton step
     -V Lambda^-1 V' h_f. Under continuous updating the step is Newton's,
-    from the ``eigh`` of the exact H_ff, where H_ff has a positive smallest
+    from the ``eigh`` of the exact H_ff (of the callable ``derivatives``
+    returns, called only here), where H_ff has a positive smallest
     eigenvalue, in the solves the model's ``newton_bound`` admits:
 
     * None (identity link): restricted solves only, as Newton steps move
@@ -773,7 +780,7 @@ def _direction(model, point, free, continuous):
     step is empty.
     """
     u = (point.w_inv @ point.g[:, :, None])[..., 0]
-    jac, half_grad = model.derivatives(point, u, continuous)
+    jac, half_grad, hessian = model.derivatives(point, u, continuous)
     free_jac = jac[:, :, free]
     normal = free_jac.swapaxes(1, 2) @ point.w_inv @ free_jac
     score = half_grad[:, free, None]
@@ -783,11 +790,11 @@ def _direction(model, point, free, continuous):
     finite = np.isfinite(normal).all(axis=(1, 2))
     if not finite.all():
         normal = np.where(finite[:, None, None], normal, 1.0)
-    newton = continuous and free.size and hasattr(model, "hessian")
+    newton = hessian is not None and free.size
     # a restricted identity-link round: one eigh for both matrices
     paired = newton and model.newton_bound is None and free.size < jac.shape[2]
     if paired:
-        lam, vec = np.linalg.eigh(np.concatenate([normal, _free_hessian(model, point, u, free)]))
+        lam, vec = np.linalg.eigh(np.concatenate([normal, _free_hessian(hessian, free)]))
         r = len(normal)
         lam, h_lam, vec, h_vec = lam[:r], lam[r:], vec[:r], vec[r:]
     else:
@@ -815,7 +822,7 @@ def _direction(model, point, free, continuous):
     reach = model.newton_bound * np.abs(gauss_newton).max(axis=(1, 2))
     if (reach < STEP_TOL).all():
         return normal_inv, -gauss_newton[..., 0], grad_norm, errors
-    h_lam, h_vec = np.linalg.eigh(_free_hessian(model, point, u, free))
+    h_lam, h_vec = np.linalg.eigh(_free_hessian(hessian, free))
     use = h_lam[:, 0] > 0.0
     newton_step = _solve(np.where(use[:, None], h_lam, 1.0), h_vec, score)
     use &= np.abs(newton_step).max(axis=(1, 2)) <= reach
@@ -823,10 +830,10 @@ def _direction(model, point, free, continuous):
     return normal_inv, -step[..., 0], grad_norm, errors
 
 
-def _free_hessian(model, point, u, free):
+def _free_hessian(hessian, free):
     """Each problem's H_ff; a non-finite H_ff has the zero matrix as its
     stand-in, whose eigenvalues are not positive, so it takes Gauss-Newton."""
-    hess = model.hessian(point, u)[:, free][:, :, free]
+    hess = hessian()[:, free][:, :, free]
     return np.where(np.isfinite(hess).all(axis=(1, 2))[:, None, None], hess, 0.0)
 
 
@@ -928,7 +935,7 @@ def _minimize(model, rows, beta0, free, options):
     solves take the Hessian's step where ``_direction`` admits it: logit fits
     and restricted solves, within the model's ``newton_bound``, and
     restricted identity-link solves; identity-link fits and two-step solves
-    take Gauss-Newton steps.
+    take Gauss-Newton steps and form no Hessian (``derivatives``' callable).
     """
     rows = np.asarray(rows)
     continuous = not options.two_step
@@ -998,13 +1005,7 @@ def fit(
     rather than an exception; rank failures raise RankDeficient and a
     weight matrix with rank below p raises SingularWeightMatrix.
     """
-    starts = None
-    if init is not None:
-        starts = [np.asarray(init, dtype=float)]
-        if starts[0].shape != (dataset.p,):
-            raise ValueError(f"init must have shape ({dataset.p},)")
-        if not np.isfinite(starts[0]).all():
-            raise ValueError("init must be finite")
+    starts = None if init is None else [_coefficients(init, dataset.p, "init")]
     return _value(_fit([config], [dataset], options or FitOptions(), starts)[0]).result
 
 

@@ -361,6 +361,8 @@ def run_monte_carlo(
     Constant targets (gmmai2's, and gmmai4's under TRUE_VALUES) are built
     once per study; held-out targets are drawn per replication.
     """
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names, such as ({methods!r},)")
     methods = [m.strip().lower() for m in methods]
     if not methods:
         raise ValueError("need at least one method")

@@ -539,7 +539,7 @@ class TestFit:
 
         class NanJacobian:
             def derivatives(self, point, u, continuous):
-                return np.array([[[np.nan, 1.0], [0.0, 1.0]]]), np.zeros((1, 2))
+                return np.array([[[np.nan, 1.0], [0.0, 1.0]]]), np.zeros((1, 2)), None
 
         point = _Point(np.arange(1), np.ones((1, 2)), np.eye(2)[None], np.array([2]), None)
         error = _direction(NanJacobian(), point, np.arange(2), True)[3][0]
@@ -556,6 +556,22 @@ class TestFit:
             ds = logistic_panel(np.random.default_rng(19))
         with pytest.raises(ValueError, match="init must be finite"):
             fit(cfg, ds, init=[value, 0.0])
+
+    @pytest.mark.parametrize("function", [fit, objective, moment_vector, score_jacobian])
+    @pytest.mark.parametrize(
+        "beta, message",
+        [(np.zeros(3), "must have shape (2,)"), (np.array([np.nan, 0.0]), "must be finite")],
+        ids=["shape", "nan"],
+    )
+    def test_bad_coefficients_rejected(self, function, beta, message):
+        """Every public function that takes a coefficient vector names a
+        wrong shape or a non-finite value with fit's messages, instead of
+        a numpy error from deep inside."""
+        cfg, ds = paper_problem("gmmai2", seed=1000)
+        name = "init" if function is fit else "beta"
+        with pytest.raises(ValueError) as err:
+            function(cfg, ds, beta)
+        assert (err.type, str(err.value)) == (ValueError, f"{name} {message}")
 
     @pytest.mark.parametrize(
         "basis_q, phi, init, message",
@@ -838,7 +854,7 @@ class TestSufficientStatistics:
             point = model.evaluate([0], beta[None], frozen_inv)
             assert_relative(point.objective()[0], g @ w_direct @ g)
             u = (point.w_inv[0] @ point.g[0])[None]
-            jac, half_grad = model.derivatives(point, u, not two_step)
+            jac, half_grad = model.derivatives(point, u, not two_step)[:2]
             assert_relative(jac[0], assembler.jacobian(beta))
             assert_relative(
                 half_grad[0], per_subject_half_gradient(assembler, beta, w_direct, two_step)
@@ -955,7 +971,7 @@ class TestExactGradient:
             beta = truth + 0.15 * rng.standard_normal(2)
             point = model.evaluate([0], beta[None], frozen_inv)
             u = (point.w_inv[0] @ point.g[0])[None]
-            _, half_grad = model.derivatives(point, u, not two_step)
+            _, half_grad = model.derivatives(point, u, not two_step)[:2]
             fd = [(searched(beta + e) - searched(beta - e)) / (4 * h) for e in h * np.eye(2)]
             assert_relative(half_grad[0], fd, rtol=1e-6)
 
@@ -983,14 +999,16 @@ class TestExactGradient:
             beta = rng.standard_normal(p)[None]
             point = subject.evaluate([0], beta, frozen_inv)
             u = (point.w_inv[0] @ point.g[0])[None]
-            jac, half_grad = subject.derivatives(point, u, not two_step)
+            jac, half_grad = subject.derivatives(point, u, not two_step)[:2]
             gram_point = gram.evaluate([0], beta, frozen_inv)
-            jac_gram, half_grad_gram = gram.derivatives(gram_point, u, not two_step)
+            jac_gram, half_grad_gram = gram.derivatives(gram_point, u, not two_step)[:2]
             assert_relative(jac, jac_gram, rtol=1e-12)
             assert_relative(half_grad, half_grad_gram, rtol=1e-12)
             if not two_step:
                 assert_relative(
-                    subject.hessian(point, u), gram.hessian(gram_point, u), rtol=1e-12
+                    subject.derivatives(point, u, True)[2](),
+                    gram.derivatives(gram_point, u, True)[2](),
+                    rtol=1e-12,
                 )
 
     @pytest.mark.parametrize("two_step", [False, True], ids=["cue", "two_step"])
@@ -1138,14 +1156,14 @@ def paper_problem(method, seed, r=0, n=300):
 
 
 class _WithoutHessian:
-    """A moment model's derivatives without its ``hessian``, so that the
+    """A moment model's derivatives without its Hessian, so that the
     solver's direction takes no Newton step."""
 
     def __init__(self, model):
         self.model = model
 
     def derivatives(self, point, u, continuous):
-        return self.model.derivatives(point, u, continuous)
+        return (*self.model.derivatives(point, u, continuous)[:2], None)
 
 
 def gauss_newton_direction(model, point, free, continuous):
@@ -1181,7 +1199,7 @@ class TestNewtonStep:
             if method == "gmmai4":
                 # the x_2 score rows are proportional: Sigma_n has rank 15 of 16
                 assert point.rank[0] == point.g.shape[1] - 1
-            hess = model.hessian(point, (point.w_inv[0] @ point.g[0])[None])[0]
+            hess = model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)[2]()[0]
             fd = np.column_stack(
                 [(half_grad(beta + e) - half_grad(beta - e)) / (2 * h) for e in h * np.eye(2)]
             )
@@ -1207,7 +1225,7 @@ class TestNewtonStep:
         point = model.evaluate([0], beta[None])
         u = (point.w_inv[0] @ point.g[0])[None]
         h_f = model.derivatives(point, u, True)[1][0, free]
-        hess = model.hessian(point, u)[0][np.ix_(free, free)]
+        hess = model.derivatives(point, u, True)[2]()[0][np.ix_(free, free)]
         assert np.linalg.eigvalsh(hess).min() > 0.0
         step = _direction(model, point, free, True)[1][0]
         assert_relative(step, -np.linalg.solve(hess, h_f), rtol=1e-9)
@@ -1227,7 +1245,7 @@ class TestNewtonStep:
         assert sol.converged and sol.iterations <= 10
         model = _AffineMoments([assembler], sol.beta[None])
         point = model.evaluate([0], sol.beta[None])
-        _, half_grad = model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)
+        _, half_grad = model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)[:2]
         assert abs(half_grad[0, 0]) < 1e-8
 
         monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
@@ -1307,7 +1325,7 @@ class TestNewtonStep:
         for _ in range(4):
             beta = np.array([0.5, -0.5]) + 0.3 * rng.standard_normal(2)
             point = model.evaluate([0], beta[None])
-            hess = model.hessian(point, (point.w_inv[0] @ point.g[0])[None])[0]
+            hess = model.derivatives(point, (point.w_inv[0] @ point.g[0])[None], True)[2]()[0]
             fd = np.column_stack(
                 [(half_grad(beta + e) - half_grad(beta - e)) / (2 * h) for e in h * np.eye(2)]
             )
@@ -1345,7 +1363,7 @@ class TestNewtonStep:
         for model, point, free, step in seen:
             u = (point.w_inv[0] @ point.g[0])[None]
             h_f = model.derivatives(point, u, True)[1][0, free]
-            hess = model.hessian(point, u)[0][np.ix_(free, free)]
+            hess = model.derivatives(point, u, True)[2]()[0][np.ix_(free, free)]
             newton = -np.linalg.solve(hess, h_f)
             gauss_newton = gauss_newton_direction(model, point, free, True)[1][0]
             bound = _SubjectMoments.newton_bound * np.abs(gauss_newton).max()
@@ -1380,6 +1398,130 @@ class TestNewtonStep:
         assert np.abs(res.beta_hat).max() < 1.0
         monkeypatch.setattr(_SubjectMoments, "newton_bound", 1e6)
         assert np.abs(fit(cfg, ds).beta_hat).max() > 1e3
+
+
+class TestHessianFormation:
+    """When a direction forms the exact Hessian. The callable that the
+    model's ``derivatives`` returns is None with a frozen weight, and
+    ``_direction`` calls it at most once, and never in an identity-link
+    fit or a logit direction whose longest admissible step is below
+    STEP_TOL, where no Newton step can be taken."""
+
+    @staticmethod
+    def problem(link):
+        """gmmai2 on the paper design, or the logit panel of
+        ``test_logit_cue_solves_take_bounded_newton_steps``."""
+        if link == "identity":
+            return paper_problem("gmmai2", seed=1014)
+        rng = np.random.default_rng(11)
+        ds = logistic_panel(rng)
+        phi = tuple(rng.uniform(0.35, 0.65, 3) for _ in range(2))
+        aux = AuxiliaryInfo(two_group_partition(), phi)
+        return ExtendedScoreConfig(BERN, build_basis(CS, 3), aux), ds
+
+    @staticmethod
+    def record(monkeypatch):
+        """List of (model, point, free, Hessians formed) per ``_direction``
+        call, counted by wrapping each model's ``derivatives``."""
+        from qifaux.estimator import _AffineMoments, _SubjectMoments
+
+        seen, formed = [], [0]
+        for cls in (_AffineMoments, _SubjectMoments):
+
+            def counted(model, point, u, continuous, derivatives=cls.derivatives):
+                jac, half_grad, hessian = derivatives(model, point, u, continuous)
+                if hessian is None:
+                    return jac, half_grad, None
+
+                def counting():
+                    formed[0] += 1
+                    return hessian()
+
+                return jac, half_grad, counting
+
+            monkeypatch.setattr(cls, "derivatives", counted)
+
+        def direction(model, point, free, continuous):
+            formed[0] = 0
+            out = _direction(model, point, free, continuous)
+            seen.append((model, point, free, formed[0]))
+            return out
+
+        monkeypatch.setattr(qifaux.estimator, "_direction", direction)
+        return seen
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_frozen_weight_gives_no_hessian(self, link):
+        from qifaux.estimator import _build_assembler, _model
+
+        cfg, ds = self.problem(link)
+        beta = initial_estimate(cfg, ds)
+        model = _model([_build_assembler(cfg, ds, FitOptions())[0]], beta[None])
+        assert type(model).__name__ == {
+            "identity": "_AffineMoments",
+            "logit": "_SubjectMoments",
+        }[link]
+        point = model.evaluate([0], beta[None])
+        frozen = model.evaluate([0], beta[None], point.w_inv)
+        u = (point.w_inv @ point.g[:, :, None])[..., 0]
+        assert model.derivatives(frozen, u, False)[2] is None
+        assert model.derivatives(point, u, False)[2] is None
+        hessian = model.derivatives(point, u, True)[2]
+        assert hessian().shape == (1, 2, 2)
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_two_step_solves_form_none(self, monkeypatch, link):
+        seen = self.record(monkeypatch)
+        cfg, ds = self.problem(link)
+        options = FitOptions(two_step=True)
+        res = fit(cfg, ds, options=options)
+        profile_test(cfg, ds, [1], [0.0], options=options, unrestricted=res)
+        assert {free.size for _, _, free, _ in seen} == {1, 2}
+        assert [formed for *_, formed in seen] == [0] * len(seen)
+
+    @pytest.mark.parametrize("method", ["qif", "gmmai2", "gmmai4"])
+    def test_identity_fits_form_none(self, monkeypatch, method):
+        """Identity-link fits form none; each direction of their
+        restricted solves forms one, for the paired ``eigh``."""
+        seen = self.record(monkeypatch)
+        cfg, ds = paper_problem(method, seed=1014)
+        res = fit(cfg, ds)
+        fit_directions = len(seen)
+        assert fit_directions > 0
+        assert [formed for *_, formed in seen] == [0] * fit_directions
+        profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        restricted = [formed for *_, formed in seen[fit_directions:]]
+        assert restricted and restricted == [1] * len(restricted)
+
+    def test_logit_directions_form_one_unless_the_search_ends(self, monkeypatch):
+        """A continuously-updated logit direction forms none where even a
+        step ``newton_bound`` times the Gauss-Newton step's would be below
+        STEP_TOL, and one everywhere else."""
+        seen = self.record(monkeypatch)
+        cfg, ds = self.problem("logit")
+        res = fit(cfg, ds)
+        profile_test(cfg, ds, [1], [0.0], unrestricted=res)
+        ends = 0
+        for model, point, free, formed in seen:
+            gauss_newton = gauss_newton_direction(model, point, free, True)[1]
+            if model.newton_bound * np.abs(gauss_newton).max() < qifaux.estimator.STEP_TOL:
+                assert formed == 0
+                ends += 1
+            else:
+                assert formed == 1
+        assert 0 < ends < len(seen)
+
+    def test_lockstep_directions_form_at_most_one(self, monkeypatch):
+        """A stacked direction forms at most one stack of Hessians, whatever
+        the stack's size."""
+        from qifaux import Hypothesis, run_monte_carlo
+
+        seen = self.record(monkeypatch)
+        design = SimulationDesign(n=120, seed=1014, replications=4)
+        run_monte_carlo(design, ["qif", "gmmai4"], [Hypothesis("b2", (1,), (0.0,))])
+        assert max(len(point.rows) for _, point, _, _ in seen) > 1
+        for _, _, free, formed in seen:
+            assert formed == (free.size == 1)
 
 
 class TestLockstep:
@@ -1471,14 +1613,19 @@ class TestLockstep:
         assemblers, beta0, start = self.paper_batch("gmmai2", 1003, 3, (1, 0.0))
         free = np.array([0])
         newton = self.solve_each_way(assemblers, beta0, start, free)
-        hessian = _AffineMoments.hessian
+        derivatives = _AffineMoments.derivatives
 
-        def poisoned(model, point, u):
-            hess = hessian(model, point, u)
-            hess[(model.beta0[point.rows] == beta0[1]).all(axis=1)] = value
-            return hess
+        def poisoned(model, point, u, continuous):
+            jac, half_grad, hessian = derivatives(model, point, u, continuous)
 
-        monkeypatch.setattr(_AffineMoments, "hessian", poisoned)
+            def poisoned_hessian():
+                hess = hessian()
+                hess[(model.beta0[point.rows] == beta0[1]).all(axis=1)] = value
+                return hess
+
+            return jac, half_grad, poisoned_hessian
+
+        monkeypatch.setattr(_AffineMoments, "derivatives", poisoned)
         out = self.solve_each_way(assemblers, beta0, start, free)
         monkeypatch.setattr(qifaux.estimator, "_direction", gauss_newton_direction)
         (gauss_newton,) = _minimize(
@@ -1640,10 +1787,10 @@ class TestWeightRoute:
             values = []
             for point in (padded, oracle):
                 u = (point.w_inv @ point.g[:, :, None])[..., 0]
-                jac, half_grad = model.derivatives(point, u, not two_step)
+                jac, half_grad = model.derivatives(point, u, not two_step)[:2]
                 terms = [point.objective(), half_grad, jac.swapaxes(1, 2) @ point.w_inv @ jac]
                 if not two_step:
-                    terms.append(model.hessian(point, u))
+                    terms.append(model.derivatives(point, u, True)[2]())
                 values.append(terms)
             for actual, expected in zip(*values):
                 assert_relative(actual, expected, rtol=1e-12)
@@ -1741,7 +1888,7 @@ class TestConsecutiveRows:
             normal_inv, step, grad_norm, errors = _direction(model, point, free, True)
             assert errors == {}
             outputs = [point.g, point.w_inv, point.rank, point.terms, frozen.g]
-            outputs += [model.hessian(point, u), normal_inv, step, grad_norm]
+            outputs += [model.derivatives(point, u, True)[2](), normal_inv, step, grad_norm]
             return {
                 r: [np.ascontiguousarray(out[j]).tobytes() for out in outputs]
                 for j, r in enumerate(rows.tolist())
@@ -1779,7 +1926,7 @@ class TestConsecutiveRows:
         expected = b.swapaxes(1, 2) @ point.w_inv @ b - np.einsum(
             "ra,rajbk,rb->rjk", u, t_gram, u
         )
-        for actual, oracle in zip(model.hessian(point, u), expected):
+        for actual, oracle in zip(model.derivatives(point, u, True)[2](), expected):
             assert_relative(actual, oracle, rtol=1e-13)
 
 
@@ -1865,10 +2012,15 @@ class TestProfileTest:
         cfg = ExtendedScoreConfig(GAUSS, build_basis(CS, 3), build_two_group_aux())
         res = fit(cfg, ds)
 
-        def no_hessian(self, point, u):
-            raise AssertionError("Hessian formed")
+        derivatives = qifaux.estimator._AffineMoments.derivatives
 
-        monkeypatch.setattr(qifaux.estimator._AffineMoments, "hessian", no_hessian)
+        def no_hessian(self, point, u, continuous):
+            def formed():
+                raise AssertionError("Hessian formed")
+
+            return (*derivatives(self, point, u, continuous)[:2], formed)
+
+        monkeypatch.setattr(qifaux.estimator._AffineMoments, "derivatives", no_hessian)
         for given in (res, None):
             out = profile_test(cfg, ds, [0, 1], [0.5, -0.5], unrestricted=given)
             assert out.df == 2 and out.beta_restricted.tolist() == [0.5, -0.5]

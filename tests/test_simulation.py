@@ -291,6 +291,19 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(design, ["mystery"])
 
+    def test_bare_method_string_rejected(self, monkeypatch):
+        """A bare string would be iterated into its characters ('q', 'i',
+        'f'); it is refused with the expected form before any panel."""
+
+        def no_draw(*args):
+            raise AssertionError("panel drawn before methods were checked")
+
+        monkeypatch.setattr(sim, "generate_dataset", no_draw)
+        design = SimulationDesign(n=60, seed=10, replications=2)
+        with pytest.raises(ValueError) as err:
+            run_monte_carlo(design, "qif")
+        assert str(err.value) == "methods must be a sequence of names, such as ('qif',)"
+
     def test_bad_hypothesis_rejected_before_any_fit(self, monkeypatch):
         design = SimulationDesign(n=60, seed=10, replications=2)
 
