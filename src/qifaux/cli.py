@@ -219,7 +219,7 @@ def _load_design(args):
 
 def _cmd_simulate(args) -> int:
     design = _load_design(args)
-    methods = _comma_list(args.methods) if args.methods else _default_methods(design)
+    methods = _default_methods(design) if args.methods is None else _comma_list(args.methods)
     summaries = run_monte_carlo(design, methods, options=_fit_options(args), n_jobs=args.jobs)
     _write_output(emit_report(summaries, args.format), args)
     return 0

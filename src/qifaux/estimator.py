@@ -376,9 +376,10 @@ class _Assembler:
 def _weight_inverse(sigma, pad=None, nulls=0):
     """Inverses and ranks of a stack (..., d, d) of symmetric weights.
 
-    ``pad`` is s N N' for the orthonormal columns N of each weight's known
-    null space (``nulls`` of them) and a scale s > 0, so the padded weight
-    Sigma + s N N' has inverse Sigma^+ + N N' / s, and rank d - nulls. A
+    ``pad`` is s N N' for unit columns N that span each weight's known null
+    space (``nulls`` of them) and a scale s > 0. The pad is zero on the
+    range of Sigma and maps into its null space, so the padded weight
+    Sigma + s N N' has inverse Sigma^+ + (s N N')^+, and rank d - nulls. A
     slice whose padded weight has ||.||_F ||.^-1||_F below 1 / WEIGHT_RCOND
     keeps that ``np.linalg.inv``: the cutoff of ``_pseudo_inverse`` would
     have kept every eigenvalue. Every other slice, ill-conditioned, exactly
@@ -566,17 +567,16 @@ class _AffineMoments:
     Every per-problem array is indexed by a slice, without a copy, when the
     requested rows are consecutive (``_rows``).
 
-    The same pass finds each problem's structural null directions N, for
-    which v' Z_i = 0 gives v' g_i(beta) = 0 at every beta. Their count is
-    that of the eigenvalues under the WEIGHT_RCOND cutoff of Sigma_Z =
-    (1/n) sum_i Z_i Z_i' equilibrated first per column of Z (each of the
-    p+1 column blocks scaled to unit trace) and then per row (unit
-    diagonal), so it does not depend on the units of the covariates or of
-    the response; a true null stays exactly null under that scaling. N is
-    as many eigenvectors of smallest magnitude of the raw Sigma_Z.
-    Evaluations invert Sigma_n + s N N' (``pad``, s = trace Sigma_n(beta0)
-    / d) with rank d - |N| (``nulls``); N' annihilates g_n, G_n and the
-    Hessian's B.
+    The same pass finds each problem's structural null directions v, for
+    which v' Z_i = 0 gives v' g_i(beta) = 0 at every beta, from one
+    ``eigh`` of Sigma_Z = (1/n) sum_i Z_i Z_i' equilibrated first per
+    column of Z (each of the p+1 column blocks scaled to unit trace) and
+    then per row (unit diagonal), so their count does not depend on the
+    units of the covariates or of the response (``_null_space``). Unit
+    columns N, not always orthogonal, span them. Evaluations invert
+    Sigma_n + s N N' (``pad``, s = trace Sigma_n(beta0) / d), whose inverse
+    is Sigma_n^+ + (s N N')^+, with rank d - |N| (``nulls``); N'
+    annihilates g_n, G_n and the Hessian's B.
     """
 
     # Newton steps in restricted solves only, of any length (``_direction``)
@@ -597,12 +597,9 @@ class _AffineMoments:
         gram = self.z_gram.reshape(-1, d, k, d, k)
         t_gram = gram[:, :, 1:, :, 1:].transpose(0, 1, 3, 2, 4)
         self.t_pairs = t_gram.reshape(-1, d * d, (k - 1) ** 2)
-        lam, vec = np.linalg.eigh(np.einsum("rajbj->rab", gram))
-        self.nulls = _null_count(np.einsum("rajbj->rjab", gram))
-        # the nulls smallest magnitudes of the raw eigenvalues
-        null = np.argsort(np.argsort(np.abs(lam), axis=1), axis=1) < self.nulls[:, None]
+        self.nulls, null = _null_space(np.einsum("rajbj->rjab", gram))
         scale = np.einsum("raa->r", gram[:, :, 0, :, 0]) / d
-        self.pad = (vec * (scale[:, None] * null)[:, None, :]) @ vec.swapaxes(1, 2)
+        self.pad = (null * scale[:, None, None]) @ null.swapaxes(1, 2)
 
     def evaluate(self, rows, beta, frozen_inv=None):
         """``_Point`` of problems ``rows`` at the rows of beta. Under
@@ -631,7 +628,7 @@ class _AffineMoments:
         Under continuous updating the weight's own beta-dependence subtracts
         (1/n) sum_i (g_i' u) T_i' u, and ``hessian()`` is the exact Hessian
         B' W B - V of Q_n / 2, in O(d^2 p^2 + d^3): u = W g has Jacobian W B,
-        B = G - (dSigma/dbeta) u, whose u' cross term is one product, and
+        B = G - (dSigma/dbeta) u, whose cross u term the half-gradient forms, and
         V = (1/n) sum_i T_i' u u' T_i, one product of u (x) u with
         ``t_pairs``. ``point`` must then be a continuously-updated
         evaluation, which carries the cross product.
@@ -646,9 +643,8 @@ class _AffineMoments:
 
         def hessian():
             r, d, k, _ = point.terms.shape
-            cross = point.terms[:, :, 1:, :]
             back = (u[:, None, :] @ point.terms.reshape(r, d, k * d)).reshape(r, k, d)[:, 1:]
-            b = jac - (cross @ u[:, None, :, None])[..., 0] - back.swapaxes(1, 2)
+            b = jac - weighted[:, :, 1:] - back.swapaxes(1, 2)
             pairs = (u[:, :, None] * u[:, None, :]).reshape(r, 1, d * d)
             v = (pairs @ self.t_pairs[at]).reshape(r, k - 1, k - 1)
             return b.swapaxes(1, 2) @ point.w_inv @ b - v
@@ -656,16 +652,23 @@ class _AffineMoments:
         return jac, half_grad, hessian
 
 
-def _null_count(blocks):
-    """Eigenvalues under the WEIGHT_RCOND cutoff of each problem's sum of
-    the (p+1) blocks (..., j, d, d), once each block is scaled to unit trace
-    and the sum then to unit diagonal; a zero block or row stays zero."""
+def _null_space(blocks):
+    """(count, unit columns N) of each problem's structural null space, from
+    one ``eigh`` of the sum of the (p+1) blocks (..., j, d, d), once each
+    block is scaled to unit trace and the sum S then to unit diagonal,
+    R S R. Its eigenvectors w under the WEIGHT_RCOND cutoff give N, the
+    columns R w scaled to unit length; a zero row, whose R is 0, is its own
+    null direction and takes R = 1. The columns over the cutoff are zero."""
     r, k, d, _ = blocks.shape
     traces = np.einsum("rjaa->rj", blocks)
     scaled = (_reciprocal(traces)[:, None, :] @ blocks.reshape(r, k, d * d)).reshape(r, d, d)
     root = _reciprocal(np.sqrt(np.einsum("raa->ra", scaled)))
-    mags = np.abs(np.linalg.eigvalsh(scaled * root[:, :, None] * root[:, None, :]))
-    return (mags <= WEIGHT_RCOND * mags.max(axis=1, keepdims=True)).sum(axis=1)
+    lam, vec = np.linalg.eigh(scaled * root[:, :, None] * root[:, None, :])
+    mags = np.abs(lam)
+    null = mags <= WEIGHT_RCOND * mags.max(axis=1, keepdims=True)
+    columns = np.where(root > 0, root, 1.0)[:, :, None] * vec
+    columns *= null[:, None, :] / np.linalg.norm(columns, axis=1, keepdims=True)
+    return null.sum(axis=1), columns
 
 
 def _reciprocal(values):

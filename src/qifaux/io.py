@@ -13,7 +13,6 @@ import io as _stdio
 import json
 import math
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
@@ -127,25 +126,26 @@ def _subjects(ids):
 
 
 def _parse_rows(reader, parse_row):
-    """The exact route: the subjects, times and cells up to the first bad row, and its error.
+    """The exact route: the subjects, times and cells up to the first bad row, its error and lines.
 
     The error is ``(line, message, cause)`` for the first row ``parse_row``
     rejects or the reader's csv.Error, which ranks after every row read
-    before it.
+    before it. The lines map each row read to the line that ends it.
     """
-    ids, times, cells, error = [], [], [], None
+    ids, times, cells, lines, error = [], [], [], [], None
     try:
         for fields in filter(None, reader):
             sid, time, values = parse_row(fields)
             ids.append(sid)
             times.append(time)
             cells.append(values)
+            lines.append(reader.line_num)
     except ValueError as err:
         error = (reader.line_num, str(err), None)
     except csv.Error as err:
         error = (reader.line_num, str(err), err)
     ids, times, cells = _columns(ids, times, cells)
-    return _subjects(ids), times, cells, error
+    return _subjects(ids), times, cells, error, lines.__getitem__
 
 
 def _parse_plain(text, raw, width, columns, q, parse_row):
@@ -209,7 +209,7 @@ def _parse_plain(text, raw, width, columns, q, parse_row):
 
 
 def _plain_line_of(lines, row):
-    """``_line_of`` for a plain body split at "\\n": empty and "\\r" lines hold no row."""
+    """The line of data row ``row`` of a plain body split at "\\n": "" and "\\r" lines hold none."""
     numbers = (k for k, line in enumerate(lines, 1) if k > 1 and line not in ("", "\r"))
     return next(islice(numbers, row, None))
 
@@ -300,15 +300,6 @@ def _lines(text):
         start = end
 
 
-def _line_of(text, row):
-    """The line where data row ``row`` (0-based, no blank rows) ends or the reader fails."""
-    reader = csv.reader(_lines(text))
-    with suppress(csv.Error):
-        next(reader)
-        next(islice(filter(None, reader), row, None))
-    return reader.line_num
-
-
 def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     """Assemble a balanced panel from a long-format CSV file.
 
@@ -335,10 +326,12 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     read by the exact route, the one that reports errors: one loop over the
     CSV reader's rows that stops at the first bad one. It also loads the
     valid bodies numpy rejects, such as one with a cell ``1_5``.
-    Duplicates are checked over every row up to the first bad one. The
-    value array holds only subjects with q rows, the only ones that can be
-    complete, so memory is bounded by the rows read whatever the time
-    indices are.
+    Duplicates are checked over every row up to the first bad one. An
+    error names the line where the CSV reader ends its row or fails, which
+    the exact route records as it reads and the plain route finds in its
+    own split: no load reads the text twice. The value array holds only
+    subjects with q rows, the only ones that can be complete, so memory is
+    bounded by the rows read whatever the time indices are.
     """
     if hasattr(path, "read"):
         text = path.read()
@@ -351,7 +344,7 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     try:
         header = next(reader, None)
     except csv.Error as err:
-        raise MalformedRow(_line_of(text, 0), str(err)) from err
+        raise MalformedRow(reader.line_num, str(err)) from err
     if header is None:
         raise EmptyDataset("file has no header")
     # a repeated header name refers to its last column
@@ -371,7 +364,7 @@ def load_dataset(path, schema: ColumnSchema) -> LoadResult:
     columns = [position[c] for c in needed]
     (subjects, slot), time, cells, error, line_of = _parse_plain(
         text, raw, len(header), columns, schema.q, parse_row
-    ) or (*_parse_rows(reader, parse_row), partial(_line_of, text))
+    ) or _parse_rows(reader, parse_row)
 
     # one stable sort by (slot, time) finds the duplicates and lays out the grid
     order = np.lexsort((time, slot))

@@ -151,7 +151,7 @@ _DESIGN_KEYS = {
 
 
 def parse_design_config(text: str) -> SimulationDesign:
-    """Parse a key=value design file (# starts a comment)."""
+    """Parse a key=value design file (# starts a comment); each key, in any case, once."""
     values = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -164,6 +164,8 @@ def parse_design_config(text: str) -> SimulationDesign:
         if key not in _DESIGN_KEYS:
             raise MalformedRow(line_number, f"unknown design key {key!r}")
         name, parse = _DESIGN_KEYS[key]
+        if name in values:
+            raise MalformedRow(line_number, f"design key {key!r} is given twice")
         try:
             values[name] = parse(value.strip())
         except ValueError as err:

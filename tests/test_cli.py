@@ -191,6 +191,23 @@ def test_simulate_rejects_repeated_method(tmp_path, capsys):
     assert "error: method 'qif' is given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", ["", ","], ids=["empty", "comma"])
+def test_simulate_rejects_empty_method_list(tmp_path, capsys, methods):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN)
+    code = main(["simulate", "--config", str(cfg), "--methods", methods])
+    assert code == 1
+    assert "error: need at least one method" in capsys.readouterr().err
+
+
+def test_simulate_rejects_repeated_design_key(tmp_path, capsys):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DESIGN + "N = 90\n")
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 1
+    assert "design key 'n' is given twice" in capsys.readouterr().err
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     cfg = tmp_path / "design.cfg"
     cfg.write_text(DESIGN)

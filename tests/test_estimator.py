@@ -1865,6 +1865,68 @@ class TestUnitFreeNulls:
             assert abs(other_nq - nq) <= 1e-9 * nq, seed
 
 
+class TestTwoStructuralNulls:
+    """Two time-constant covariates under the compound-symmetry basis give
+    two structural null directions, spanned by unit columns of the pad that
+    need not be orthogonal: the fit converges, Q_n off the solution is
+    g' Sigma_n^+ g of the public moments, and no weight is pseudo-inverted."""
+
+    @staticmethod
+    def problem(seed, n=300, q=3):
+        """A p = 3 identity panel: x_1 varies in time, x_2 (binary) and
+        x_3 (normal) are constant within a subject."""
+        rng = np.random.default_rng(seed)
+        x = np.empty((n, q, 3))
+        x[:, :, 0] = rng.standard_normal((n, q))
+        x[:, :, 1] = rng.integers(0, 2, size=n)[:, None]
+        x[:, :, 2] = rng.standard_normal(n)[:, None]
+        y = x @ np.array([0.5, -0.5, 0.25]) + rng.standard_normal((n, q))
+        return ExtendedScoreConfig(GAUSS, build_basis(CS, q), None), LongitudinalDataset(y, x)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_nulls_fit_and_match_the_pseudo_inverse(self, seed, monkeypatch):
+        from qifaux.estimator import _fit
+
+        def refuse(stack):
+            raise AssertionError("pseudo-inverse")
+
+        cfg, ds = self.problem(seed)
+        monkeypatch.setattr(qifaux.estimator, "_pseudo_inverse", refuse)
+        fitted = _fit([cfg], [ds], FitOptions())[0]
+        assert fitted.model.nulls[0] == 2
+        assert fitted.result.converged
+        beta = fitted.result.beta_hat + 1e-3 * np.random.default_rng(seed).standard_normal(3)
+        q_at = fitted.model.evaluate([0], beta[None]).objective()[0]
+        g, contribs = moment_vector(cfg, ds, beta)
+        sigma = weight_matrix(contribs)
+        expected = g @ np.linalg.pinv(sigma, hermitian=True) @ g
+        assert abs(q_at - expected) <= 1e-12 * expected
+        # Q_n takes any pad that is nonsingular on the null space; this one
+        # spans it, so it is zero on the range of Sigma_n
+        pad = fitted.model.pad[0]
+        assert np.linalg.matrix_rank(pad) == 2
+        assert np.abs(sigma @ pad).max() <= 1e-12 * np.abs(sigma).max() * np.abs(pad).max()
+
+    def test_zero_rows_are_their_own_null_directions(self):
+        """An all-zero covariate zeroes its two score rows, whose row
+        scaling is 0: each is a null direction of its own, and the pad
+        takes them with R = 1."""
+        from qifaux.estimator import _AffineMoments, _build_assembler
+
+        cfg, ds = self.problem(0)
+        x = ds.covariates.copy()
+        x[:, :, 1] = 0.0
+        ds = LongitudinalDataset(ds.responses, x)
+        model = _AffineMoments([_build_assembler(cfg, ds, FitOptions())[0]], np.zeros((1, 3)))
+        contribs = moment_vector(cfg, ds, np.zeros(3))[1]
+        sigma, pad = weight_matrix(contribs), model.pad[0]
+        # the two zero rows, and the time-constant third covariate's pair:
+        # a rank-3 pad that Sigma_n annihilates spans all three
+        assert (~contribs.any(axis=0)).sum() == 2 and model.nulls[0] == 3
+        assert np.isfinite(pad).all() and np.linalg.matrix_rank(pad) == 3
+        assert np.abs(sigma @ pad).max() <= 1e-12 * np.abs(sigma).max() * np.abs(pad).max()
+
+
 class TestConsecutiveRows:
     """A round over consecutive rows indexes the model's per-problem arrays
     by a slice, without copying them; once a problem has left, by the rows.

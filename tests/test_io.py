@@ -518,9 +518,34 @@ class TestLoadDataset:
         ids=["end", "crlf", "blank-lines", "crlf-blank-lines", "early", "after-na", "quoted-id"],
     )
     def test_plain_duplicate_names_its_line(self, text, line):
-        # the line comes from the plain route's own split, not a second read
-        with mock.patch.object(qio, "_line_of", side_effect=AssertionError("second read")):
+        # the line comes from the plain route's own split, not a second read:
+        # _lines is the only CSV source over the text
+        with mock.patch.object(qio, "_lines", wraps=qio._lines) as lines:
             out, _ = _numpy_route(text, SCHEMA)
+        assert lines.call_count == 1
+        assert out == _outcome(load_dataset_by_rows, text, SCHEMA)
+        assert out[0] is UnbalancedSubject and out[2] == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (CLEAN.replace("b,", '"b,c",') + '"b,c",2,9,9,9\n', 8),
+            # the reader names the line where a quoted line end's row finishes
+            (CLEAN.replace("a,", '"a\nx",') + '"a\nx",3,9,9,9\n', 12),
+            # NUL takes the exact route; its line comes after the duplicate,
+            # where Python < 3.11's CSV reader fails
+            (CLEAN + "b,2,9,9,9\nc,1,0.1\0,1,1\n", 8),
+        ],
+        ids=["quoted-comma", "quoted-newline", "nul"],
+    )
+    def test_exact_duplicate_names_its_line(self, text, line):
+        # the exact route records each row's line as it reads it
+        with (
+            mock.patch.object(qio, "_lines", wraps=qio._lines) as lines,
+            mock.patch.object(qio, "_parse_rows", wraps=qio._parse_rows) as exact,
+        ):
+            out = _outcome(load_dataset, text, SCHEMA)
+        assert lines.call_count == exact.call_count == 1
         assert out == _outcome(load_dataset_by_rows, text, SCHEMA)
         assert out[0] is UnbalancedSubject and out[2] == line
 
@@ -938,6 +963,18 @@ class TestDesignConfig:
     def test_missing_n_rejected(self):
         with pytest.raises(ValueError):
             parse_design_config("rho_x = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("n = 60\nn = 90\n", "n", 2),
+            ("n = 60\nSeed = 1\n# note\nseed = 1\n", "seed", 4),
+        ],
+        ids=["same-case", "other-case"],
+    )
+    def test_repeated_key_rejected(self, text, key, line):
+        with pytest.raises(MalformedRow, match=f"^line {line}: design key '{key}' is given twice$"):
+            parse_design_config(text)
 
     @pytest.mark.parametrize(
         "text, line",
