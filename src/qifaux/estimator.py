@@ -458,6 +458,19 @@ def _coefficients(beta, p, name):
     return beta
 
 
+def _integer(value):
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _variance(result, index):
+    """Var(beta_hat[index]) of a fit; index must be an integer in 0..p-1."""
+    p = len(result.beta_hat)
+    if not (_integer(index) and 0 <= index < p):
+        raise ValueError(f"index must be an integer in 0..{p - 1}, got {index!r}")
+    return float(result.covariance[index, index])
+
+
 def moment_vector(
     config: ExtendedScoreConfig, dataset: LongitudinalDataset, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -739,14 +752,17 @@ class _SubjectMoments:
 
 
 class _Solution(NamedTuple):
-    """Where the solver stopped, with the inverse normal matrix there."""
+    """Where the solver stopped and how: ``flat`` if its last direction found
+    no decrease, ``rank`` the lowest weight rank it accepted; with the
+    inverse normal matrix there."""
 
     beta: np.ndarray
     objective: float
     iterations: int
     converged: bool
+    flat: bool
     iterates: np.ndarray
-    degraded: bool
+    rank: int
     gradient_norm: float
     normal_inverse: np.ndarray
 
@@ -860,18 +876,18 @@ def _search(beta, free):
     It yields each point where it needs the objective, beta first, and is
     sent (Q_n, weight rank) there, the rank None for a frozen weight. At
     each accepted point it yields None and is sent (inverse normal matrix,
-    step, its largest coordinate, gradient norm, moment count) there. It
-    returns its ``_Solution``, or raises SingularWeightMatrix where the
-    weight's rank falls below p.
+    step, its largest coordinate, gradient norm) there. It returns its
+    ``_Solution``, with whether its last direction was flat and the lowest
+    weight rank ``low`` it accepted, or raises SingularWeightMatrix where
+    the weight's rank falls below p.
     """
     p = beta.size
-    # low is the smallest weight rank at an accepted point
     q_cur, low = yield beta
     if low < p:
         raise _rank_error(low, p)
     iterates = [beta]
-    normal_inv, step, step_norm, grad_norm, d = yield None
-    converged = False
+    normal_inv, step, step_norm, grad_norm = yield None
+    converged = flat = False
     iterations = 0
     for _ in range(MAX_ITER):
         if step_norm < STEP_TOL:
@@ -892,14 +908,14 @@ def _search(beta, free):
             alpha *= 0.5
         else:
             # No achievable decrease: objective flat along the direction.
-            converged = smallest_gap < OBJECTIVE_TOL
+            converged, flat = smallest_gap < OBJECTIVE_TOL, True
             break
         # alpha is a power of two, so this is the largest coordinate taken
         stopped = alpha * step_norm < STEP_TOL or q_cur - trial_q < OBJECTIVE_TOL
         beta, q_cur = candidate, trial_q
         low = low if rank is None else min(low, rank)
         iterates.append(beta)
-        normal_inv, step, step_norm, grad_norm, d = yield None
+        normal_inv, step, step_norm, grad_norm = yield None
         if stopped:
             converged = True
             break
@@ -908,8 +924,9 @@ def _search(beta, free):
         objective=q_cur,
         iterations=iterations,
         converged=converged,
+        flat=flat,
         iterates=np.asarray(iterates),
-        degraded=low < d,
+        rank=low,
         gradient_norm=grad_norm,
         normal_inverse=normal_inv,
     )
@@ -924,7 +941,8 @@ def _minimize(model, rows, beta0, free, options):
     requests. Each round makes one stacked evaluation for the searches that
     asked for Q_n and, when any of them accepted a point, one stacked
     ``_direction`` over that whole evaluation, of which only the searches
-    at an accepted point read their slice. Every stacked kernel gives a
+    at an accepted point read their slice: inverse normal matrix, step, its
+    largest coordinate and gradient norm. Every stacked kernel gives a
     problem, bit for bit, what it gives that problem alone, so each result
     is the one the problem gets as a batch of one. With no free coordinate
     the search stops at its start, where Q_n is the joint null's objective.
@@ -975,8 +993,7 @@ def _minimize(model, rows, beta0, free, options):
                 if k in errors:
                     outcomes[active[k]] = errors[k]
                 else:
-                    reply = normal_inv[k], step[k], step_norm[k], grad_norm[k], trial.g.shape[1]
-                    resume(active[k], reply)
+                    resume(active[k], (normal_inv[k], step[k], step_norm[k], grad_norm[k]))
         active = [j for j in active if outcomes[j] is None]
     return outcomes
 
@@ -1008,28 +1025,34 @@ def fit(
     rather than an exception; rank failures raise RankDeficient and a
     weight matrix with rank below p raises SingularWeightMatrix.
     """
-    starts = None if init is None else [_coefficients(init, dataset.p, "init")]
-    return _value(_fit([config], [dataset], options or FitOptions(), starts)[0]).result
+    start = _start(config, dataset) if init is None else _coefficients(init, dataset.p, "init")
+    return _value(_fit([config], [dataset], options or FitOptions(), [start])[0]).result
 
 
-def _fit(configs, datasets, options, starts=None):
+def _start(config, dataset):
+    """The independence start of a panel, or the QifauxError it raises."""
+    try:
+        return initial_estimate(config, dataset)
+    except QifauxError as err:
+        return err
+
+
+def _fit(configs, datasets, options, starts):
     """``fit`` of each problem (configs[i], datasets[i]), in lockstep.
 
     Problems whose moments stack (one link, basis, p and count of kept
-    subgroups) are solved together, each expanded at its own start:
-    ``starts[i]`` where given (a start value, or the QifauxError that
-    computing it raised), else the problem's ``initial_estimate``. Returns
-    per problem its ``_Fitted``, or the QifauxError that stopped it.
+    subgroups) are solved together, each expanded at its own start
+    ``starts[i]``: a start value, or the QifauxError that computing it
+    raised (``_start``). Returns per problem its ``_Fitted``, or the
+    QifauxError that stopped it. A fit's weight is rank deficient when its
+    search accepted a weight rank below the moment count.
     """
     outcomes = [None] * len(configs)
     batches = {}
     for i, (config, dataset) in enumerate(zip(configs, datasets)):
         try:
             assembler, dropped = _build_assembler(config, dataset, options)
-            if starts is None:
-                beta0 = initial_estimate(config, dataset)
-            else:
-                beta0 = _value(starts[i])
+            beta0 = _value(starts[i])
         except QifauxError as err:
             outcomes[i] = err
             continue
@@ -1054,7 +1077,7 @@ def _fit(configs, datasets, options, starts=None):
                 converged=sol.converged,
                 gradient_norm=sol.gradient_norm,
                 iterates=sol.iterates,
-                weight_rank_deficient=sol.degraded,
+                weight_rank_deficient=sol.rank < assemblers[j].n_score + assemblers[j].phi.size,
                 dropped_groups=dropped[j],
             )
             outcomes[index[j]] = _Fitted(result, model, j)
@@ -1083,16 +1106,13 @@ def profile_test(
     options = options or FitOptions()
     indices, values = _hypothesis(constrained_indices, constrained_values, dataset.p)
     if unrestricted is None:
-        fitted = _value(_fit([config], [dataset], options)[0])
+        fitted = _value(_fit([config], [dataset], options, [_start(config, dataset)])[0])
     else:
-        if np.shape(unrestricted.beta_hat) != (dataset.p,):
-            raise ValueError(f"unrestricted.beta_hat must have shape ({dataset.p},)")
+        start = _coefficients(unrestricted.beta_hat, dataset.p, "unrestricted.beta_hat")
         iterates = unrestricted.iterates
-        if iterates is not None and np.shape(iterates[:1]) != (1, dataset.p):
-            raise ValueError(f"unrestricted.iterates[0] must have shape ({dataset.p},)")
-        start = unrestricted.beta_hat if iterates is None else iterates[0]
-        if not (np.isfinite(unrestricted.beta_hat).all() and np.isfinite(start).all()):
-            raise ValueError("unrestricted.beta_hat and unrestricted.iterates[0] must be finite")
+        if iterates is not None:
+            first = iterates[0] if len(iterates) else iterates
+            start = _coefficients(first, dataset.p, "unrestricted.iterates[0]")
         assembler = _build_assembler(config, dataset, options)[0]
         fitted = _Fitted(unrestricted, _model([assembler], start[None]), 0)
     return _value(_profile_tests([fitted], dataset.n, indices, values, options)[0])
@@ -1104,10 +1124,7 @@ def _hypothesis(constrained_indices, constrained_values, p):
     values = np.asarray(constrained_values, dtype=float)
     if indices.ndim != 1 or indices.size == 0 or indices.size != values.size:
         raise ValueError("need one value per constrained index")
-    if not all(
-        isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-        for i in constrained_indices
-    ):
+    if not all(map(_integer, constrained_indices)):
         raise ValueError("constrained indices must be integers")
     indices = indices.astype(int)
     if len(set(indices.tolist())) != indices.size:
@@ -1134,38 +1151,26 @@ def _profile_tests(fitted, n, indices, values, options):
         beta_start = np.array([fitted[j].result.beta_hat for j in js])
         beta_start[:, indices] = values
         free = np.delete(np.arange(beta_start.shape[1]), indices)
-        restricted = [
-            _restricted(sol) for sol in _minimize(model, rows, beta_start, free, options)
-        ]
-        for j, out in zip(js, restricted):
-            if isinstance(out, Exception):
-                outcomes[j] = out
-            else:
-                outcomes[j] = _test_result(n, fitted[j].result, *out, int(indices.size))
+        for j, sol in zip(js, _minimize(model, rows, beta_start, free, options)):
+            outcomes[j] = _test_result(n, fitted[j].result, sol, int(indices.size))
     return outcomes
 
 
-def _restricted(solution):
-    """(beta, Q_n) of a converged restricted solve, else its error."""
+def _test_result(n, unrestricted, solution, df):
+    """The profile test of a restricted ``_Solution`` against its fit; else
+    the solve's error, or NotConverged with the ending the solve recorded."""
     if isinstance(solution, Exception):
         return solution
     if not solution.converged:
-        # the last step was refused exactly when it left no iterate
-        flat = len(solution.iterates) == solution.iterations
-        return NotConverged(solution.iterations, flat)
-    return solution.beta, solution.objective
-
-
-def _test_result(n, unrestricted, beta_restricted, q_restricted, df):
-    """The profile test of a restricted minimum against its unrestricted fit."""
-    statistic = n * (q_restricted - unrestricted.objective)
+        return NotConverged(solution.iterations, solution.flat)
+    statistic = n * (solution.objective - unrestricted.objective)
     clamped = statistic < 0
     statistic = max(statistic, 0.0)
     return ProfileTestResult(
         statistic=float(statistic),
         df=df,
         p_value=float(special.chdtrc(df, statistic)),
-        beta_restricted=beta_restricted,
+        beta_restricted=solution.beta,
         beta_unrestricted=unrestricted.beta_hat,
         clamped=bool(clamped),
     )
@@ -1182,14 +1187,15 @@ def _wald_bounds(center, variance, level):
 
 def wald_interval(result: FitResult, index: int, level: float = 0.95):
     """Normal-theory confidence interval for one coefficient."""
-    lo, hi = _wald_bounds(result.beta_hat[index], result.covariance[index, index], level)
+    variance = _variance(result, index)
+    lo, hi = _wald_bounds(result.beta_hat[index], variance, level)
     return float(lo), float(hi)
 
 
 def relative_efficiency(result_a: FitResult, result_b: FitResult, index: int) -> float:
     """Ratio of variances Var_a / Var_b for one coefficient."""
-    va = float(result_a.covariance[index, index])
-    vb = float(result_b.covariance[index, index])
+    va = _variance(result_a, index)
+    vb = _variance(result_b, index)
     if vb == 0.0:
         raise ZeroDivisionError("comparison variance is zero")
     return va / vb

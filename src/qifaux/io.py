@@ -27,7 +27,7 @@ from .errors import (
     UnbalancedSubject,
     ZeroVariance,
 )
-from .estimator import FitResult
+from .estimator import FitResult, _integer
 from .model import LongitudinalDataset
 from .simulation import MonteCarloSummary
 
@@ -464,7 +464,7 @@ def standardize_columns(
     raises ValueError.
     """
     columns = list(columns)
-    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in columns):
+    if not all(map(_integer, columns)):
         raise ValueError("columns must be integers")
     for k, j in enumerate(columns):
         if not 0 <= j < dataset.p:
@@ -497,9 +497,9 @@ def split_sample(
 ) -> tuple[LongitudinalDataset, LongitudinalDataset]:
     """Disjoint uniform random split into (analysis, holdout) parts."""
     n = dataset.n
-    if not 1 <= analysis_size < n:
+    if not (_integer(analysis_size) and 1 <= analysis_size < n):
         raise InvalidSize(
-            f"analysis size must be in 1..{n - 1}, got {analysis_size}"
+            f"analysis size must be an integer in 1..{n - 1}, got {analysis_size!r}"
         )
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -607,6 +607,9 @@ def emit_report(results, format: str = "table") -> str:
     if not isinstance(results, dict) or not results:
         raise ValueError("results must be a non-empty mapping or FitResult")
     first = next(iter(results.values()))
+    for key, value in results.items():
+        if not isinstance(value, type(first)):
+            raise TypeError(f"{key!r} holds a {type(value).__name__}, not a {type(first).__name__}")
     if isinstance(first, FitResult):
         if format == "table":
             return _fit_table(results)
@@ -619,13 +622,18 @@ def emit_report(results, format: str = "table") -> str:
 
 
 def parse_structured_report(text: str) -> dict:
-    """Rebuild FitResult objects from structured-mode output."""
+    """Rebuild FitResult objects from structured-mode output; a record that
+    is not a fit record raises MalformedRow with its line."""
+    required = {"method", "beta", "cov", "q_value", "n_iter", "converged", "gradient_norm"}
     results = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         record = json.loads(line)
+        missing = required - (record.keys() if isinstance(record, dict) else set())
+        if missing:
+            raise MalformedRow(number, f"not a fit record: no {', '.join(sorted(missing))}")
         iterates = record.get("iterates")
         results[record["method"]] = FitResult(
             beta_hat=np.asarray(record["beta"], dtype=float),

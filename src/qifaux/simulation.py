@@ -29,9 +29,10 @@ from .estimator import (
     FitOptions,
     _fit,
     _hypothesis,
+    _integer,
     _profile_tests,
+    _start,
     _wald_bounds,
-    initial_estimate,
 )
 from .model import LongitudinalDataset, MarginalModelSpec
 
@@ -99,7 +100,7 @@ class SimulationDesign:
     def __post_init__(self):
         for name in ("n", "replications", "held_out_m", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -314,21 +315,13 @@ def _method_aux(method: str, design: SimulationDesign, r: int) -> AuxiliaryInfo 
     return build_four_group_aux(design, replication_rng(design.seed, r, _ROLE_HOLDOUT))
 
 
-def _start(config, dataset):
-    """The independence start of a panel, or the QifauxError it raises."""
-    try:
-        return initial_estimate(config, dataset)
-    except QifauxError as err:
-        return err
-
-
 def _method_records(configs, datasets, starts, n, hypotheses, options):
     """The FitResults of the converged fits of each configs[i] on
     datasets[i] from starts[i], then per hypothesis the ProfileTestResults
     of the tests on them that did not fail: one lockstep fit batch, then one
     lockstep test batch per hypothesis; n is the panels' subject count."""
     fitted = [
-        out for out in _fit(configs, datasets, options, starts=starts)
+        out for out in _fit(configs, datasets, options, starts)
         if not isinstance(out, Exception) and out.result.converged
     ]
     records = [[f.result for f in fitted]]

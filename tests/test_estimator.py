@@ -1673,6 +1673,27 @@ class TestLockstep:
             np.testing.assert_array_equal(sol.beta, [0.5, -0.5])
             assert sol.objective == q
 
+    def test_trial_point_losing_weight_rank_stops_the_search(self):
+        """A search whose trial point has a weight of rank below p stops
+        there with SingularWeightMatrix. The stub's Q_n is |beta|^2 with
+        W = I, of full rank only at the start, so the first trial point,
+        the origin, has rank 1."""
+        from qifaux.estimator import _minimize, _Point
+
+        class RankLosing:
+            newton_bound = None
+
+            def evaluate(self, rows, beta, frozen_inv=None):
+                rank = np.where((beta == 1.0).all(axis=1), 2, 1)
+                return _Point(rows, beta.copy(), np.tile(np.eye(2), (len(rows), 1, 1)), rank, None)
+
+            def derivatives(self, point, u, continuous):
+                return np.tile(np.eye(2), (len(point.rows), 1, 1)), u, None
+
+        (out,) = _minimize(RankLosing(), [0], np.ones((1, 2)), np.arange(2), FitOptions())
+        assert isinstance(out, SingularWeightMatrix)
+        assert str(out) == "weight matrix rank 1 < parameter dimension 2"
+
     def test_logit_batch_of_one_failing_at_its_start(self):
         """A logit problem whose weight has rank below p at its start leaves
         before any direction is computed, with its own error."""
@@ -1686,10 +1707,11 @@ class TestLockstep:
     def test_fits_of_a_batch_equal_their_public_fits(self):
         """``fit`` is the batch of one: every fit of a lockstep batch equals
         the public ``fit`` of its problem, covariance included."""
-        from qifaux.estimator import _fit
+        from qifaux.estimator import _fit, _start
 
         problems = [paper_problem("gmmai2", 1003, r) for r in range(4)]
-        outcomes = _fit([c for c, _ in problems], [ds for _, ds in problems], FitOptions())
+        configs, datasets = zip(*problems)
+        outcomes = _fit(configs, datasets, FitOptions(), list(map(_start, configs, datasets)))
         for (cfg, ds), out in zip(problems, outcomes):
             alone = fit(cfg, ds)
             for field in ("beta_hat", "covariance", "objective", "iterations", "iterates"):
@@ -1723,7 +1745,7 @@ class TestWeightRoute:
         """Every stacked evaluation of a Monte Carlo study on the paper's
         design, fits and both profile tests of all three methods, inverts
         directly; each problem has one structural null direction."""
-        from qifaux.estimator import _fit
+        from qifaux.estimator import _fit, _start
         from qifaux.simulation import Hypothesis, run_monte_carlo
 
         counts = self.count_pseudo_inverses(monkeypatch)
@@ -1733,8 +1755,9 @@ class TestWeightRoute:
         assert all(s.failures == 0 for s in summaries.values())
         assert counts["weight"] > 0 and counts["pseudo"] == 0
         for method, d in (("qif", 4), ("gmmai2", 10), ("gmmai4", 16)):
-            problems = [paper_problem(method, 1003, r) for r in range(4)]
-            outcomes = _fit([c for c, _ in problems], [ds for _, ds in problems], FitOptions())
+            configs, datasets = zip(*(paper_problem(method, 1003, r) for r in range(4)))
+            starts = list(map(_start, configs, datasets))
+            outcomes = _fit(configs, datasets, FitOptions(), starts)
             model = outcomes[0].model
             np.testing.assert_array_equal(model.nulls, [1, 1, 1, 1])
             betas = np.array([out.result.beta_hat for out in outcomes])
@@ -1822,10 +1845,10 @@ class TestUnitFreeNulls:
     def fitted(method, seed, x_scale=1.0, y_scale=1.0):
         """(``_Fitted``, its n Q_n, profile statistic of beta_2 = 0, a null
         that is the same in every unit) of a rescaled problem."""
-        from qifaux.estimator import _fit
+        from qifaux.estimator import _fit, _start
 
         cfg, ds = TestUnitFreeNulls.rescaled(method, seed, x_scale, y_scale)
-        fitted = _fit([cfg], [ds], FitOptions())[0]
+        fitted = _fit([cfg], [ds], FitOptions(), [_start(cfg, ds)])[0]
         test = profile_test(cfg, ds, [1], [0.0], unrestricted=fitted.result)
         return fitted, ds.n * fitted.result.objective, test.statistic
 
@@ -1885,14 +1908,14 @@ class TestTwoStructuralNulls:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_nulls_fit_and_match_the_pseudo_inverse(self, seed, monkeypatch):
-        from qifaux.estimator import _fit
+        from qifaux.estimator import _fit, _start
 
         def refuse(stack):
             raise AssertionError("pseudo-inverse")
 
         cfg, ds = self.problem(seed)
         monkeypatch.setattr(qifaux.estimator, "_pseudo_inverse", refuse)
-        fitted = _fit([cfg], [ds], FitOptions())[0]
+        fitted = _fit([cfg], [ds], FitOptions(), [_start(cfg, ds)])[0]
         assert fitted.model.nulls[0] == 2
         assert fitted.result.converged
         beta = fitted.result.beta_hat + 1e-3 * np.random.default_rng(seed).standard_normal(3)
@@ -2262,3 +2285,18 @@ class TestIntervalsAndEfficiency:
         )
         with pytest.raises(ZeroDivisionError):
             relative_efficiency(res, degenerate, 0)
+
+    @pytest.mark.parametrize("index", [-1, True, 1.0, 2], ids=["negative", "bool", "float", "p"])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda res, i: wald_interval(res, i), lambda res, i: relative_efficiency(res, res, i)],
+        ids=["wald_interval", "relative_efficiency"],
+    )
+    def test_index_outside_coefficients_rejected(self, call, index):
+        """-1 would silently read beta_2, True leaks a warning and a
+        TypeError, and 1.0 and 2 numpy IndexErrors: each is refused with
+        the integer rule of ``_hypothesis``."""
+        with pytest.raises(ValueError) as err:
+            call(self._result(), index)
+        message = f"index must be an integer in 0..1, got {index!r}"
+        assert (err.type, str(err.value)) == (ValueError, message)

@@ -811,8 +811,9 @@ class TestSplitSample:
     def test_invalid_sizes(self):
         design = SimulationDesign(n=10, seed=34, replications=1)
         ds = generate_dataset(design, replication_rng(34, 0, 0))
-        for bad in (0, 10, 11):
-            with pytest.raises(InvalidSize):
+        # a float slices nothing, and True would split off one subject
+        for bad in (0, 10, 11, 4.0, np.float64(4), True):
+            with pytest.raises(InvalidSize, match="analysis size must be an integer in 1..9"):
                 split_sample(ds, bad, seed=0)
 
     def test_negative_seed_rejected(self):
@@ -821,6 +822,11 @@ class TestSplitSample:
         with pytest.raises(ValueError) as err:
             split_sample(ds, 4, seed=-1)
         assert (err.type, str(err.value)) == (ValueError, "seed must be non-negative")
+
+
+# a FitResult and a MonteCarloSummary of p = 2, built without solving
+TINY_FIT = FitResult(np.zeros(2), np.eye(2), 0.0, 1, True, 0.0)
+TINY_SUMMARY = MonteCarloSummary("qif", 1, 0, *np.zeros((4, 2)))
 
 
 class TestReports:
@@ -922,13 +928,46 @@ class TestReports:
             ({}, ValueError, "results must be a non-empty mapping or FitResult"),
             ([], ValueError, "results must be a non-empty mapping or FitResult"),
             ({"qif": 1.5}, TypeError, "cannot report values of type float"),
+            (
+                {"a": TINY_SUMMARY, "b": TINY_FIT},
+                TypeError,
+                "'b' holds a FitResult, not a MonteCarloSummary",
+            ),
+            (
+                {"a": TINY_FIT, "b": TINY_FIT, "c": TINY_SUMMARY},
+                TypeError,
+                "'c' holds a MonteCarloSummary, not a FitResult",
+            ),
         ],
-        ids=["empty", "list", "float"],
+        ids=["empty", "list", "float", "fit_after_summary", "summary_after_fits"],
     )
     def test_unreportable_results_rejected(self, results, error, message):
         with pytest.raises(error) as err:
             emit_report(results)
         assert (err.type, str(err.value)) == (error, message)
+
+    def test_structured_report_skips_blank_lines(self):
+        text = emit_report({"a": TINY_FIT, "b": TINY_FIT}, "structured")
+        back = parse_structured_report(text.replace("\n", "\n\n   \n", 1))
+        assert list(back) == ["a", "b"]
+        np.testing.assert_array_equal(back["b"].covariance, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "text, line, missing",
+        [
+            (emit_report({"qif": TINY_SUMMARY}, "structured"), 1, "beta, converged, cov"),
+            (emit_report(TINY_FIT, "structured") + '\n{"method": "a"}\n', 3, "beta, converged"),
+            ("[1, 2]\n", 1, "beta, converged, cov"),
+        ],
+        ids=["monte_carlo", "method_only", "list"],
+    )
+    def test_record_that_is_not_a_fit_rejected(self, text, line, missing):
+        """A Monte Carlo report or a partial record names its line and the
+        keys it lacks, instead of a KeyError."""
+        with pytest.raises(MalformedRow) as err:
+            parse_structured_report(text)
+        assert err.value.line_number == line
+        assert str(err.value).startswith(f"line {line}: not a fit record: no {missing}")
 
 
 class TestDesignConfig:

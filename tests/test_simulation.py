@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import qifaux.estimator as estimator
 import qifaux.simulation as sim
 from qifaux import (
     CorrelationStructure,
     ExtendedScoreConfig,
+    FitOptions,
+    LongitudinalDataset,
     MalformedRow,
     MarginalModelSpec,
     PhiSource,
+    RankDeficient,
     SimulationDesign,
     TooManyFailures,
     build_basis,
@@ -286,6 +290,37 @@ class TestRunMonteCarlo:
         with pytest.raises(TooManyFailures):
             run_monte_carlo(design, ["qif"])
 
+    def test_panel_whose_start_fails_is_one_failed_replication(self, monkeypatch):
+        """A panel whose independence start raises RankDeficient (its two
+        covariates are equal) is one failed replication of every method,
+        and every other replication is as in the study without it. Empty
+        subgroups are allowed, so the start is what stops gmmai4 there."""
+        design = SimulationDesign(n=100, seed=12, replications=20)
+        options = FitOptions(allow_empty_subgroups=True)
+        methods = list(sim.METHODS)
+        clean = run_monte_carlo(design, methods, options=options)
+        draw, drawn = sim.generate_dataset, []
+
+        def collinear_second(design, rng):
+            ds = draw(design, rng)
+            if len(drawn) == 1:
+                x = ds.covariates.copy()
+                x[:, :, 0] = x[:, :, 1]
+                ds = LongitudinalDataset(ds.responses, x)
+            drawn.append(ds)
+            return ds
+
+        monkeypatch.setattr(sim, "generate_dataset", collinear_second)
+        broken = run_monte_carlo(design, methods, options=options)
+        for method in methods:
+            assert (broken[method].failures, broken[method].replications) == (1, 19)
+            np.testing.assert_array_equal(
+                broken[method].estimates, np.delete(clean[method].estimates, 1, axis=0)
+            )
+        cfg = ExtendedScoreConfig(MarginalModelSpec.gaussian(), build_basis(design.working, 3))
+        with pytest.raises(RankDeficient):
+            estimator.initial_estimate(cfg, drawn[1])
+
     def test_unknown_method_rejected(self):
         design = SimulationDesign(n=60, seed=10, replications=2)
         with pytest.raises(ValueError):
@@ -414,7 +449,8 @@ class TestRunMonteCarlo:
         Across chunks of two, every estimate equals the public fit of its
         panel and every statistic the public profile test, bit for bit."""
         calls = {"start": 0, "gmmai2": 0, "gmmai4": 0}
-        start, two, four = sim.initial_estimate, sim.build_two_group_aux, sim.build_four_group_aux
+        start = estimator.initial_estimate
+        two, four = sim.build_two_group_aux, sim.build_four_group_aux
 
         def counting(key, function):
             def counted(*args):
@@ -424,7 +460,7 @@ class TestRunMonteCarlo:
             return counted
 
         monkeypatch.setattr(sim, "CHUNK", 2)
-        monkeypatch.setattr(sim, "initial_estimate", counting("start", start))
+        monkeypatch.setattr(estimator, "initial_estimate", counting("start", start))
         monkeypatch.setattr(sim, "build_two_group_aux", counting("gmmai2", two))
         monkeypatch.setattr(sim, "build_four_group_aux", counting("gmmai4", four))
         design = SimulationDesign(
